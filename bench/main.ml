@@ -129,6 +129,7 @@ let promote_all _ = true
 let perf_tests () =
   let small = bench_program "CS.twostage_bad" in
   let wsq = bench_program "chess.WSQ" in
+  let twostage_100 = bench_program "CS.twostage_100_bad" in
   let engine =
     Test.make_grouped ~name:"engine"
       [
@@ -148,6 +149,15 @@ let perf_tests () =
                  (Sct_core.Runtime.exec ~promote:promote_all
                     ~record_decisions:false ~scheduler:rr_scheduler
                     (bench_program "yield.spinwait_bad"))));
+        (* the many-enabled decision path: 100 threads under delay
+           bounding, where a decision's cost is quadratic or worse in the
+           thread count unless it stays O(|enabled|) *)
+        Test.make ~name:"idb-campaign/twostage-100"
+          (Staged.stage (fun () ->
+               Sys.opaque_identity
+                 (Sct_explore.Bounded.explore ~promote:promote_all
+                    ~kind:Sct_explore.Bounded.Delay_bounding ~limit:25
+                    twostage_100)));
       ]
   in
   let yield_loops =

@@ -25,13 +25,35 @@ let count ~n_at ~steps =
   in
   dc
 
-let rr_order ~n ~last ~enabled =
+let rec ascending = function
+  | a :: (b :: _ as tl) -> a <= b && ascending tl
+  | [ _ ] | [] -> true
+
+let rec drop_below s = function
+  | x :: tl when x < s -> drop_below s tl
+  | l -> l
+
+let rec take_below s = function
+  | x :: tl when x < s -> x :: take_below s tl
+  | _ -> []
+
+(* Round-robin order from [last] is the ascending list rotated to start at
+   the first thread >= [last]: distance grows with the id up to [n - 1],
+   then wraps to the threads below [last]. *)
+let rr_order ~n:_ ~last ~enabled =
   match enabled with
   | [] | [ _ ] -> enabled
-  | _ ->
-      let start = match last with None -> 0 | Some l -> l in
-      let key t = Tid.distance ~n start t in
-      List.sort (fun a b -> Int.compare (key a) (key b)) enabled
+  | _ -> (
+      let enabled =
+        if ascending enabled then enabled else List.sort Int.compare enabled
+      in
+      match last with
+      | None -> enabled
+      | Some s -> (
+          match drop_below s enabled with
+          | [] -> enabled
+          | rest when rest == enabled -> enabled
+          | rest -> rest @ take_below s enabled))
 
 let deterministic_choice ~n ~last ~enabled =
   match rr_order ~n ~last ~enabled with [] -> None | t :: _ -> Some t

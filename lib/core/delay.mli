@@ -25,4 +25,8 @@ val deterministic_choice :
 val rr_order : n:int -> last:Tid.t option -> enabled:Tid.t list -> Tid.t list
 (** [rr_order ~n ~last ~enabled] is [enabled] sorted by round-robin distance
     from [last]: the order in which the deterministic scheduler would
-    consider threads, i.e. sorted by increasing per-choice delay cost. *)
+    consider threads, i.e. sorted by increasing per-choice delay cost — the
+    [k]-th thread of the order costs exactly [k] delays. An ascending
+    [enabled] (as the engine supplies it) is rotated in O(|enabled|),
+    returned physically unchanged when no rotation is needed; any other
+    order is sorted first. *)

@@ -92,6 +92,9 @@ type t = {
   mutable n_live : int;  (* unfinished threads *)
   mutable n_enabled : int;  (* threads with [t_enabled] *)
   mutable enabled_fp : int;  (* xor fingerprint of the enabled set *)
+  mutable enabled_cache : Tid.t list;
+      (* the enabled set as last built, ascending; [[]] once a [t_enabled]
+         bit has flipped since (a built list is never empty) *)
   mutable dirty : int array;  (* stack of tids awaiting re-evaluation *)
   mutable n_dirty : int;
   (* One effect handler is shared by every fibre of the execution (the
@@ -375,7 +378,8 @@ let flush_dirty rt =
     if now <> th.t_enabled then begin
       th.t_enabled <- now;
       rt.n_enabled <- rt.n_enabled + (if now then 1 else -1);
-      rt.enabled_fp <- rt.enabled_fp lxor fp_tid tid
+      rt.enabled_fp <- rt.enabled_fp lxor fp_tid tid;
+      rt.enabled_cache <- []
     end
   done
 
@@ -388,15 +392,48 @@ let live_tids rt =
   done;
   !acc
 
-(* Collect the enabled set, in ascending tid order, from the cached bits. *)
+(* The enabled set, in ascending tid order. The list is immutable, so the
+   one built from the cached bits is handed out again at every decision
+   until some bit flips. *)
 let enabled_list rt =
-  let acc = ref [] in
-  for i = rt.count - 1 downto 0 do
-    match rt.threads.(i) with
-    | Some th when th.t_enabled -> acc := th.tid :: !acc
-    | _ -> ()
-  done;
-  !acc
+  match rt.enabled_cache with
+  | _ :: _ as l -> l
+  | [] ->
+      let acc = ref [] in
+      for i = rt.count - 1 downto 0 do
+        match rt.threads.(i) with
+        | Some th when th.t_enabled -> acc := th.tid :: !acc
+        | _ -> ()
+      done;
+      rt.enabled_cache <- !acc;
+      !acc
+
+let is_enabled rt tid =
+  tid >= 0 && tid < rt.count
+  && match rt.threads.(tid) with Some th -> th.t_enabled | None -> false
+
+(* --- the bound-cost kernel ----------------------------------------------
+   The per-thread costs of the pending decision (paper §2), read off the
+   cached bits instead of scanning the enabled list. They agree with
+   [Preemption.delta] and [Delay.delays] on every enabled thread. *)
+
+let preemption_cost rt t =
+  match rt.last with
+  | Some l when not (Tid.equal l t) -> if is_enabled rt l then 1 else 0
+  | Some _ | None -> 0
+
+let delay_cost rt t =
+  match rt.last with
+  | None -> 0
+  | Some l ->
+      (* the enabled threads in the circular range [l, t) *)
+      let n = rt.count in
+      let stop = l + Tid.distance ~n l t in
+      let c = ref 0 in
+      for x = l to stop - 1 do
+        if is_enabled rt (if x < n then x else x - n) then incr c
+      done;
+      !c
 
 (* The unique enabled thread when [n_enabled = 1]. Run-to-block stretches
    keep scheduling the same thread, so check [last] before scanning. *)
@@ -505,7 +542,8 @@ let add_thread rt f =
   if en then begin
     th.t_enabled <- true;
     rt.n_enabled <- rt.n_enabled + 1;
-    rt.enabled_fp <- rt.enabled_fp lxor fp_tid tid
+    rt.enabled_fp <- rt.enabled_fp lxor fp_tid tid;
+    rt.enabled_cache <- []
   end;
   tid
 
@@ -795,6 +833,7 @@ let exec ?(promote = fun _ -> false) ?listener ?(max_steps = 100_000)
       n_live = 0;
       n_enabled = 0;
       enabled_fp = 0;
+      enabled_cache = [];
       dirty = Array.make 8 0;
       n_dirty = 0;
       handler = None;
@@ -845,11 +884,9 @@ let exec ?(promote = fun _ -> false) ?listener ?(max_steps = 100_000)
             let n_enabled = rt.n_enabled in
             if n_enabled > rt.max_enabled then rt.max_enabled <- n_enabled;
             if n_enabled > 1 then rt.multi_points <- rt.multi_points + 1;
-            let th, enabled =
-              if n_enabled = 1 then
-                let th = single_enabled rt in
-                (th, th.t_singleton)
-              else (thread rt 0, enabled_list rt)
+            let enabled =
+              if n_enabled = 1 then (single_enabled rt).t_singleton
+              else enabled_list rt
             in
             ctx.c_step <- rt.steps;
             ctx.c_last <- rt.last;
@@ -857,20 +894,9 @@ let exec ?(promote = fun _ -> false) ?listener ?(max_steps = 100_000)
             ctx.c_enabled_fp <- rt.enabled_fp;
             ctx.c_n_threads <- rt.count;
             let chosen = scheduler ctx in
-            let th =
-              if n_enabled = 1 then begin
-                if not (Tid.equal chosen th.tid) then
-                  invalid_arg
-                    "Sct_core.Runtime: scheduler chose a disabled thread";
-                th
-              end
-              else begin
-                if not (List.exists (Tid.equal chosen) enabled) then
-                  invalid_arg
-                    "Sct_core.Runtime: scheduler chose a disabled thread";
-                thread rt chosen
-              end
-            in
+            if not (is_enabled rt chosen) then
+              invalid_arg "Sct_core.Runtime: scheduler chose a disabled thread";
+            let th = thread rt chosen in
             if record_decisions then
               rt.decisions_rev <-
                 {
@@ -882,10 +908,9 @@ let exec ?(promote = fun _ -> false) ?listener ?(max_steps = 100_000)
                 :: rt.decisions_rev;
             push_sched rt chosen;
             if n_enabled > 1 then begin
-              (* with a single enabled thread both deltas are 0 *)
-              rt.pc <- rt.pc + Preemption.delta ~last:rt.last ~enabled chosen;
-              rt.dc <-
-                rt.dc + Delay.delays ~n:rt.count ~last:rt.last ~enabled chosen
+              (* with a single enabled thread both costs are 0 *)
+              rt.pc <- rt.pc + preemption_cost rt chosen;
+              rt.dc <- rt.dc + delay_cost rt chosen
             end;
             (match rt.last with
             | Some l when Tid.equal l chosen -> ()

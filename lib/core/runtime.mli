@@ -85,7 +85,9 @@ type ctx = {
 (** One [ctx] record is reused (mutated in place) across all steps of an
     execution; schedulers must not retain it beyond the call. Retaining the
     [c_enabled] list itself is fine — lists are immutable and never patched
-    in place. *)
+    in place. The engine hands the same list out again at every decision
+    until the enabled set changes, so consecutive decisions may share it
+    physically. *)
 
 type scheduler = ctx -> Tid.t
 (** Must return a member of [c_enabled]. *)
@@ -136,6 +138,23 @@ val fingerprint : Tid.t list -> int
     cheaply check that a replayed prefix sees the enabled sets it recorded.
     The engine maintains the fingerprint of the current enabled set
     incrementally and exposes it as [ctx.c_enabled_fp]. *)
+
+(** {1 Bound costs of the pending decision}
+
+    The per-thread costs of extending the schedule by one step of [t]
+    (paper §2), read off the engine's cached enabled bits. Called from a
+    scheduler, they describe the decision in progress: on every enabled
+    [t] they equal [Preemption.delta ~last:ctx.c_last ~enabled:ctx.c_enabled t]
+    and [Delay.delays ~n:ctx.c_n_threads ~last:ctx.c_last ~enabled:ctx.c_enabled t],
+    the reference definitions, without scanning the list. *)
+
+val preemption_cost : t -> Tid.t -> int
+(** [1] iff the previously scheduled thread is still enabled and is not
+    [t]; O(1). *)
+
+val delay_cost : t -> Tid.t -> int
+(** The enabled threads round-robin skips from the previously scheduled
+    thread to [t]; O(round-robin distance). *)
 
 (** {1 Introspection used by the DSL and by schedulers} *)
 

@@ -7,6 +7,15 @@ type bound =
   | Variable of int
   | Threads of int
 
+let bound_limit = function
+  | Unbounded -> max_int
+  | Preemption c | Delay c | Variable c | Threads c -> c
+
+let cost_shape : bound -> Bound_cost.shape = function
+  | Unbounded -> Free
+  | Preemption _ | Variable _ | Threads _ -> Preemptions
+  | Delay _ -> Delays
+
 type level_result = Strategy.walk_result = {
   counted : int;
   buggy : int;
@@ -91,10 +100,7 @@ module Walk = struct
     let w =
       {
         w_bound = bound;
-        w_bound_c =
-          (match bound with
-          | Unbounded -> max_int
-          | Preemption c | Delay c | Variable c | Threads c -> c);
+        w_bound_c = bound_limit bound;
         w_count_exact = count_exact;
         w_fair = fair;
         w_length = length;
@@ -154,27 +160,22 @@ module Walk = struct
     | Threads _, Some l -> l
     | _ -> -1
 
-  (* Cost of scheduling [t] next, without committing anything. For the
-     footprint bounds a preemption costs 1 only the first time its key
-     enters this run's footprint, so the cost of a path is the cardinality
-     of its footprint — path-determined, hence monotone in the bound. *)
-  let delta w (ctx : Runtime.ctx) t =
+  (* How the decision in progress charges its children. A footprint bound
+     charges a preemption only the first time its key enters this run's
+     footprint, so the cost of a path is the cardinality of its footprint —
+     path-determined, hence monotone in the bound. The key is the same for
+     every child of a decision, so a decision whose key the footprint
+     already holds is free. *)
+  let shape w (ctx : Runtime.ctx) =
     match w.w_bound with
-    | Unbounded -> 0
-    | Preemption _ ->
-        Preemption.delta ~last:ctx.c_last ~enabled:ctx.c_enabled t
-    | Delay _ ->
-        Delay.delays ~n:ctx.c_n_threads ~last:ctx.c_last ~enabled:ctx.c_enabled
-          t
-    | Variable _ | Threads _ ->
-        if Preemption.delta ~last:ctx.c_last ~enabled:ctx.c_enabled t = 0 then 0
-        else if foot_mem w (foot_key w ctx) then 0
-        else 1
+    | (Variable _ | Threads _) when foot_mem w (foot_key w ctx) ->
+        Bound_cost.Free
+    | b -> cost_shape b
 
   (* Commit the chosen decision's bound cost (recording the footprint key
      when it is new). *)
   let commit_count w (ctx : Runtime.ctx) t =
-    let d = delta w ctx t in
+    let d = Bound_cost.cost (shape w ctx) ctx t in
     (match w.w_bound with
     | (Variable _ | Threads _) when d > 0 -> foot_add w (foot_key w ctx)
     | _ -> ());
@@ -195,22 +196,24 @@ module Walk = struct
       w.yields.(t) <- w.yields.(t) + 1
     end
 
+  let least_yields w (ctx : Runtime.ctx) =
+    let m = ref max_int in
+    for tid = 0 to ctx.c_n_threads - 1 do
+      if Runtime.thread_live ctx.c_rt tid then m := min !m (yield_count w tid)
+    done;
+    !m
+
   (* Fair bounding admits a yield by [t] only while its yield count stays
      within [b] of the least-yielding live thread — so a thread spinning in
      a yield loop is forced to let the threads it waits on run. Non-yield
-     operations are never restricted. *)
-  let fair_ok w (ctx : Runtime.ctx) t =
-    match w.w_fair with
-    | None -> true
-    | Some b ->
-        (not (Runtime.pending_is_yield ctx.c_rt t))
-        ||
-        let min_y = ref max_int in
-        for tid = 0 to ctx.c_n_threads - 1 do
-          if Runtime.thread_live ctx.c_rt tid then
-            min_y := min !min_y (yield_count w tid)
-        done;
-        yield_count w t + 1 - !min_y <= b
+     operations are never restricted. [least] holds that minimum for the
+     decision in progress, [-1] until the first yielding candidate needs
+     it, so one decision scans the live threads at most once. *)
+  let fair_ok w (ctx : Runtime.ctx) b ~least t =
+    (not (Runtime.pending_is_yield ctx.c_rt t))
+    ||
+    (if !least < 0 then least := least_yields w ctx;
+     yield_count w t + 1 - !least <= b)
 
   let cut w =
     w.aux_pruned <- true;
@@ -247,44 +250,38 @@ module Walk = struct
     else begin
       match ctx.c_enabled with
       | [ t ] ->
-          (* the only child; its delta is 0, so it is always in bound —
+          (* the only child; its cost is 0, so it is always in bound —
              but fair bounding may still cut an unaccompanied yield loop *)
-          if w.w_fair <> None then begin
-            if not (fair_ok w ctx t) then cut w;
-            note_yield w ctx t
-          end;
+          (match w.w_fair with
+          | Some b ->
+              if not (fair_ok w ctx b ~least:(ref (-1)) t) then cut w;
+              note_yield w ctx t
+          | None -> ());
           if i < w.w_max_branch_depth then
             push w.st ~chosen:t ~rest:[] ~enabled:ctx.c_enabled
               ~fp:ctx.c_enabled_fp;
           t
       | enabled -> (
-          let order =
-            Delay.rr_order ~n:ctx.c_n_threads ~last:ctx.c_last ~enabled
+          let in_bound, bound_cut =
+            Bound_cost.candidates (shape w ctx)
+              ~budget:(w.w_bound_c - w.cur_count) ~n:ctx.c_n_threads
+              ~last:ctx.c_last ~enabled
           in
+          (* attribute the shortfall: a structural-bound cut climbs
+             iterated-bounding levels ([pruned]); a fair cut only clears
+             completeness ([aux_pruned]) — no larger structural bound
+             would restore the filtered children *)
+          if bound_cut then w.pruned <- true;
           let allowed =
-            List.filter
-              (fun t ->
-                w.cur_count + delta w ctx t <= w.w_bound_c && fair_ok w ctx t)
-              order
+            match w.w_fair with
+            | None -> in_bound
+            | Some b ->
+                let least = ref (-1) in
+                let allowed = List.filter (fair_ok w ctx b ~least) in_bound in
+                if List.compare_lengths allowed in_bound < 0 then
+                  w.aux_pruned <- true;
+                allowed
           in
-          if List.compare_lengths allowed order < 0 then begin
-            (* attribute the shortfall: a structural-bound cut climbs
-               iterated-bounding levels ([pruned]); a fair cut only clears
-               completeness ([aux_pruned]) — no larger structural bound
-               would restore the filtered children *)
-            if
-              List.exists
-                (fun t -> w.cur_count + delta w ctx t > w.w_bound_c)
-                order
-            then w.pruned <- true;
-            if
-              List.exists
-                (fun t ->
-                  w.cur_count + delta w ctx t <= w.w_bound_c
-                  && not (fair_ok w ctx t))
-                order
-            then w.aux_pruned <- true
-          end;
           match allowed with
           | [] ->
               (* A zero-cost child always exists within any structural

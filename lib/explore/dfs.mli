@@ -26,6 +26,15 @@ type bound =
           distinct threads — the cost of a preemption is 1 only the first
           time the preempted thread enters the run's footprint *)
 
+val bound_limit : bound -> int
+(** The level bound [c]; [max_int] for [Unbounded]. *)
+
+val cost_shape : bound -> Bound_cost.shape
+(** How the bound charges a decision's children ({!Bound_cost}). The
+    footprint bounds are preemption-shaped, except that a decision is free
+    when the run's footprint already holds its key — which only the walk's
+    own state can tell. *)
+
 type level_result = Strategy.walk_result = {
   counted : int;  (** terminal schedules counted by this call *)
   buggy : int;

@@ -67,10 +67,9 @@ module Walk = struct
             sibling to [wake]; later cut adds at this frame are no-ops *)
     f_enabled : (Tid.t * Op.t) list;  (** enabled threads at the node *)
     f_in_bound : Tid.t list;
-        (** the enabled threads whose bound delta at this node fits the
-            level bound — fixed at node creation, memoized because the
-            race-driven backtrack adds query it hot (delay deltas are
-            O(n·distance) to recompute) *)
+        (** the enabled threads whose bound cost at this node fits the
+            level bound ({!Bound_cost.candidates}) — fixed at node
+            creation; the race-driven backtrack adds query it *)
     f_fp : int;  (** [Runtime.fingerprint] of the enabled tids *)
     f_sleep : (Tid.t * Op.t) list;  (** sleep set on entry to the node *)
     f_count : int;  (** bound count (preemptions / delays) on entry *)
@@ -110,6 +109,7 @@ module Walk = struct
     with_sleep : bool;
     with_dpor : bool;
     w_bound : Dfs.bound;
+    w_shape : Bound_cost.shape;
     w_bound_c : int;
     w_count_exact : int option;
     w_on_prune : unit -> unit;
@@ -137,6 +137,11 @@ module Walk = struct
   }
 
   let make ?(on_prune = fun () -> ()) ?count_exact ~mode ~bound () =
+    (match bound with
+    | Dfs.Variable _ | Dfs.Threads _ ->
+        (* the footprint bounds declare [supports_por = false] *)
+        invalid_arg "Sct_explore.Por: footprint bounds are unsupported"
+    | Dfs.Unbounded | Dfs.Preemption _ | Dfs.Delay _ -> ());
     let bounded = bound <> Dfs.Unbounded in
     {
       (* Sleep sets alone cannot prune soundly under a finite bound (see
@@ -149,13 +154,8 @@ module Walk = struct
         | Sleep -> not bounded);
       with_dpor = (match mode with Sleep -> false | Dpor | Dpor_sleep -> true);
       w_bound = bound;
-      w_bound_c =
-        (match bound with
-        | Dfs.Unbounded -> max_int
-        | Dfs.Preemption c | Dfs.Delay c -> c
-        | Dfs.Variable _ | Dfs.Threads _ ->
-            (* the footprint bounds declare [supports_por = false] *)
-            invalid_arg "Sct_explore.Por: footprint bounds are unsupported");
+      w_shape = Dfs.cost_shape bound;
+      w_bound_c = Dfs.bound_limit bound;
       w_count_exact = count_exact;
       w_on_prune = on_prune;
       st = { frames = Array.make 1024 dummy_frame; len = 0 };
@@ -171,13 +171,6 @@ module Walk = struct
       accesses = Hashtbl.create 64;
     }
 
-  let delta w ~last ~enabled ~n t =
-    match w.w_bound with
-    | Dfs.Unbounded -> 0
-    | Dfs.Preemption _ -> Preemption.delta ~last ~enabled t
-    | Dfs.Delay _ -> Delay.delays ~n ~last ~enabled t
-    | Dfs.Variable _ | Dfs.Threads _ -> assert false (* rejected by [make] *)
-
   let clock_of w t =
     match Hashtbl.find_opt w.clocks t with
     | Some c -> c
@@ -186,7 +179,7 @@ module Walk = struct
   (* Add thread [t] to a backtrack list of frame [j]. Conservative points
      ignore the sleep set (a slept thread's covering execution may have
      been cut by the bound, so it must be re-explorable). A point whose
-     own bound delta at [j] exceeds the level bound is recorded as bound
+     own bound cost at [j] exceeds the level bound is recorded as bound
      pruning — the reordering it denotes is only reachable at a higher
      bound level along {e this} prefix — and every in-bound sibling at [j]
      becomes a conservative point: the bound cost of the cut reordering
@@ -340,36 +333,22 @@ module Walk = struct
       w.cur_sleep <-
         (if fr.via_wake then []
          else advance_sleep (List.remove_assoc fr.chosen fr.f_sleep) fr.done_ op);
-    w.cur_count <-
-      w.cur_count
-      + delta w ~last:ctx.c_last ~enabled:ctx.c_enabled ~n:ctx.c_n_threads
-          fr.chosen;
+    w.cur_count <- w.cur_count + Bound_cost.cost w.w_shape ctx fr.chosen;
     fr.chosen
 
   let choose w (ctx : Runtime.ctx) =
     let i = w.depth in
     w.depth <- i + 1;
-    let in_bound t =
-      w.cur_count
-      + delta w ~last:ctx.c_last ~enabled:ctx.c_enabled ~n:ctx.c_n_threads t
-      <= w.w_bound_c
-    in
     if w.run_pruned then begin
-      (* past a sleep-pruned node: follow the cheapest in-bound child to
-         the end of the run without recording anything — the whole branch
-         is discarded by [on_terminal] *)
-      let order =
-        Delay.rr_order ~n:ctx.c_n_threads ~last:ctx.c_last
+      (* past a sleep-pruned node: follow the zero-cost round-robin child
+         to the end of the run without recording anything — the whole
+         branch is discarded by [on_terminal] *)
+      match
+        Delay.deterministic_choice ~n:ctx.c_n_threads ~last:ctx.c_last
           ~enabled:ctx.c_enabled
-      in
-      match List.filter in_bound order with
-      | t :: _ ->
-          w.cur_count <-
-            w.cur_count
-            + delta w ~last:ctx.c_last ~enabled:ctx.c_enabled
-                ~n:ctx.c_n_threads t;
-          t
-      | [] -> assert false (* a zero-cost child always exists (see DESIGN) *)
+      with
+      | Some t -> t
+      | None -> assert false (* the engine never schedules an empty set *)
     end
     else if i < w.replay_len then begin
       let fr = w.st.frames.(i) in
@@ -386,12 +365,11 @@ module Walk = struct
         | None -> invalid_arg "Sct_explore.Por: enabled thread without an op"
       in
       let enabled = List.map (fun t -> (t, pending t)) ctx.c_enabled in
-      let order =
-        Delay.rr_order ~n:ctx.c_n_threads ~last:ctx.c_last
-          ~enabled:ctx.c_enabled
+      let candidates, cut =
+        Bound_cost.candidates w.w_shape ~budget:(w.w_bound_c - w.cur_count)
+          ~n:ctx.c_n_threads ~last:ctx.c_last ~enabled:ctx.c_enabled
       in
-      let candidates = List.filter in_bound order in
-      if List.compare_lengths candidates order < 0 then w.pruned <- true;
+      if cut then w.pruned <- true;
       let allowed =
         if w.with_sleep then
           List.filter (fun t -> not (List.mem_assoc t w.cur_sleep)) candidates
@@ -400,16 +378,10 @@ module Walk = struct
       match allowed with
       | [] -> (
           (* every in-bound enabled thread is asleep: the branch only
-             contains interleavings equivalent to already-explored ones *)
+             contains interleavings equivalent to already-explored ones;
+             follow the round-robin head, which costs nothing *)
           w.run_pruned <- true;
-          match candidates with
-          | t :: _ ->
-              w.cur_count <-
-                w.cur_count
-                + delta w ~last:ctx.c_last ~enabled:ctx.c_enabled
-                    ~n:ctx.c_n_threads t;
-              t
-          | [] -> assert false)
+          match candidates with t :: _ -> t | [] -> assert false)
       | c :: rest ->
           let todo = if w.with_dpor then [] else rest in
           let fr =

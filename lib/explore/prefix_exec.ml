@@ -137,27 +137,15 @@ let exit_stopped = 3
    result pipe strictly in sequential DFS order and never interleave. *)
 let run_worker ~result_w ~control_r ?promote ?max_steps ~(prefix : Strategy.prefix)
     ~bound program : 'never =
-  let bound_c =
-    match bound with
-    | Dfs.Unbounded -> max_int
-    | Dfs.Preemption c | Dfs.Delay c -> c
-    | Dfs.Variable _ | Dfs.Threads _ ->
-        (* the footprint bounds declare [supports_prefix_batch = false] *)
-        invalid_arg "Sct_explore.Prefix_exec: footprint bounds are unsupported"
-  in
+  (match bound with
+  | Dfs.Variable _ | Dfs.Threads _ ->
+      (* the footprint bounds declare [supports_prefix_batch = false] *)
+      invalid_arg "Sct_explore.Prefix_exec: footprint bounds are unsupported"
+  | Dfs.Unbounded | Dfs.Preemption _ | Dfs.Delay _ -> ());
+  let shape = Dfs.cost_shape bound and bound_c = Dfs.bound_limit bound in
   let depth = ref 0 in
   let cur = ref 0 in
   let pruned = ref false in
-  let delta (ctx : Runtime.ctx) t =
-    match bound with
-    | Dfs.Unbounded -> 0
-    | Dfs.Preemption _ ->
-        Preemption.delta ~last:ctx.c_last ~enabled:ctx.c_enabled t
-    | Dfs.Delay _ ->
-        Delay.delays ~n:ctx.c_n_threads ~last:ctx.c_last ~enabled:ctx.c_enabled
-          t
-    | Dfs.Variable _ | Dfs.Threads _ -> assert false (* rejected above *)
-  in
   let reap pid =
     match snd (Unix.waitpid [] pid) with
     | Unix.WEXITED 0 -> ()
@@ -191,25 +179,23 @@ let run_worker ~result_w ~control_r ?promote ?max_steps ~(prefix : Strategy.pref
               set mismatch at decision %d (is the program's state created \
               inside its closure?)"
              i);
-      cur := !cur + delta ctx chosen;
+      cur := !cur + Bound_cost.cost shape ctx chosen;
       chosen
     end
     else
       match ctx.c_enabled with
-      | [ t ] -> t (* the only child; its delta is 0 *)
+      | [ t ] -> t (* the only child; its cost is 0 *)
       | enabled ->
-          let order =
-            Delay.rr_order ~n:ctx.c_n_threads ~last:ctx.c_last ~enabled
+          let allowed, cut =
+            Bound_cost.candidates shape ~budget:(bound_c - !cur)
+              ~n:ctx.c_n_threads ~last:ctx.c_last ~enabled
           in
-          let allowed =
-            List.filter (fun t -> !cur + delta ctx t <= bound_c) order
-          in
-          if List.compare_lengths allowed order < 0 then pruned := true;
+          if cut then pruned := true;
           (* children inherit [pruned]: a pruning event reaches the
              collector with the first terminal of the pruned decision's
              subtree, exactly when a sequential walk would observe it *)
           let t = branch allowed in
-          cur := !cur + delta ctx t;
+          cur := !cur + Bound_cost.cost shape ctx t;
           t
   in
   let code =

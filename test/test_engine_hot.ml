@@ -51,7 +51,7 @@ let hop_gen =
 
 let hprogram_gen =
   QCheck2.Gen.(
-    let* n_threads = int_range 1 3 in
+    let* n_threads = int_range 1 10 in
     let* threads = list_repeat n_threads (list_size (int_range 1 5) hop_gen) in
     return { threads })
 
@@ -121,7 +121,11 @@ let build { threads } () =
 let tids l = String.concat "," (List.map string_of_int l)
 
 (* A random scheduler that cross-checks the incremental enabled set (and
-   its fingerprint) against the from-scratch reference at every decision. *)
+   its fingerprint) against the from-scratch reference at every decision.
+   The enabled list is reused across decisions until a bit flips, so the
+   set check also pins the reuse's invalidation. It also checks the
+   bound-cost kernel: every enabled thread's preemption and delay cost must
+   equal the reference definitions on the recomputed set. *)
 let checking_scheduler rng (ctx : Runtime.ctx) =
   let naive = Runtime.recomputed_enabled ctx.c_rt in
   if not (List.equal Tid.equal naive ctx.c_enabled) then
@@ -133,6 +137,26 @@ let checking_scheduler rng (ctx : Runtime.ctx) =
     failwith
       (Printf.sprintf "fingerprint divergence at step %d on [%s]" ctx.c_step
          (tids ctx.c_enabled));
+  let last = ctx.c_last and n = ctx.c_n_threads in
+  List.iter
+    (fun t ->
+      let check what kernel reference =
+        if kernel <> reference then
+          failwith
+            (Printf.sprintf
+               "%s cost of T%d at step %d (last %s, enabled [%s]): kernel %d, \
+                reference %d"
+               what t ctx.c_step
+               (match last with Some l -> string_of_int l | None -> "-")
+               (tids naive) kernel reference)
+      in
+      check "preemption"
+        (Sct_explore.Bound_cost.cost Sct_explore.Bound_cost.Preemptions ctx t)
+        (Preemption.delta ~last ~enabled:naive t);
+      check "delay"
+        (Sct_explore.Bound_cost.cost Sct_explore.Bound_cost.Delays ctx t)
+        (Delay.delays ~n ~last ~enabled:naive t))
+    naive;
   List.nth ctx.c_enabled (Random.State.int rng (List.length ctx.c_enabled))
 
 let prop_incremental_matches_naive =

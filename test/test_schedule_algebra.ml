@@ -123,6 +123,81 @@ let prop_rr_order_costs =
           costs = List.init (List.length order) (fun i -> i))
         steps)
 
+(* The sort-by-distance definition [rr_order] had before it became a
+   rotation, kept as the reference the rotation must reproduce. *)
+let rr_order_by_sort ~n ~last ~enabled =
+  match enabled with
+  | [] | [ _ ] -> enabled
+  | _ ->
+      let start = match last with None -> 0 | Some l -> l in
+      let key t = Tid.distance ~n start t in
+      List.sort (fun a b -> Int.compare (key a) (key b)) enabled
+
+(* A thread count, a set of its threads (possibly empty) in ascending
+   order, and the same set shuffled. *)
+let gen_enabled_set =
+  QCheck2.Gen.(
+    let* n = int_range 1 12 in
+    let* bits = list_repeat n bool in
+    let set = List.filteri (fun i _ -> List.nth bits i) (List.init n Fun.id) in
+    let* shuffled = shuffle_l set in
+    return (n, set, shuffled))
+
+let print_enabled_set (n, set, shuffled) =
+  let l xs = String.concat ";" (List.map string_of_int xs) in
+  Printf.sprintf "n=%d set=[%s] shuffled=[%s]" n (l set) (l shuffled)
+
+let every_last n = None :: List.init n (fun l -> Some l)
+
+let prop_rr_order_rotation =
+  QCheck2.Test.make ~name:"rr_order rotation == sort by distance" ~count:500
+    ~print:print_enabled_set gen_enabled_set (fun (n, set, shuffled) ->
+      List.for_all
+        (fun last ->
+          List.for_all
+            (fun enabled ->
+              Delay.rr_order ~n ~last ~enabled
+              = rr_order_by_sort ~n ~last ~enabled)
+            [ set; shuffled ])
+        (every_last n))
+
+(* The bound-cost kernel's candidates are exactly the old per-thread
+   filter over round-robin order, and it reports a cut exactly when that
+   filter dropped a thread. *)
+let prop_candidates_filter =
+  QCheck2.Test.make ~name:"candidates == filter of rr_order by reference cost"
+    ~count:300 ~print:print_enabled_set gen_enabled_set
+    (fun (n, set, shuffled) ->
+      let open Sct_explore in
+      let shapes =
+        [
+          (Bound_cost.Free, fun ~last:_ ~enabled:_ _ -> 0);
+          ( Bound_cost.Preemptions,
+            fun ~last ~enabled t -> Preemption.delta ~last ~enabled t );
+          (Bound_cost.Delays, fun ~last ~enabled t -> Delay.delays ~n ~last ~enabled t);
+        ]
+      in
+      List.for_all
+        (fun (shape, reference) ->
+          List.for_all
+            (fun last ->
+              List.for_all
+                (fun enabled ->
+                  List.for_all
+                    (fun budget ->
+                      let order = rr_order_by_sort ~n ~last ~enabled in
+                      let expected =
+                        List.filter
+                          (fun t -> reference ~last ~enabled t <= budget)
+                          order
+                      in
+                      Bound_cost.candidates shape ~budget ~n ~last ~enabled
+                      = (expected, List.compare_lengths expected order < 0))
+                    [ -1; 0; 1; 2; 3; 11; max_int ])
+                [ set; shuffled ])
+            (every_last n))
+        shapes)
+
 (* --- edge cases: the empty schedule and the schedule container laws --- *)
 
 let test_empty_schedule () =
@@ -220,6 +295,8 @@ let suites =
         QCheck_alcotest.to_alcotest prop_dc_ge_pc;
         QCheck_alcotest.to_alcotest prop_det_choice_zero_delay;
         QCheck_alcotest.to_alcotest prop_rr_order_costs;
+        QCheck_alcotest.to_alcotest prop_rr_order_rotation;
+        QCheck_alcotest.to_alcotest prop_candidates_filter;
         QCheck_alcotest.to_alcotest prop_distance_roundtrip;
       ] );
   ]
