@@ -6,11 +6,13 @@ let arr_len = 2
 let n_futures = 2
 let n_chans = 2
 
+(* Fuzz executions run only a handful of steps, so names are formatted once
+   here rather than on every execution. *)
+let var_names = Array.init n_vars (Printf.sprintf "fz_v%d")
+let chan_names = Array.init n_chans (Printf.sprintf "fz_ch%d")
+
 let program (p : Ast.program) () =
-  let vars =
-    Array.init n_vars (fun i ->
-        Sct.Var.make ~name:(Printf.sprintf "fz_v%d" i) 0)
-  in
+  let vars = Array.map (fun name -> Sct.Var.make ~name 0) var_names in
   let atomic = Sct.Atomic.make ~name:"fz_a" 0 in
   let mutexes = Array.init n_mutexes (fun _ -> Sct.Mutex.create ()) in
   let cond = Sct.Cond.create () in
@@ -23,10 +25,7 @@ let program (p : Ast.program) () =
      unsynchronised completion counter, a deliberate race source) *)
   let futures = Array.make n_futures None in
   let future_tids = ref [] in
-  let chan_data =
-    Array.init n_chans (fun i ->
-        Sct.Var.make ~name:(Printf.sprintf "fz_ch%d" i) 0)
-  in
+  let chan_data = Array.map (fun name -> Sct.Var.make ~name 0) chan_names in
   let chan_slots = Array.init n_chans (fun _ -> Sct.Sem.create 1) in
   let chan_items = Array.init n_chans (fun _ -> Sct.Sem.create 0) in
   let wq_items = Sct.Sem.create 0 in
@@ -47,9 +46,8 @@ let program (p : Ast.program) () =
         let x = var v in
         Sct.Var.write x (Sct.Var.read x + 1)
     | Check_eq { var = v; expect } ->
-        Sct.check
-          (Sct.Var.read (var v) = expect)
-          (Printf.sprintf "fz_v%d = %d" (abs v mod n_vars) expect)
+        if Sct.Var.read (var v) <> expect then
+          Sct.fail (Printf.sprintf "fz_v%d = %d" (abs v mod n_vars) expect)
     | Lock { m; body } ->
         Sct.Mutex.lock (mutex m);
         run_body ~me body;

@@ -32,6 +32,15 @@ let field obj name =
   | Some v -> v
   | None -> error "missing field %S in %s" name (Json.to_string obj)
 
+(* Counts, bounds and thread ids are never negative; a negative one can only
+   come from a damaged or edited record, and would mis-count the tables. *)
+let get_nat name j =
+  let i = get_int j in
+  if i < 0 then error "negative %s %d" name i;
+  i
+
+let nat_field obj name = get_nat name (field obj name)
+
 let opt_field obj name f =
   match Json.member name obj with
   | None | Some Json.Null -> None
@@ -44,14 +53,7 @@ let opt_to_json f = function None -> Json.Null | Some x -> f x
 let schedule_to_json s =
   Json.Arr (List.map (fun t -> Json.Int t) (Schedule.to_list s))
 
-let schedule_of_json j =
-  Schedule.of_list
-    (get_list
-       (fun v ->
-         let t = get_int v in
-         if t < 0 then error "negative thread id %d in schedule" t;
-         t)
-       j)
+let schedule_of_json j = Schedule.of_list (get_list (get_nat "thread id") j)
 
 let schedule_line s =
   String.concat "," (List.map string_of_int (Schedule.to_list s))
@@ -78,7 +80,7 @@ let bug_of_json j =
   | "lock" -> Outcome.Lock_error (get_string (field j "msg"))
   | "memory" -> Outcome.Memory_error (get_string (field j "msg"))
   | "exn" -> Outcome.Uncaught_exn (get_string (field j "msg"))
-  | "deadlock" -> Outcome.Deadlock (get_list get_int (field j "tids"))
+  | "deadlock" -> Outcome.Deadlock (get_list (get_nat "tids") (field j "tids"))
   | k -> error "unknown bug kind %S" k
 
 (* --- bug witnesses --- *)
@@ -96,10 +98,10 @@ let witness_to_json (w : Stats.bug_witness) =
 let witness_of_json j =
   {
     Stats.w_bug = bug_of_json (field j "bug");
-    w_by = get_int (field j "by");
+    w_by = nat_field j "by";
     w_schedule = schedule_of_json (field j "schedule");
-    w_pc = get_int (field j "pc");
-    w_dc = get_int (field j "dc");
+    w_pc = nat_field j "pc";
+    w_dc = nat_field j "dc";
   }
 
 (* --- technique options --- *)
@@ -257,14 +259,17 @@ let stats_to_json (s : Stats.t) =
     ])
 
 let stats_of_json j =
+  let nat name = nat_field j name in
+  let opt_nat name = opt_field j name (get_nat name) in
+  let count name = Option.value ~default:0 (opt_nat name) in
   {
     Stats.technique = get_string (field j "technique");
-    bound = opt_field j "bound" get_int;
+    bound = opt_nat "bound";
     bound_complete = get_bool (field j "bound_complete");
-    to_first_bug = opt_field j "to_first_bug" get_int;
-    total = get_int (field j "total");
-    new_at_bound = get_int (field j "new_at_bound");
-    buggy = get_int (field j "buggy");
+    to_first_bug = opt_nat "to_first_bug";
+    total = nat "total";
+    new_at_bound = nat "new_at_bound";
+    buggy = nat "buggy";
     complete = get_bool (field j "complete");
     hit_limit = get_bool (field j "hit_limit");
     hit_deadline =
@@ -272,24 +277,14 @@ let stats_of_json j =
       | Some b -> b
       | None -> false);
     first_bug = opt_field j "first_bug" witness_of_json;
-    n_threads = get_int (field j "n_threads");
-    max_enabled = get_int (field j "max_enabled");
-    max_sched_points = get_int (field j "max_sched_points");
-    executions = get_int (field j "executions");
-    steps_executed =
-      (match opt_field j "steps_executed" get_int with
-      | Some n -> n
-      | None -> 0);
-    steps_saved =
-      (match opt_field j "steps_saved" get_int with
-      | Some n -> n
-      | None -> 0);
-    por_pruned =
-      (match opt_field j "por_pruned" get_int with
-      | Some n -> n
-      | None -> 0);
-    cut_runs =
-      (match opt_field j "cut_runs" get_int with Some n -> n | None -> 0);
+    n_threads = nat "n_threads";
+    max_enabled = nat "max_enabled";
+    max_sched_points = nat "max_sched_points";
+    executions = nat "executions";
+    steps_executed = count "steps_executed";
+    steps_saved = count "steps_saved";
+    por_pruned = count "por_pruned";
+    cut_runs = count "cut_runs";
     distinct_schedules =
       opt_field j "distinct" (fun v ->
           Stats.Sched_set.of_list

@@ -30,7 +30,11 @@ val time_limit_to_json : float -> Json.t
 val options_to_json : Sct_explore.Techniques.options -> Json.t
 val options_of_json : Json.t -> Sct_explore.Techniques.options
 val stats_to_json : Sct_explore.Stats.t -> Json.t
+
 val stats_of_json : Json.t -> Sct_explore.Stats.t
+(** @raise Error also on a negative count, bound, [to_first_bug], witness
+    [by]/[pc]/[dc] or deadlock thread id, naming the field: such a record
+    is damaged, and {!Db.open_} skips it like a torn one. *)
 
 type progress = {
   p_consumed : int;

@@ -10,49 +10,94 @@ exception Parse_error of { pos : int; msg : string }
 
 let parse_error pos msg = raise (Parse_error { pos; msg })
 
+(* Journals store every distinct schedule as an integer array, so the
+   printer and the scanner below run over megabytes of small integers on
+   each campaign slice and resume. Both allocate nothing per byte: the
+   printer only grows its output buffer, and the scanner only builds the
+   tree it returns (with a buffer for a string that holds escapes). *)
+
 (* --- printing --- *)
 
+let hex_digit d = "0123456789abcdef".[d]
+
+let rec first_escape s i =
+  if i = String.length s then i
+  else
+    match String.unsafe_get s i with
+    | '"' | '\\' | '\000' .. '\031' -> i
+    | _ -> first_escape s (i + 1)
+
+(* The clean prefix, usually the whole string, is copied in one go. *)
 let escape buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
+  let clean = first_escape s 0 in
+  Buffer.add_substring buf s 0 clean;
+  for i = clean to String.length s - 1 do
+    match String.unsafe_get s i with
+    | '"' -> Buffer.add_string buf "\\\""
+    | '\\' -> Buffer.add_string buf "\\\\"
+    | '\n' -> Buffer.add_string buf "\\n"
+    | '\r' -> Buffer.add_string buf "\\r"
+    | '\t' -> Buffer.add_string buf "\\t"
+    | '\000' .. '\031' as c ->
+        Buffer.add_string buf "\\u00";
+        Buffer.add_char buf (hex_digit (Char.code c lsr 4));
+        Buffer.add_char buf (hex_digit (Char.code c land 15))
+    | c -> Buffer.add_char buf c
+  done
+
+let add_string buf s =
+  Buffer.add_char buf '"';
+  escape buf s;
+  Buffer.add_char buf '"'
+
+(* [m <= 0], so [min_int] needs no special case. *)
+let rec add_digits buf m =
+  if m <= -10 then add_digits buf (m / 10);
+  Buffer.add_char buf (Char.unsafe_chr (Char.code '0' - (m mod 10)))
+
+let add_int buf i =
+  if i < 0 then begin
+    Buffer.add_char buf '-';
+    add_digits buf i
+  end
+  else add_digits buf (-i)
 
 let rec write buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int i -> Buffer.add_string buf (string_of_int i)
-  | Str s ->
-      Buffer.add_char buf '"';
-      escape buf s;
-      Buffer.add_char buf '"'
-  | Arr l ->
+  | Int i -> add_int buf i
+  | Str s -> add_string buf s
+  | Arr [] -> Buffer.add_string buf "[]"
+  | Arr (v :: l) ->
       Buffer.add_char buf '[';
-      List.iteri
-        (fun i v ->
-          if i > 0 then Buffer.add_char buf ',';
-          write buf v)
-        l;
+      write buf v;
+      write_items buf l;
       Buffer.add_char buf ']'
-  | Obj l ->
+  | Obj [] -> Buffer.add_string buf "{}"
+  | Obj (f :: l) ->
       Buffer.add_char buf '{';
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_char buf ',';
-          Buffer.add_char buf '"';
-          escape buf k;
-          Buffer.add_string buf "\":";
-          write buf v)
-        l;
+      write_field buf f;
+      write_fields buf l;
       Buffer.add_char buf '}'
+
+and write_items buf = function
+  | [] -> ()
+  | v :: l ->
+      Buffer.add_char buf ',';
+      write buf v;
+      write_items buf l
+
+and write_field buf (k, v) =
+  add_string buf k;
+  Buffer.add_char buf ':';
+  write buf v
+
+and write_fields buf = function
+  | [] -> ()
+  | f :: l ->
+      Buffer.add_char buf ',';
+      write_field buf f;
+      write_fields buf l
 
 let to_string v =
   let buf = Buffer.create 256 in
@@ -61,150 +106,207 @@ let to_string v =
 
 (* --- parsing --- *)
 
+type scanner = { s : string; n : int; mutable pos : int }
+
+let looking_at st c = st.pos < st.n && String.unsafe_get st.s st.pos = c
+
+let skip_ws st =
+  while
+    st.pos < st.n
+    &&
+    match String.unsafe_get st.s st.pos with
+    | ' ' | '\t' | '\n' | '\r' -> true
+    | _ -> false
+  do
+    st.pos <- st.pos + 1
+  done
+
+let expect st c =
+  if looking_at st c then st.pos <- st.pos + 1
+  else parse_error st.pos (Printf.sprintf "expected %C" c)
+
+let rec matches s p lit i =
+  i = String.length lit
+  || (String.unsafe_get s (p + i) = String.unsafe_get lit i
+     && matches s p lit (i + 1))
+
+let literal st lit v =
+  let l = String.length lit in
+  if st.pos + l <= st.n && matches st.s st.pos lit 0 then begin
+    st.pos <- st.pos + l;
+    v
+  end
+  else parse_error st.pos ("expected " ^ lit)
+
+let add_utf8 buf code =
+  if code < 0x80 then Buffer.add_char buf (Char.chr code)
+  else if code < 0x800 then begin
+    Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
+    Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+  end
+  else begin
+    Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
+    Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
+    Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+  end
+
+let hex_value = function
+  | '0' .. '9' as c -> Char.code c - Char.code '0'
+  | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+  | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+  | _ -> -1
+
+(* The code of exactly four hex digits at [i], or a negative number. *)
+let hex4 s i =
+  let d k = hex_value (String.unsafe_get s (i + k)) in
+  let d0 = d 0 and d1 = d 1 and d2 = d 2 and d3 = d 3 in
+  if d0 lor d1 lor d2 lor d3 < 0 then -1
+  else (d0 lsl 12) lor (d1 lsl 8) lor (d2 lsl 4) lor d3
+
+(* The rest of a string from its first escape on, the cursor on the
+   backslash and the clean part before it already in [buf]. *)
+let rec escaped_string st buf =
+  if st.pos >= st.n then parse_error st.pos "unterminated string"
+  else
+    match String.unsafe_get st.s st.pos with
+    | '"' ->
+        st.pos <- st.pos + 1;
+        Buffer.contents buf
+    | '\\' ->
+        st.pos <- st.pos + 1;
+        if st.pos >= st.n then parse_error st.pos "unterminated escape";
+        (match String.unsafe_get st.s st.pos with
+        | '"' -> Buffer.add_char buf '"'
+        | '\\' -> Buffer.add_char buf '\\'
+        | '/' -> Buffer.add_char buf '/'
+        | 'n' -> Buffer.add_char buf '\n'
+        | 't' -> Buffer.add_char buf '\t'
+        | 'r' -> Buffer.add_char buf '\r'
+        | 'b' -> Buffer.add_char buf '\b'
+        | 'f' -> Buffer.add_char buf '\012'
+        | 'u' ->
+            if st.pos + 4 >= st.n then parse_error st.pos "truncated \\u escape";
+            let code = hex4 st.s (st.pos + 1) in
+            if code < 0 then parse_error st.pos "bad \\u escape";
+            add_utf8 buf code;
+            st.pos <- st.pos + 4
+        | c -> parse_error st.pos (Printf.sprintf "bad escape \\%c" c));
+        st.pos <- st.pos + 1;
+        escaped_string st buf
+    | c ->
+        Buffer.add_char buf c;
+        st.pos <- st.pos + 1;
+        escaped_string st buf
+
+let parse_string st =
+  expect st '"';
+  let start = st.pos in
+  let i = ref start in
+  while
+    !i < st.n
+    && match String.unsafe_get st.s !i with '"' | '\\' -> false | _ -> true
+  do
+    incr i
+  done;
+  if !i < st.n && String.unsafe_get st.s !i = '"' then begin
+    st.pos <- !i + 1;
+    String.sub st.s start (!i - start)
+  end
+  else begin
+    st.pos <- !i;
+    let buf = Buffer.create (16 + !i - start) in
+    Buffer.add_substring buf st.s start (!i - start);
+    escaped_string st buf
+  end
+
+(* Literals of up to 18 digits cannot overflow and are accumulated in
+   place; longer ones go through [int_of_string_opt], which decides the
+   range. *)
+let parse_int st =
+  let start = st.pos in
+  let first = if looking_at st '-' then start + 1 else start in
+  let i = ref first and acc = ref 0 in
+  while
+    !i < st.n && match String.unsafe_get st.s !i with '0' .. '9' -> true | _ -> false
+  do
+    acc := (10 * !acc) + Char.code (String.unsafe_get st.s !i) - Char.code '0';
+    incr i
+  done;
+  st.pos <- !i;
+  (if !i < st.n then
+     match String.unsafe_get st.s !i with
+     | '.' | 'e' | 'E' -> parse_error !i "floats are not supported"
+     | _ -> ());
+  let digits = !i - first in
+  if digits = 0 then parse_error start "bad number"
+  else if digits <= 18 then Int (if first > start then - !acc else !acc)
+  else
+    match int_of_string_opt (String.sub st.s start (!i - start)) with
+    | Some v -> Int v
+    | None -> parse_error start "bad number"
+
+let rec parse_value st =
+  skip_ws st;
+  if st.pos >= st.n then parse_error st.pos "unexpected end of input";
+  match String.unsafe_get st.s st.pos with
+  | 'n' -> literal st "null" Null
+  | 't' -> literal st "true" (Bool true)
+  | 'f' -> literal st "false" (Bool false)
+  | '"' -> Str (parse_string st)
+  | '[' ->
+      st.pos <- st.pos + 1;
+      skip_ws st;
+      if looking_at st ']' then begin
+        st.pos <- st.pos + 1;
+        Arr []
+      end
+      else Arr (parse_items st)
+  | '{' ->
+      st.pos <- st.pos + 1;
+      skip_ws st;
+      if looking_at st '}' then begin
+        st.pos <- st.pos + 1;
+        Obj []
+      end
+      else Obj (parse_fields st)
+  | '-' | '0' .. '9' -> parse_int st
+  | c -> parse_error st.pos (Printf.sprintf "unexpected %C" c)
+
+and[@tail_mod_cons] parse_items st =
+  let v = parse_value st in
+  skip_ws st;
+  if looking_at st ',' then begin
+    st.pos <- st.pos + 1;
+    v :: parse_items st
+  end
+  else if looking_at st ']' then begin
+    st.pos <- st.pos + 1;
+    [ v ]
+  end
+  else (parse_error [@tailcall false]) st.pos "expected ',' or ']'"
+
+and[@tail_mod_cons] parse_fields st =
+  skip_ws st;
+  let k = parse_string st in
+  skip_ws st;
+  expect st ':';
+  let v = parse_value st in
+  skip_ws st;
+  if looking_at st ',' then begin
+    st.pos <- st.pos + 1;
+    (k, v) :: parse_fields st
+  end
+  else if looking_at st '}' then begin
+    st.pos <- st.pos + 1;
+    [ (k, v) ]
+  end
+  else (parse_error [@tailcall false]) st.pos "expected ',' or '}'"
+
 let of_string s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let skip_ws () =
-    while
-      !pos < n
-      && match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
-    do
-      incr pos
-    done
-  in
-  let expect c =
-    if !pos < n && s.[!pos] = c then incr pos
-    else parse_error !pos (Printf.sprintf "expected %C" c)
-  in
-  let literal lit v =
-    let l = String.length lit in
-    if !pos + l <= n && String.sub s !pos l = lit then begin
-      pos := !pos + l;
-      v
-    end
-    else parse_error !pos ("expected " ^ lit)
-  in
-  let add_utf8 buf code =
-    if code < 0x80 then Buffer.add_char buf (Char.chr code)
-    else if code < 0x800 then begin
-      Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-      Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-    end
-    else begin
-      Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-      Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-      Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-    end
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then parse_error !pos "unterminated string"
-      else
-        match s.[!pos] with
-        | '"' ->
-            incr pos;
-            Buffer.contents buf
-        | '\\' ->
-            incr pos;
-            if !pos >= n then parse_error !pos "unterminated escape";
-            (match s.[!pos] with
-            | '"' -> Buffer.add_char buf '"'; incr pos
-            | '\\' -> Buffer.add_char buf '\\'; incr pos
-            | '/' -> Buffer.add_char buf '/'; incr pos
-            | 'n' -> Buffer.add_char buf '\n'; incr pos
-            | 't' -> Buffer.add_char buf '\t'; incr pos
-            | 'r' -> Buffer.add_char buf '\r'; incr pos
-            | 'b' -> Buffer.add_char buf '\b'; incr pos
-            | 'f' -> Buffer.add_char buf '\012'; incr pos
-            | 'u' ->
-                if !pos + 4 >= n then parse_error !pos "truncated \\u escape";
-                (match int_of_string_opt ("0x" ^ String.sub s (!pos + 1) 4) with
-                | Some code -> add_utf8 buf code
-                | None -> parse_error !pos "bad \\u escape");
-                pos := !pos + 5
-            | c -> parse_error !pos (Printf.sprintf "bad escape \\%c" c));
-            go ()
-        | c ->
-            Buffer.add_char buf c;
-            incr pos;
-            go ()
-    in
-    go ()
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | None -> parse_error !pos "unexpected end of input"
-    | Some 'n' -> literal "null" Null
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some '"' -> Str (parse_string ())
-    | Some '[' ->
-        incr pos;
-        skip_ws ();
-        if peek () = Some ']' then begin
-          incr pos;
-          Arr []
-        end
-        else
-          let rec items acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                incr pos;
-                items (v :: acc)
-            | Some ']' ->
-                incr pos;
-                List.rev (v :: acc)
-            | _ -> parse_error !pos "expected ',' or ']'"
-          in
-          Arr (items [])
-    | Some '{' ->
-        incr pos;
-        skip_ws ();
-        if peek () = Some '}' then begin
-          incr pos;
-          Obj []
-        end
-        else
-          let rec fields acc =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                incr pos;
-                fields ((k, v) :: acc)
-            | Some '}' ->
-                incr pos;
-                List.rev ((k, v) :: acc)
-            | _ -> parse_error !pos "expected ',' or '}'"
-          in
-          Obj (fields [])
-    | Some ('-' | '0' .. '9') ->
-        let start = !pos in
-        if peek () = Some '-' then incr pos;
-        while match peek () with Some '0' .. '9' -> true | _ -> false do
-          incr pos
-        done;
-        (match peek () with
-        | Some ('.' | 'e' | 'E') -> parse_error !pos "floats are not supported"
-        | _ -> ());
-        (match int_of_string_opt (String.sub s start (!pos - start)) with
-        | Some i -> Int i
-        | None -> parse_error start "bad number")
-    | Some c -> parse_error !pos (Printf.sprintf "unexpected %C" c)
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then parse_error !pos "trailing garbage";
+  let st = { s; n = String.length s; pos = 0 } in
+  let v = parse_value st in
+  skip_ws st;
+  if st.pos <> st.n then parse_error st.pos "trailing garbage";
   v
 
 let member k = function Obj l -> List.assoc_opt k l | _ -> None

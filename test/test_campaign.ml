@@ -2,7 +2,8 @@
    must reproduce the one-shot runner's statistics exactly, under either
    policy, any pool size, multi-process sharding with store merge, and
    interruption at any slice boundary (plus a torn journal tail). Also:
-   scheduler determinism unit tests and the status-report golden file. *)
+   scheduler determinism unit tests and the status-report and journal
+   golden files. *)
 
 module Stats = Sct_explore.Stats
 module Techniques = Sct_explore.Techniques
@@ -62,7 +63,7 @@ let slice = 15
 let benches () = [ pick "CS.lazy01_bad"; pick "CS.account_bad" ]
 let grid () = Cell.grid ~techniques options (benches ())
 
-let run_campaign ?policy ?on_slice ?(jobs = 1) db cells =
+let run_campaign ?policy ?on_slice ?(jobs = 1) ?(slice = slice) db cells =
   Sct_parallel.Pool.with_pool ~jobs (fun pool ->
       Orchestrator.run ?policy ~slice ?on_slice ~pool ~db cells)
 
@@ -351,13 +352,15 @@ let test_state_of_legacy_entry () =
   Alcotest.(check int) "consumed = total" 40 st.Scheduler.s_consumed;
   Alcotest.(check int) "one slice" 1 st.Scheduler.s_slices
 
-(* --- status report golden file --- *)
+(* --- golden files --- *)
 
+(* [update_env] holds the absolute path of the golden file to rewrite;
+   goldens with another file name are still checked. *)
 let check_golden ~update_env ~file ~what produced =
   match Sys.getenv_opt update_env with
-  | Some path ->
+  | Some path when Filename.basename path = file ->
       Out_channel.with_open_bin path (fun oc -> output_string oc produced)
-  | None ->
+  | Some _ | None ->
       let golden =
         List.find_opt Sys.file_exists
           [
@@ -379,6 +382,25 @@ let test_status_golden () =
   let _, _, status = Lazy.force clean_campaign in
   check_golden ~update_env:"SCT_CAMPAIGN_GOLDEN_UPDATE"
     ~file:"campaign_status_golden.txt" ~what:"campaign status" status
+
+(* The journal of a small uniform campaign pins the store's bytes end to
+   end: record layout, field order, integer and string rendering,
+   fingerprints and witness digests. *)
+let test_journal_golden () =
+  with_dir (fun dir ->
+      let db = Db.open_ ~dir in
+      let cells =
+        Cell.grid ~techniques:Techniques.all_paper
+          { Techniques.default_options with Techniques.limit = 20 }
+          [ pick "CS.lazy01_bad"; pick "CS.account_bad"; pick "CS.deadlock01_bad" ]
+      in
+      let (_ : Orchestrator.outcome) = run_campaign ~slice:5 db cells in
+      Db.close db;
+      check_golden ~update_env:"SCT_CAMPAIGN_GOLDEN_UPDATE"
+        ~file:"campaign_journal_golden.jsonl" ~what:"campaign journal"
+        (In_channel.with_open_bin
+           (Filename.concat dir "journal.jsonl")
+           In_channel.input_all))
 
 let suites =
   [
@@ -415,5 +437,7 @@ let suites =
       [
         Alcotest.test_case "status report matches the committed golden"
           `Slow test_status_golden;
+        Alcotest.test_case "journal bytes match the committed golden" `Quick
+          test_journal_golden;
       ] );
   ]

@@ -394,6 +394,326 @@ let test_version_gate () =
       Codec.decode_options
         {|{"v":1,"options":{"limit":10000,"seed":0,"max_steps":100000,"race_runs":10,"pct_change_points":2,"maple_profile_runs":10,"jobs":1,"split_depth":3,"por":"bogus"}}|})
 
+(* --- negative values are damage, not data --- *)
+
+let fixture_stats_negative =
+  {|{"v":1,"stats":{"technique":"IPB","bound":1,"bound_complete":true,"to_first_bug":5,"total":-3,"new_at_bound":4,"buggy":-1,"complete":false,"hit_limit":true,"first_bug":null,"n_threads":3,"max_enabled":2,"max_sched_points":7,"executions":-7,"distinct":[[0,1],[1,0]]}}|}
+
+(* [f] raises [Codec.Error] naming one of [fields] as negative. *)
+let expect_negative fields f =
+  match f () with
+  | _ -> Alcotest.fail (String.concat "/" fields ^ ": expected Codec.Error")
+  | exception Codec.Error msg ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%S names a negative field" msg)
+        true
+        (List.exists
+           (fun field -> Astring_contains.contains msg ("negative " ^ field ^ " "))
+           fields)
+
+(* [fixture] with the value of [field], at any depth, replaced by [v] *)
+let with_field fixture field v =
+  let rec go = function
+    | Json.Obj l ->
+        Json.Obj
+          (List.map (fun (k, x) -> (k, if k = field then v else go x)) l)
+    | Json.Arr l -> Json.Arr (List.map go l)
+    | x -> x
+  in
+  Json.to_string (go (Json.of_string fixture))
+
+let fixture_stats_full =
+  {|{"v":1,"stats":{"technique":"IPB","bound":1,"bound_complete":true,"to_first_bug":0,"total":10,"new_at_bound":4,"buggy":2,"complete":false,"hit_limit":true,"first_bug":{"bug":{"kind":"deadlock","tids":[1,2]},"by":2,"schedule":[0,1,2],"pc":1,"dc":3},"n_threads":3,"max_enabled":2,"max_sched_points":7,"executions":12,"steps_executed":31,"steps_saved":17,"por_pruned":3,"cut_runs":1,"distinct":[[0,1],[1,0]]}}|}
+
+let test_negative_stats_rejected () =
+  (* zero stays legal, [to_first_bug] included *)
+  let (_ : Stats.t) = Codec.decode_stats fixture_stats_full in
+  expect_negative [ "total"; "buggy"; "executions" ] (fun () ->
+      Codec.decode_stats fixture_stats_negative);
+  List.iter
+    (fun field ->
+      expect_negative [ field ] (fun () ->
+          Codec.decode_stats
+            (with_field fixture_stats_full field (Json.Int (-1)))))
+    [
+      "bound"; "to_first_bug"; "total"; "new_at_bound"; "buggy"; "n_threads";
+      "max_enabled"; "max_sched_points"; "executions"; "steps_executed";
+      "steps_saved"; "por_pruned"; "cut_runs"; "by"; "pc"; "dc";
+    ];
+  expect_negative [ "tids" ] (fun () ->
+      Codec.decode_stats
+        (with_field fixture_stats_full "tids" (Json.Arr [ Json.Int (-2) ])))
+
+(* Every integer a decoded record carries. *)
+let stats_ints (s : Stats.t) =
+  let opt = Option.to_list in
+  [
+    s.Stats.total; s.Stats.new_at_bound; s.Stats.buggy; s.Stats.n_threads;
+    s.Stats.max_enabled; s.Stats.max_sched_points; s.Stats.executions;
+    s.Stats.steps_executed; s.Stats.steps_saved; s.Stats.por_pruned;
+    s.Stats.cut_runs;
+  ]
+  @ opt s.Stats.bound @ opt s.Stats.to_first_bug
+  @ (match s.Stats.first_bug with
+    | None -> []
+    | Some w ->
+        [ w.Stats.w_by; w.Stats.w_pc; w.Stats.w_dc ]
+        @ Schedule.to_list w.Stats.w_schedule
+        @ (match w.Stats.w_bug with Outcome.Deadlock tids -> tids | _ -> []))
+  @ List.concat
+      (match s.Stats.distinct_schedules with
+      | None -> []
+      | Some set -> Stats.Sched_set.elements set)
+
+(* --- byte mutations --- *)
+
+(* Bytes that steer a JSON scanner, plus any byte at all. *)
+let gen_json_byte =
+  QCheck2.Gen.(
+    oneof
+      [
+        oneofl
+          [
+            '"'; '\\'; ','; ':'; '['; ']'; '{'; '}'; '-'; '0'; '1'; '9'; 'e';
+            '.'; 'u'; '_'; 'n'; 't'; 'f'; 'a'; 'F'; ' '; '\n'; '\000';
+          ];
+        char;
+      ])
+
+type mutation =
+  | Truncate of int
+  | Replace of int * char
+  | Insert of int * char
+  | Delete of int
+
+let gen_mutation =
+  QCheck2.Gen.(
+    let* k = nat in
+    let* c = gen_json_byte in
+    oneofl [ Truncate k; Replace (k, c); Insert (k, c); Delete k ])
+
+let mutate s m =
+  let n = String.length s in
+  match m with
+  | Truncate k -> String.sub s 0 (k mod (n + 1))
+  | Replace (k, c) when n > 0 ->
+      String.mapi (fun i x -> if i = k mod n then c else x) s
+  | Insert (k, c) ->
+      let k = k mod (n + 1) in
+      String.sub s 0 k ^ String.make 1 c ^ String.sub s k (n - k)
+  | Delete k when n > 0 ->
+      let k = k mod n in
+      String.sub s 0 k ^ String.sub s (k + 1) (n - k - 1)
+  | Replace _ | Delete _ -> s
+
+let gen_mutated base =
+  QCheck2.Gen.(
+    let* s = base in
+    let* ms = list_size (int_range 1 3) gen_mutation in
+    return (List.fold_left mutate s ms))
+
+let prop_mutated_stats_nonnegative =
+  QCheck2.Test.make
+    ~name:"Codec: a mutated stats record is refused or non-negative"
+    ~count:1000 ~print:String.escaped
+    (gen_mutated (QCheck2.Gen.map Codec.encode_stats gen_stats))
+    (fun s ->
+      match Codec.decode_stats s with
+      | exception Codec.Error _ -> true
+      | st -> List.for_all (fun i -> i >= 0) (stats_ints st))
+
+(* --- the Json scanner and printer ---
+   [Json_reference] is the scanner and printer of the version-1 store
+   format before they were rewritten to allocate nothing per byte, kept
+   verbatim. The rewrite must print the same bytes and accept, refuse and
+   position errors exactly as it does, except that a [\u] escape now takes
+   exactly four hex digits. *)
+
+let rec to_ref = function
+  | Json.Null -> Json_reference.Null
+  | Json.Bool b -> Json_reference.Bool b
+  | Json.Int i -> Json_reference.Int i
+  | Json.Str s -> Json_reference.Str s
+  | Json.Arr l -> Json_reference.Arr (List.map to_ref l)
+  | Json.Obj l -> Json_reference.Obj (List.map (fun (k, v) -> (k, to_ref v)) l)
+
+let rec of_ref = function
+  | Json_reference.Null -> Json.Null
+  | Json_reference.Bool b -> Json.Bool b
+  | Json_reference.Int i -> Json.Int i
+  | Json_reference.Str s -> Json.Str s
+  | Json_reference.Arr l -> Json.Arr (List.map of_ref l)
+  | Json_reference.Obj l -> Json.Obj (List.map (fun (k, v) -> (k, of_ref v)) l)
+
+let gen_json_int =
+  QCheck2.Gen.(
+    oneof
+      [
+        int_range 0 9;
+        int_range (-9) (-1);
+        oneofl
+          [
+            max_int; min_int; 10; -10; 999_999_999_999_999_999;
+            -999_999_999_999_999_999; 1_000_000_000_000_000_000;
+          ];
+        int;
+      ])
+
+let gen_json_string =
+  QCheck2.Gen.(
+    oneof
+      [
+        gen_raw_string;
+        string_size
+          ~gen:
+            (oneofl
+               [
+                 '"'; '\\'; '/'; '\n'; '\r'; '\t'; '\b'; '\012'; '\000';
+                 '\031'; '\127'; '\195'; '\169'; '\255'; 'u'; 'a'; ' ';
+               ])
+          (int_bound 8);
+      ])
+
+let gen_json =
+  QCheck2.Gen.(
+    sized_size (int_bound 12)
+    @@ fix (fun self n ->
+           let leaf =
+             oneof
+               [
+                 return Json.Null;
+                 map (fun b -> Json.Bool b) bool;
+                 map (fun i -> Json.Int i) gen_json_int;
+                 map (fun s -> Json.Str s) gen_json_string;
+               ]
+           in
+           if n = 0 then leaf
+           else
+             frequency
+               [
+                 (2, leaf);
+                 ( 1,
+                   map
+                     (fun l -> Json.Arr (List.map (fun i -> Json.Int i) l))
+                     (list_size (int_bound 8) gen_json_int) );
+                 (1, map (fun l -> Json.Arr l) (list_size (int_bound 4) (self (n / 2))));
+                 ( 1,
+                   map
+                     (fun l -> Json.Obj l)
+                     (list_size (int_bound 4) (pair gen_json_string (self (n / 2))))
+                 );
+               ]))
+
+let prop_print_matches_reference =
+  QCheck2.Test.make ~name:"Json.to_string prints the reference's bytes"
+    ~count:2000 ~print:Json.to_string gen_json (fun v ->
+      Json.to_string v = Json_reference.to_string (to_ref v))
+
+let all_fixtures =
+  [
+    fixture_schedule; fixture_witness; fixture_options; fixture_stats;
+    fixture_options_deadline; fixture_stats_deadline;
+    fixture_options_prefix_batch; fixture_stats_steps; fixture_options_por;
+    fixture_stats_por; fixture_progress; fixture_stats_full;
+  ]
+
+let scan f s =
+  match f s with
+  | v -> Ok v
+  | exception Json.Parse_error { pos; msg } -> Error (pos, msg)
+
+let scan_ref s =
+  match Json_reference.of_string s with
+  | v -> Ok (of_ref v)
+  | exception Json_reference.Parse_error { pos; msg } -> Error (pos, msg)
+
+(* The one intended divergence: the reference read a [\u] escape through
+   [int_of_string_opt "0x...."], which also accepts ['_'] after the first
+   digit. *)
+let lax_u_escape s pos =
+  pos + 4 < String.length s
+  && s.[pos] = 'u'
+  && String.contains (String.sub s (pos + 1) 4) '_'
+  && int_of_string_opt ("0x" ^ String.sub s (pos + 1) 4) <> None
+
+let prop_scan_matches_reference =
+  QCheck2.Test.make
+    ~name:"Json.of_string accepts, refuses and positions like the reference"
+    ~count:3000 ~print:String.escaped
+    QCheck2.Gen.(
+      let base =
+        oneof [ map Json.to_string gen_json; oneofl all_fixtures ]
+      in
+      oneof [ base; gen_mutated base ])
+    (fun s ->
+      let ours = scan Json.of_string s in
+      ours = scan_ref s
+      ||
+      match ours with
+      | Error (pos, "bad \\u escape") -> lax_u_escape s pos
+      | _ -> false)
+
+let test_json_errors () =
+  let check_error input (pos, msg) =
+    match Json.of_string input with
+    | _ -> Alcotest.failf "%S parsed" input
+    | exception Json.Parse_error e ->
+        Alcotest.(check (pair int string))
+          (Printf.sprintf "error of %S" input)
+          (pos, msg) (e.pos, e.msg)
+  in
+  Alcotest.(check bool)
+    "four hex digits decode to UTF-8" true
+    (Json.of_string {|"\u0041\u00e9\uffff"|} = Json.Str "A\xc3\xa9\xef\xbf\xbf");
+  check_error {|"\u1_23"|} (2, "bad \\u escape");
+  check_error {|"\u_123"|} (2, "bad \\u escape");
+  check_error {|"\u12g4"|} (2, "bad \\u escape");
+  check_error {|"\u12|} (2, "truncated \\u escape");
+  check_error {|[1,2|} (4, "expected ',' or ']'");
+  check_error {|{"a":1,}|} (7, "expected '\"'");
+  check_error {|[1.5]|} (2, "floats are not supported");
+  check_error {|[-]|} (1, "bad number");
+  check_error {|4611686018427387904|} (0, "bad number");
+  check_error {|nul|} (0, "expected null");
+  check_error {|"ab|} (3, "unterminated string");
+  check_error {|[] x|} (3, "trailing garbage");
+  Alcotest.(check bool)
+    "the integer range is OCaml's" true
+    (Json.of_string "[4611686018427387903,-4611686018427387904,-0,007]"
+    = Json.Arr [ Json.Int max_int; Json.Int min_int; Json.Int 0; Json.Int 7 ])
+
+(* Minor words per input byte of [f] on [s]: deterministic for a given
+   compiler, unlike a timing. *)
+let words_per_byte f s =
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  (Gc.minor_words () -. before) /. float_of_int (String.length s)
+
+let test_json_allocation () =
+  let b =
+    match Sctbench.Registry.by_name "parsec.streamcluster2" with
+    | Some b -> b
+    | None -> Alcotest.fail "missing parsec.streamcluster2"
+  in
+  let stats =
+    Techniques.run
+      { Techniques.default_options with Techniques.limit = 10 }
+      Techniques.Rand b.Sctbench.Bench.program
+  in
+  (* a Rand record: mostly integer arrays, one per distinct schedule *)
+  let s = Codec.encode_stats stats in
+  Alcotest.(check bool) "a sizeable record" true (String.length s > 50_000);
+  let v = Json.of_string s in
+  let parse = words_per_byte (fun () -> Json.of_string s) s in
+  let print = words_per_byte (fun () -> Json.to_string v) s in
+  if parse > 6. then
+    Alcotest.failf "parsing allocates %.2f minor words per byte (limit 6)" parse;
+  if print > 0.25 then
+    Alcotest.failf "printing allocates %.3f minor words per byte (limit 0.25)"
+      print;
+  Alcotest.(check string) "the record re-prints byte-identically" s
+    (Json.to_string v)
+
 (* --- artifacts --- *)
 
 let sample_witness =
@@ -722,6 +1042,54 @@ let prop_merge_idempotent =
       (* a ∪ a = a, both as a repeated source and as a self-re-merge *)
       canon_of_merge [ a; a ] = canon_of_merge [ a ])
 
+let read_file file = In_channel.with_open_bin file In_channel.input_all
+
+let write_file file content =
+  Out_channel.with_open_bin file (fun oc -> output_string oc content)
+
+let test_db_negative_record_skipped () =
+  with_dir (fun dir ->
+      let o = Techniques.default_options in
+      let k = Db.fingerprint ~bench:"B1" ~technique:"IPB" o in
+      let db = Db.open_ ~dir in
+      Db.record db ~key:k ~bench:"B1" ~technique:"IPB" ~racy:0 ~options:o
+        (entry_stats "IPB" None);
+      Db.close db;
+      let file = Filename.concat dir "journal.jsonl" in
+      let line = String.trim (read_file file) in
+      write_file file (with_field line "total" (Json.Int (-7)) ^ "\n");
+      let db = Db.open_ ~dir in
+      Alcotest.(check bool)
+        "a negative counter reads as a torn record" true
+        (Db.find_any db k = None);
+      Db.record db ~key:k ~bench:"B1" ~technique:"IPB" ~racy:0 ~options:o
+        (entry_stats "IPB" None);
+      Db.close db;
+      let db = Db.open_ ~dir in
+      Alcotest.(check int) "the re-executed cell is journalled" 1 (Db.size db);
+      Db.close db)
+
+let prop_mutated_journal_opens =
+  QCheck2.Test.make
+    ~name:"Db.open_: a mutated journal opens and keeps non-negative cells"
+    ~count:60
+    QCheck2.Gen.(pair gen_journal (list_size (int_range 1 4) gen_mutation))
+    (fun (journal, ms) ->
+      with_dir (fun dir ->
+          Db.close (build_store dir journal);
+          let file = Filename.concat dir "journal.jsonl" in
+          let content = if Sys.file_exists file then read_file file else "" in
+          write_file file (List.fold_left mutate content ms);
+          let db = Db.open_ ~dir in
+          let sound =
+            List.for_all
+              (fun (_, e) ->
+                List.for_all (fun i -> i >= 0) (stats_ints e.Db.e_stats))
+              (Db.entries_any db)
+          in
+          Db.close db;
+          sound))
+
 let test_merge_prefers_advanced () =
   let o = Techniques.default_options in
   let stats n = { (entry_stats "Rand" None) with Stats.total = n } in
@@ -949,6 +1317,18 @@ let suites =
           test_progress_fixture_stability;
         Alcotest.test_case "version gate and malformed input" `Quick
           test_version_gate;
+        Alcotest.test_case "negative counts, bounds and tids are refused"
+          `Quick test_negative_stats_rejected;
+        QCheck_alcotest.to_alcotest prop_mutated_stats_nonnegative;
+      ] );
+    ( "store.json",
+      [
+        QCheck_alcotest.to_alcotest prop_print_matches_reference;
+        QCheck_alcotest.to_alcotest prop_scan_matches_reference;
+        Alcotest.test_case "positioned errors; \\u takes four hex digits"
+          `Quick test_json_errors;
+        Alcotest.test_case "parse and print allocate little per byte" `Quick
+          test_json_allocation;
       ] );
     ( "store.artifact",
       [
@@ -971,6 +1351,9 @@ let suites =
           test_fingerprint_ignores_parallelism;
         Alcotest.test_case "campaign progress records are slice-resumable"
           `Quick test_db_progress_records;
+        Alcotest.test_case "a record with a negative counter is re-executed"
+          `Quick test_db_negative_record_skipped;
+        QCheck_alcotest.to_alcotest prop_mutated_journal_opens;
       ] );
     ( "store.merge",
       [
