@@ -46,19 +46,15 @@ let jobs_t =
   in
   Arg.(value & opt int 0 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
-let split_depth_t =
-  let doc =
-    "Decision depth at which the parallel engine splits the DFS/IPB/IDB \
-     schedule tree."
-  in
-  Arg.(value & opt int 3 & info [ "split-depth" ] ~docv:"D" ~doc)
-
 let prefix_batch_t =
   let doc =
-    "Run DFS/IPB/IDB on the prefix-memoizing batched executor: shared \
-     schedule prefixes are executed once per batch instead of once per \
-     schedule. Every table and every stored journal stays byte-identical \
-     apart from the steps-executed/steps-saved counters."
+    "Run DFS/IPB/IDB on the prefix-memoizing batched executor, which \
+     reports how many schedule-prefix steps sibling batches share \
+     (steps= and saved=). The counts are analytic: the flag does not make \
+     a run faster, and on its fork-server back-end (single-domain runs, \
+     e.g. $(b,--jobs 1)) a run takes many times longer. Every table and \
+     every stored journal stays byte-identical apart from those two \
+     counters."
   in
   Arg.(value & flag & info [ "prefix-batch" ] ~doc)
 
@@ -67,8 +63,8 @@ let por_t =
     "Compose DFS/IPB/IDB with bounded partial-order reduction: $(docv) is \
      $(b,sleep), $(b,dpor) or $(b,dpor+sleep). Reduced cells explore fewer \
      schedules to the same bugs (sleep-pruned runs are reported as \
-     por_pruned); POR cells always run unbatched and sequential. Other \
-     techniques are unaffected."
+     por_pruned); POR cells always run unbatched. Other techniques are \
+     unaffected."
   in
   Arg.(value & opt (some string) None & info [ "por" ] ~docv:"MODE" ~doc)
 
@@ -145,8 +141,7 @@ let close_store = Option.iter Sct_store.Db.close
 let resolve_jobs jobs =
   if jobs <= 0 then Sct_parallel.Pool.default_jobs () else jobs
 
-let options_of ?(jobs = 1) ?(split_depth = 3) ?(prefix_batch = false) ?por
-    ?time_limit
+let options_of ?(jobs = 1) ?(prefix_batch = false) ?por ?time_limit
     ?(bounds =
       ( Sct_explore.Axes.default_fair_bound,
         Sct_explore.Axes.default_length_bound )) limit seed =
@@ -156,7 +151,6 @@ let options_of ?(jobs = 1) ?(split_depth = 3) ?(prefix_batch = false) ?por
     Sct_explore.Techniques.limit;
     seed;
     jobs = resolve_jobs jobs;
-    split_depth;
     time_limit;
     prefix_batch;
     por;
@@ -242,14 +236,14 @@ let detect_cmd =
 
 (* run one benchmark *)
 let run_cmd =
-  let run limit seed jobs split_depth prefix_batch por time_limit bounds techs
-      store resume name =
+  let run limit seed jobs prefix_batch por time_limit bounds techs store
+      resume name =
     match Sctbench.Registry.by_name name with
     | None -> prerr_endline ("unknown benchmark: " ^ name); exit 1
     | Some b ->
         let o =
-          options_of ~jobs ~split_depth ~prefix_batch ?por:(parse_por por)
-            ?time_limit ~bounds limit seed
+          options_of ~jobs ~prefix_batch ?por:(parse_por por) ?time_limit
+            ~bounds limit seed
         in
         let techniques = parse_techniques techs in
         let store = open_store ~resume store in
@@ -289,9 +283,8 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc:"Run one benchmark under the selected techniques.")
     Term.(
-      const run $ limit_t $ seed_t $ jobs_t $ split_depth_t $ prefix_batch_t
-      $ por_t $ time_limit_t $ bounds_t $ techniques_t $ store_t $ resume_t
-      $ name_t)
+      const run $ limit_t $ seed_t $ jobs_t $ prefix_batch_t $ por_t
+      $ time_limit_t $ bounds_t $ techniques_t $ store_t $ resume_t $ name_t)
 
 let with_bench name f =
   match Sctbench.Registry.by_name name with
@@ -472,13 +465,13 @@ let por_cmd =
     Term.(const run $ limit_t $ name_t $ mode_t)
 
 (* the full study: tables and figures *)
-let study what limit seed jobs split_depth prefix_batch por time_limit bounds
-    suite ids techs store resume corpus =
+let study what limit seed jobs prefix_batch por time_limit bounds suite ids
+    techs store resume corpus =
   load_corpus corpus;
   let benches = select suite ids in
   let o =
-    options_of ~jobs ~split_depth ~prefix_batch ?por:(parse_por por)
-      ?time_limit ~bounds limit seed
+    options_of ~jobs ~prefix_batch ?por:(parse_por por) ?time_limit ~bounds
+      limit seed
   in
   match what with
   | `Table1 -> Sct_report.Table1.print benches
@@ -506,9 +499,9 @@ let study what limit seed jobs split_depth prefix_batch por time_limit bounds
 let study_cmd name what doc =
   Cmd.v (Cmd.info name ~doc)
     Term.(
-      const (study what) $ limit_t $ seed_t $ jobs_t $ split_depth_t
-      $ prefix_batch_t $ por_t $ time_limit_t $ bounds_t $ suite_t $ ids_t
-      $ techniques_t $ store_t $ resume_t $ corpus_t)
+      const (study what) $ limit_t $ seed_t $ jobs_t $ prefix_batch_t $ por_t
+      $ time_limit_t $ bounds_t $ suite_t $ ids_t $ techniques_t $ store_t
+      $ resume_t $ corpus_t)
 
 (* self-testing fuzz: generated programs under the differential oracle *)
 let fuzz_cmd =
@@ -844,8 +837,8 @@ let corpus_cmd =
       Term.(const run $ dir_t)
   in
   let run_cmd =
-    let run dir limit seed jobs split_depth prefix_batch por time_limit bounds
-        techs store resume =
+    let run dir limit seed jobs prefix_batch por time_limit bounds techs store
+        resume =
       load_corpus (Some dir);
       let benches = Sctbench.Registry.of_suite Sctbench.Bench.Corpus in
       if benches = [] then begin
@@ -853,8 +846,8 @@ let corpus_cmd =
         exit 1
       end;
       let o =
-        options_of ~jobs ~split_depth ~prefix_batch ?por:(parse_por por)
-          ?time_limit ~bounds limit seed
+        options_of ~jobs ~prefix_batch ?por:(parse_por por) ?time_limit
+          ~bounds limit seed
       in
       let techniques = parse_techniques techs in
       let store = open_store ~resume store in
@@ -879,9 +872,8 @@ let corpus_cmd =
             current behaviour against the mining-time record — the \
             corpus's standing regression study.")
       Term.(
-        const run $ dir_t $ limit_t $ seed_t $ jobs_t $ split_depth_t
-        $ prefix_batch_t $ por_t $ time_limit_t $ bounds_t $ techniques_t
-        $ store_t $ resume_t)
+        const run $ dir_t $ limit_t $ seed_t $ jobs_t $ prefix_batch_t $ por_t
+        $ time_limit_t $ bounds_t $ techniques_t $ store_t $ resume_t)
   in
   Cmd.group
     (Cmd.info "corpus"
@@ -934,13 +926,13 @@ let parse_shard s =
       Printf.eprintf "invalid shard %s (expected K/N, e.g. 0/3)\n" s;
       exit 1
 
-let run_campaign ~shard limit seed jobs split_depth prefix_batch por
-    time_limit bounds suite ids techs policy slice store corpus =
+let run_campaign ~shard limit seed jobs prefix_batch por time_limit bounds
+    suite ids techs policy slice store corpus =
   load_corpus corpus;
   let benches = select suite ids in
   let o =
-    options_of ~jobs ~split_depth ~prefix_batch ?por:(parse_por por)
-      ?time_limit ~bounds limit seed
+    options_of ~jobs ~prefix_batch ?por:(parse_por por) ?time_limit ~bounds
+      limit seed
   in
   let techniques = parse_techniques techs in
   let policy = parse_policy policy in
@@ -971,9 +963,9 @@ let run_campaign ~shard limit seed jobs split_depth prefix_batch por
 let campaign_cmd =
   let grid_args run =
     Term.(
-      const run $ limit_t $ seed_t $ jobs_t $ split_depth_t $ prefix_batch_t
-      $ por_t $ time_limit_t $ bounds_t $ suite_t $ ids_t $ techniques_t
-      $ policy_t $ slice_t $ campaign_store_t $ corpus_t)
+      const run $ limit_t $ seed_t $ jobs_t $ prefix_batch_t $ por_t
+      $ time_limit_t $ bounds_t $ suite_t $ ids_t $ techniques_t $ policy_t
+      $ slice_t $ campaign_store_t $ corpus_t)
   in
   let run_cmd =
     Cmd.v
@@ -995,11 +987,11 @@ let campaign_cmd =
       Arg.(
         required & opt (some string) None & info [ "shard" ] ~docv:"K/N" ~doc)
     in
-    let run shard limit seed jobs split_depth prefix_batch por time_limit
-        bounds suite ids techs policy slice store corpus =
+    let run shard limit seed jobs prefix_batch por time_limit bounds suite ids
+        techs policy slice store corpus =
       run_campaign ~shard:(Some (parse_shard shard)) limit seed jobs
-        split_depth prefix_batch por time_limit bounds suite ids techs policy
-        slice store corpus
+        prefix_batch por time_limit bounds suite ids techs policy slice store
+        corpus
     in
     Cmd.v
       (Cmd.info "worker"
@@ -1008,9 +1000,9 @@ let campaign_cmd =
             process fleets: N workers with --shard 0/N .. (N-1)/N, then \
             $(b,store merge)).")
       Term.(
-        const run $ shard_t $ limit_t $ seed_t $ jobs_t $ split_depth_t
-        $ prefix_batch_t $ por_t $ time_limit_t $ bounds_t $ suite_t $ ids_t
-        $ techniques_t $ policy_t $ slice_t $ campaign_store_t $ corpus_t)
+        const run $ shard_t $ limit_t $ seed_t $ jobs_t $ prefix_batch_t
+        $ por_t $ time_limit_t $ bounds_t $ suite_t $ ids_t $ techniques_t
+        $ policy_t $ slice_t $ campaign_store_t $ corpus_t)
   in
   let status_cmd =
     let run store =

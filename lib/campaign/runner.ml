@@ -65,12 +65,8 @@ let run_slice ~pool ~promote ~slice ~prev (cell : Cell.t) =
         };
     }
   in
-  if Techniques.sequential_only cell.Cell.technique then
-    (* the Axes bounding techniques declare no parallel plan; their cells
-       still slice by cumulative re-running on the sequential driver *)
-    rerun_growing ()
-  else
   match Techniques.sharding ~promote o cell.Cell.technique program with
+  | Strategy.Sequential -> rerun_growing ()
   | Strategy.Shard_seed shard ->
       let hi = min o.Techniques.limit (consumed + slice) in
       let slice_stats = seed_slice ~pool shard ~lo:consumed ~hi in
@@ -88,7 +84,6 @@ let run_slice ~pool ~promote ~slice ~prev (cell : Cell.t) =
             p_done = hi >= o.Techniques.limit;
           };
       }
-  | Strategy.Shard_tree _ -> rerun_growing ()
   | Strategy.Shard_runs _ ->
       (* intrinsic-length campaign: one atomic slice *)
       let s = Drivers.run ~pool ~promote o cell.Cell.technique program in

@@ -2,7 +2,7 @@
 
     A campaign never runs a cell to completion in one go: it grants budget
     {e slices} and journals a snapshot after each, so a killed campaign
-    loses at most one slice of work. The per-capability slice models keep
+    loses at most one slice of work. The per-plan slice models keep
     the final statistics byte-identical to the one-shot
     [Sct_explore.Techniques.run] (and hence to the whole study pipeline):
 
@@ -12,10 +12,10 @@
       [Stats.merge] — exactly the contiguous-slice merge the parallel
       drivers already prove equal to the sequential run. A slice is
       itself sub-sharded across the pool.
-    - [Shard_tree] (DFS, IPB, IDB) and the sequential-only bounding axes
-      (Fair, Length, IVB, ITB): tree walks carry backtracking state that
-      cannot be banked in a [Stats.t], so each slice {e re-runs} the
-      cumulative prefix with a geometrically growing schedule limit
+    - [Sequential] (DFS, IPB, IDB and the bounding axes Fair, Length, IVB,
+      ITB): tree walks carry backtracking state that cannot be banked in a
+      [Stats.t], so each slice {e re-runs} the cumulative prefix, on one
+      domain, with a geometrically growing schedule limit
       [min limit (max (consumed+slice) (2·consumed))] — the doubling keeps
       total re-execution within a constant factor of the final run, and
       the last slice runs with the cell's exact limit (or exhausts the
@@ -27,10 +27,8 @@
     - [Shard_runs] (MapleAlg): the campaign's length is intrinsic
       ([respects_limit = false]), so the cell runs as one atomic slice.
 
-    Dispatch is from the declared sharding capability alone, like the
-    parallel drivers — no per-technique case analysis (the sequential-only
-    techniques are routed to the cumulative re-run model before the
-    capability probe, which they do not implement). *)
+    Dispatch is from the declared parallel plan alone, like the parallel
+    drivers — no per-technique case analysis. *)
 
 type slice_result = {
   stats : Sct_explore.Stats.t;

@@ -24,9 +24,10 @@
       arXiv:1207.2544.
 
     All four declare [supports_prefix_batch = false] and
-    [supports_por = false] (their trees cannot be restructured), and
-    [Techniques.sequential_only] keeps their cells on the sequential driver
-    for every [--jobs] value, so campaign statistics stay byte-identical. *)
+    [supports_por = false] (their trees cannot be restructured). Like
+    every tree walk their cells run on one domain
+    ([Strategy.Sequential]) for every [--jobs] value, so campaign
+    statistics stay byte-identical. *)
 
 val default_fair_bound : int
 (** [5], dejafu's default. *)

@@ -182,10 +182,12 @@ let explore ?promote ?max_steps ?max_levels ?por ?fair ?technique ?on_prune
     (strategy ?max_levels ?por ?fair ?technique ?on_prune ~kind ())
     program
 
-(* The same level progression over an abstract walk runner — the shape the
-   frontier-partitioned parallel engine instantiates ([Shard_tree]). The
-   sequential path above goes through the driver instead; the two agree by
-   the level-by-level correspondence checked in test/test_parallel.ml. *)
+(* The same level progression over an abstract per-level walk, for the
+   batched executor below: explore level [c] with the remaining budget,
+   stop on bug / limit / deadline / unpruned completion, else continue at
+   [c + 1]. The driver path above agrees with it level by level; the
+   batched-equals-unbatched checks of test/test_prefix_exec.ml and the fuzz
+   oracle pin that. *)
 let level_loop ?(max_levels = 64) ~technique
     ~(walk : c:int -> limit:int -> Strategy.walk_result) ~limit () =
   let rec level c (acc : Stats.t) =
@@ -260,14 +262,4 @@ let explore_batched ?promote ?max_steps ?max_levels ?fork ?deadline ~kind
     ~walk:(fun ~c ~limit ->
       Prefix_exec.explore ?promote ?max_steps ?fork ?deadline ~count_exact:c
         ~bound:(bound_of kind c) ~limit program)
-    ~limit ()
-
-let tree_campaign ?promote ?max_steps ?max_levels ?deadline ~kind ~limit
-    program run =
-  level_loop ?max_levels ~technique:(technique_name kind)
-    ~walk:(fun ~c ~limit ->
-      run
-        (Dfs.tree_walk ?promote ?max_steps ?deadline ~count_exact:c
-           ~bound:(bound_of kind c) program)
-        ~limit)
     ~limit ()

@@ -7,9 +7,8 @@
     at the level equal to its exact preemption/delay count.
 
     The campaign is a multi-phase {!Strategy.STRATEGY} (one phase per bound
-    level) run by {!Driver.explore}; {!tree_campaign} exposes the same
-    level progression over an abstract walk runner for the
-    frontier-partitioned parallel engine.
+    level) run by {!Driver.explore}; {!explore_batched} runs the same level
+    progression with every level walked by {!Prefix_exec}.
 
     {b Partial-order reduction (BPOR).} {!strategy} with [~por] runs each
     level's count-exact walk on the {!Por.Walk} reduction core instead of
@@ -26,18 +25,15 @@
     the plain walk, so a level that exhausts unpruned still proves the
     whole space explored.
 
-    {b Interaction contract.} POR campaigns are exclusive with the other
-    two tree-shaped execution machineries:
-    - {!explore_batched} / {!Prefix_exec} never run reduced walks —
-      sleep-set and clock state threads through sibling continuations in
-      walk order, so continuations cannot be forked ahead of time. When a
-      cell requests both, [Techniques.run] falls back to the unbatched
-      driver (visible as [steps_saved = 0] in the cell's statistics).
-    - {!tree_campaign} / [Sct_parallel.Frontier] never partition reduced
-      walks — backtrack and sleep sets are global to the walk.
-      [Sct_parallel.Drivers.run] routes POR cells to the sequential path
-      for every [--jobs] value, as it already does for batched cells, so
-      statistics stay byte-identical across [jobs]. *)
+    {b Interaction contract.} POR campaigns are exclusive with prefix
+    batching: {!explore_batched} / {!Prefix_exec} never run reduced walks
+    — sleep-set and clock state threads through sibling continuations in
+    walk order, so continuations cannot be forked ahead of time. When a
+    cell requests both, [Techniques.run] falls back to the unbatched
+    driver (visible as [steps_saved = 0] in the cell's statistics). Every
+    iterative-bounding campaign, plain, batched or reduced, runs on one
+    domain ({!Strategy.Sequential}), so its statistics are byte-identical
+    for every [--jobs] value. *)
 
 type kind =
   | Preemption_bounding
@@ -102,19 +98,6 @@ val explore :
     total budget of [limit] counted terminal schedules —
     {!Driver.explore} over {!strategy}. *)
 
-val level_loop :
-  ?max_levels:int ->
-  technique:string ->
-  walk:(c:int -> limit:int -> Strategy.walk_result) ->
-  limit:int ->
-  unit ->
-  Stats.t
-(** The level progression over an abstract per-level walk: explore level
-    [c] with the remaining budget, stop on bug / limit / deadline /
-    unpruned completion, else continue at [c + 1]. Produces statistics
-    equal to {!explore} when [walk] behaves like the sequential
-    count-exact walk. *)
-
 val explore_batched :
   ?promote:(string -> bool) ->
   ?max_steps:int ->
@@ -128,17 +111,3 @@ val explore_batched :
 (** {!explore} with every level walked by {!Prefix_exec.explore}: identical
     statistics except that [steps_executed]/[steps_saved] carry the batched
     step cost. [fork] overrides the executor's back-end selection. *)
-
-val tree_campaign :
-  ?promote:(string -> bool) ->
-  ?max_steps:int ->
-  ?max_levels:int ->
-  ?deadline:float ->
-  kind:kind ->
-  limit:int ->
-  (unit -> unit) ->
-  (Strategy.tree_walk -> limit:int -> Strategy.walk_result) ->
-  Stats.t
-(** The whole campaign as a function of a walk runner: each level's
-    count-exact {!Dfs.tree_walk} is handed to the runner — sequential, or
-    [Sct_parallel.Frontier.run] for the subtree-sharded parallel plan. *)

@@ -62,11 +62,6 @@ let push st ~chosen ~rest ~enabled ~fp =
   fr.f_fp <- fp;
   st.len <- st.len + 1
 
-type frontier_info = Strategy.frontier_info = {
-  fi_prefix : (Tid.t * Tid.t list) array;
-  fi_branched_below : bool;
-}
-
 (* --- the walk: one (bounded) level of the schedule tree ----------------- *)
 
 module Walk = struct
@@ -76,8 +71,7 @@ module Walk = struct
     w_count_exact : int option;
     w_fair : int option;
     w_length : int option;
-    w_max_branch_depth : int;
-    w_on_exec : (Runtime.result -> frontier_info -> unit) option;
+    w_on_exec : (Runtime.result -> unit) option;
     st : stack;
     mutable replay_len : int;
     mutable depth : int;
@@ -85,7 +79,6 @@ module Walk = struct
     mutable pruned : bool;
     mutable aux_pruned : bool;
     mutable cut_run : bool;
-    mutable branched_below : bool;
     mutable exhausted : bool;
     (* per-run footprint of preemption keys (Variable/Threads bounds):
        [cur_count] is its cardinality *)
@@ -95,45 +88,26 @@ module Walk = struct
     mutable yields : int array;
   }
 
-  let make ?prefix ?(max_branch_depth = max_int) ?count_exact ?fair ?length
-      ?on_exec ~bound () =
-    let w =
-      {
-        w_bound = bound;
-        w_bound_c = bound_limit bound;
-        w_count_exact = count_exact;
-        w_fair = fair;
-        w_length = length;
-        w_max_branch_depth = max_branch_depth;
-        w_on_exec = on_exec;
-        st = { frames = Array.init 1024 (fun _ -> fresh_frame ()); len = 0 };
-        replay_len = 0;
-        depth = 0;
-        cur_count = 0;
-        pruned = false;
-        aux_pruned = false;
-        cut_run = false;
-        branched_below = false;
-        exhausted = false;
-        foot = Array.make 16 0;
-        foot_len = 0;
-        yields = Array.make 8 0;
-      }
-    in
-    (* A pinned prefix is seeded as exhausted frames: it is replayed (with
-       the enabled-set determinism check and bound accounting) on every
-       execution and never advanced by backtracking, so the walk covers
-       exactly the subtree below the prefix. *)
-    (match prefix with
-    | None -> ()
-    | Some p ->
-        Array.iter
-          (fun (chosen, f_enabled) ->
-            push w.st ~chosen ~rest:[] ~enabled:f_enabled
-              ~fp:(Runtime.fingerprint f_enabled))
-          p;
-        w.replay_len <- w.st.len);
-    w
+  let make ?count_exact ?fair ?length ?on_exec ~bound () =
+    {
+      w_bound = bound;
+      w_bound_c = bound_limit bound;
+      w_count_exact = count_exact;
+      w_fair = fair;
+      w_length = length;
+      w_on_exec = on_exec;
+      st = { frames = Array.init 1024 (fun _ -> fresh_frame ()); len = 0 };
+      replay_len = 0;
+      depth = 0;
+      cur_count = 0;
+      pruned = false;
+      aux_pruned = false;
+      cut_run = false;
+      exhausted = false;
+      foot = Array.make 16 0;
+      foot_len = 0;
+      yields = Array.make 8 0;
+    }
 
   (* Per-run footprint membership: linear scan over a handful of keys. The
      footprints of the iterated footprint bounds (Variable/Threads) are at
@@ -223,7 +197,6 @@ module Walk = struct
   let begin_run w =
     w.depth <- 0;
     w.cur_count <- 0;
-    w.branched_below <- false;
     w.cut_run <- false;
     w.foot_len <- 0;
     if w.w_fair <> None then Array.fill w.yields 0 (Array.length w.yields) 0
@@ -257,9 +230,8 @@ module Walk = struct
               if not (fair_ok w ctx b ~least:(ref (-1)) t) then cut w;
               note_yield w ctx t
           | None -> ());
-          if i < w.w_max_branch_depth then
-            push w.st ~chosen:t ~rest:[] ~enabled:ctx.c_enabled
-              ~fp:ctx.c_enabled_fp;
+          push w.st ~chosen:t ~rest:[] ~enabled:ctx.c_enabled
+            ~fp:ctx.c_enabled_fp;
           t
       | enabled -> (
           let in_bound, bound_cut =
@@ -291,13 +263,7 @@ module Walk = struct
               w.cut_run <- true;
               raise Runtime.Cut
           | t :: rest ->
-              if i >= w.w_max_branch_depth then begin
-                (* frontier-enumeration mode: below the split depth, follow
-                   the first in-bound child without recording a backtrack
-                   point *)
-                if rest <> [] then w.branched_below <- true
-              end
-              else push w.st ~chosen:t ~rest ~enabled ~fp:ctx.c_enabled_fp;
+              push w.st ~chosen:t ~rest ~enabled ~fp:ctx.c_enabled_fp;
               commit_count w ctx t;
               if w.w_fair <> None then note_yield w ctx t;
               t)
@@ -335,21 +301,13 @@ module Walk = struct
     in
     match w.w_count_exact with None -> true | Some c -> exact = c
 
-  (* Observe one terminal execution: report the frontier info, decide
+  (* Observe one terminal execution: report it to [on_exec], decide
      whether the schedule counts, and advance the walk — it is over when no
      untried alternative remains. Backtracking eagerly (before the driver's
      budget check) is harmless: it only mutates the decision stack, which
      is dropped when the campaign stops. *)
   let on_terminal w (res : Runtime.result) =
-    (match w.w_on_exec with
-    | None -> ()
-    | Some f ->
-        let fi_prefix =
-          Array.init w.st.len (fun j ->
-              let fr = w.st.frames.(j) in
-              (fr.chosen, fr.f_enabled))
-        in
-        f res { fi_prefix; fi_branched_below = w.branched_below });
+    (match w.w_on_exec with None -> () | Some f -> f res);
     let cut = w.cut_run in
     let v_counts = (not cut) && counts w res in
     w.exhausted <- not (backtrack w);
@@ -441,36 +399,10 @@ let stats_of ~technique (r : level_result) =
   }
 
 let explore ?promote ?max_steps ?count_exact ?fair ?length ?on_schedule
-    ?record_decisions ?prefix ?max_branch_depth ?on_exec ?deadline ~bound
-    ~limit program =
-  let w =
-    Walk.make ?prefix ?max_branch_depth ?count_exact ?fair ?length ?on_exec
-      ~bound ()
-  in
+    ?record_decisions ?on_exec ?deadline ~bound ~limit program =
+  let w = Walk.make ?count_exact ?fair ?length ?on_exec ~bound () in
   let s =
     Driver.explore ?promote ?max_steps ?record_decisions ?on_schedule
       ?deadline ~limit (strategy_of_walk w) program
   in
   level_result_of_stats ~pruned:(Walk.pruned w) s
-
-(* --- the tree-walk sharding capability ---------------------------------- *)
-
-let tree_walk ?promote ?max_steps ?count_exact ?deadline ~bound program :
-    Strategy.tree_walk =
-  (* a never-run walk, used only for the exact-count filter *)
-  let filter = Walk.make ?count_exact ~bound () in
-  {
-    Strategy.tw_enum =
-      (fun ~max_branch_depth ~on_exec ~limit ->
-        explore ?promote ?max_steps ?count_exact ?deadline ~max_branch_depth
-          ~on_exec ~bound ~limit program);
-    tw_sub =
-      (fun ~prefix ~limit ->
-        explore ?promote ?max_steps ?count_exact ?deadline ~prefix ~bound
-          ~limit program);
-    tw_counts = (fun res -> Walk.counts filter res);
-  }
-
-let tree_campaign ?promote ?max_steps ?deadline ~bound ~limit program run =
-  stats_of ~technique:"DFS"
-    (run (tree_walk ?promote ?max_steps ?deadline ~bound program) ~limit)

@@ -9,8 +9,7 @@
     schedule — identical for IPB, IDB and DFS, as in the paper.
 
     The campaign loop lives in {!Driver}; this module provides the walk as
-    a {!Strategy.STRATEGY} instance plus the {!Strategy.tree_walk} sharding
-    capability the parallel engine partitions. *)
+    a {!Strategy.STRATEGY} instance. *)
 
 type bound =
   | Unbounded
@@ -52,18 +51,6 @@ type level_result = Strategy.walk_result = {
   max_sched_points : int;
 }
 
-type frontier_info = Strategy.frontier_info = {
-  fi_prefix : (Sct_core.Tid.t * Sct_core.Tid.t list) array;
-      (** the (chosen, enabled) decisions of this execution above
-          [max_branch_depth] — a replayable subtree prefix *)
-  fi_branched_below : bool;
-      (** some decision at depth ≥ [max_branch_depth] had more than one
-          in-bound child, i.e. the prefix denotes a subtree with more than
-          one terminal schedule *)
-}
-(** Per-execution frontier information reported to [on_exec]; used by the
-    parallel engine (lib/parallel) to partition the schedule tree. *)
-
 (** The reusable walk machinery: decision stack, prefix replay, bound
     accounting and backtracking for one (bounded) level of the schedule
     tree. {!Bounded} drives one walk per bound level through its own
@@ -72,12 +59,10 @@ module Walk : sig
   type t
 
   val make :
-    ?prefix:(Sct_core.Tid.t * Sct_core.Tid.t list) array ->
-    ?max_branch_depth:int ->
     ?count_exact:int ->
     ?fair:int ->
     ?length:int ->
-    ?on_exec:(Sct_core.Runtime.result -> frontier_info -> unit) ->
+    ?on_exec:(Sct_core.Runtime.result -> unit) ->
     bound:bound ->
     unit ->
     t
@@ -94,9 +79,9 @@ module Walk : sig
   val choose : t -> Sct_core.Runtime.ctx -> Sct_core.Tid.t
 
   val on_terminal : t -> Sct_core.Runtime.result -> Strategy.verdict
-  (** Report frontier info, decide whether the schedule counts
-      ([count_exact]), and backtrack; the phase is over when the tree is
-      exhausted. *)
+  (** Report the execution to [on_exec], decide whether the schedule
+      counts ([count_exact]), and backtrack; the phase is over when the
+      tree is exhausted. *)
 
   val counts : t -> Sct_core.Runtime.result -> bool
   val pruned : t -> bool
@@ -135,9 +120,7 @@ val explore :
   ?length:int ->
   ?on_schedule:(Sct_core.Runtime.result -> unit) ->
   ?record_decisions:bool ->
-  ?prefix:(Sct_core.Tid.t * Sct_core.Tid.t list) array ->
-  ?max_branch_depth:int ->
-  ?on_exec:(Sct_core.Runtime.result -> frontier_info -> unit) ->
+  ?on_exec:(Sct_core.Runtime.result -> unit) ->
   ?deadline:float ->
   bound:bound ->
   limit:int ->
@@ -156,15 +139,8 @@ val explore :
     result; pass [record_decisions:true] if the callback needs the decision
     trace (off by default for speed).
 
-    [prefix] pins the first decisions: they are replayed (with the
-    determinism check and bound accounting) on every execution and never
-    backtracked, so the walk explores exactly the subtree below the prefix
-    in standard DFS order. [max_branch_depth = d] restricts backtracking to
-    decisions at depth < [d]; deeper decisions deterministically follow the
-    first in-bound child, so each execution reaches the first terminal
-    schedule of its depth-[d] subtree — the frontier-enumeration mode of the
-    parallel engine. [on_exec] is called on {e every} execution (counted or
-    not) with its frontier information.
+    [on_exec] is called on {e every} execution, counted or not (the
+    prefix-batch fallback folds its step counters this way).
 
     @raise Failure if the program is nondeterministic (the enabled set at a
     replayed decision differs from the recorded one). *)
@@ -173,26 +149,3 @@ val level_result_of_stats : pruned:bool -> Stats.t -> level_result
 
 val stats_of : technique:string -> level_result -> Stats.t
 (** Lift a walk result into the Table 3 statistics record. *)
-
-val tree_walk :
-  ?promote:(string -> bool) ->
-  ?max_steps:int ->
-  ?count_exact:int ->
-  ?deadline:float ->
-  bound:bound ->
-  (unit -> unit) ->
-  Strategy.tree_walk
-(** The subtree-sharding capability of this walk: frontier enumeration,
-    pinned-prefix sub-walks, and the exact-count filter. *)
-
-val tree_campaign :
-  ?promote:(string -> bool) ->
-  ?max_steps:int ->
-  ?deadline:float ->
-  bound:bound ->
-  limit:int ->
-  (unit -> unit) ->
-  (Strategy.tree_walk -> limit:int -> Strategy.walk_result) ->
-  Stats.t
-(** The whole DFS campaign as a function of a walk runner — instantiated
-    sequentially or with [Sct_parallel.Frontier.run]. *)

@@ -5,12 +5,12 @@ open Sct_core
    A depth-first walk re-executes the whole program for every terminal
    schedule, yet consecutive terminals share all decisions above their
    divergence point. This module walks the same (bounded) tree in the same
-   order while paying for each shared prefix once per batch of sibling
-   continuations:
+   order and counts the shared decisions a batch of sibling continuations
+   would not re-execute:
 
-   - fork server (the fast path): the program runs once under a scheduler
-     that, at every in-bound branching decision, [Unix.fork]s one child per
-     sibling branch except the last. A forked child IS the memoized prefix
+   - fork server: the program runs once under a scheduler that, at every
+     in-bound branching decision, [Unix.fork]s one child per sibling
+     branch except the last. A forked child IS the memoized prefix
      state — process duplication is the only way to snapshot an OCaml 5
      effects-based execution, whose continuations are one-shot. Terminal
      results are piped back to the collector (the original process) in
@@ -27,7 +27,11 @@ open Sct_core
    [steps_executed + steps_saved] is the sum of terminal schedule lengths
    (what an unbatched campaign pays). Statistics are therefore
    byte-identical whichever back-end ran — and identical to the unbatched
-   driver except for the two step counters. *)
+   driver except for the two step counters.
+
+   The counters are analytic: neither back-end runs faster than the plain
+   driver. A fork and a pipe round trip per sibling cost far more than
+   re-running a short prefix (see prefix_exec.mli for a measurement). *)
 
 (* --- fork availability -------------------------------------------------- *)
 
@@ -35,7 +39,7 @@ open Sct_core
    ever spawned a second domain — not just while one is alive. The parallel
    pool records its first domain spawn here, which disables the fork server
    for the remainder of the process; single-domain runs (the CLI's inline
-   one-job pool, sequential campaigns) keep the fast path. *)
+   one-job pool, sequential campaigns) keep the fork server. *)
 let domains_spawned = Atomic.make false
 let note_domains_spawned () = Atomic.set domains_spawned true
 
@@ -76,13 +80,12 @@ let steps_observe acc (res : Runtime.result) =
 
 (* --- re-execution fallback ---------------------------------------------- *)
 
-let fallback_explore ?promote ?max_steps ?count_exact ?prefix ?deadline ~bound
-    ~limit program =
+let fallback_explore ?promote ?max_steps ?count_exact ?deadline ~bound ~limit
+    program =
   let acc = steps_acc () in
-  let on_exec res _fi = steps_observe acc res in
   let r =
-    Dfs.explore ?promote ?max_steps ?count_exact ?prefix ?deadline ~on_exec
-      ~bound ~limit program
+    Dfs.explore ?promote ?max_steps ?count_exact ?deadline
+      ~on_exec:(steps_observe acc) ~bound ~limit program
   in
   { r with Strategy.steps_executed = acc.sa_executed; steps_saved = acc.sa_saved }
 
@@ -135,15 +138,14 @@ let exit_stopped = 3
    child's whole subtree before trying the next. Exactly one process is
    ever running (the rest block in [waitpid]), so terminal frames hit the
    result pipe strictly in sequential DFS order and never interleave. *)
-let run_worker ~result_w ~control_r ?promote ?max_steps ~(prefix : Strategy.prefix)
-    ~bound program : 'never =
+let run_worker ~result_w ~control_r ?promote ?max_steps ~bound program :
+    'never =
   (match bound with
   | Dfs.Variable _ | Dfs.Threads _ ->
       (* the footprint bounds declare [supports_prefix_batch = false] *)
       invalid_arg "Sct_explore.Prefix_exec: footprint bounds are unsupported"
   | Dfs.Unbounded | Dfs.Preemption _ | Dfs.Delay _ -> ());
   let shape = Dfs.cost_shape bound and bound_c = Dfs.bound_limit bound in
-  let depth = ref 0 in
   let cur = ref 0 in
   let pruned = ref false in
   let reap pid =
@@ -168,35 +170,20 @@ let run_worker ~result_w ~control_r ?promote ?max_steps ~(prefix : Strategy.pref
             branch rest)
   in
   let scheduler (ctx : Runtime.ctx) =
-    let i = !depth in
-    incr depth;
-    if i < Array.length prefix then begin
-      let chosen, enabled = prefix.(i) in
-      if Runtime.fingerprint enabled <> ctx.c_enabled_fp then
-        failwith
-          (Printf.sprintf
-             "Sct_explore.Prefix_exec: nondeterministic program: enabled \
-              set mismatch at decision %d (is the program's state created \
-              inside its closure?)"
-             i);
-      cur := !cur + Bound_cost.cost shape ctx chosen;
-      chosen
-    end
-    else
-      match ctx.c_enabled with
-      | [ t ] -> t (* the only child; its cost is 0 *)
-      | enabled ->
-          let allowed, cut =
-            Bound_cost.candidates shape ~budget:(bound_c - !cur)
-              ~n:ctx.c_n_threads ~last:ctx.c_last ~enabled
-          in
-          if cut then pruned := true;
-          (* children inherit [pruned]: a pruning event reaches the
-             collector with the first terminal of the pruned decision's
-             subtree, exactly when a sequential walk would observe it *)
-          let t = branch allowed in
-          cur := !cur + Bound_cost.cost shape ctx t;
-          t
+    match ctx.c_enabled with
+    | [ t ] -> t (* the only child; its cost is 0 *)
+    | enabled ->
+        let allowed, cut =
+          Bound_cost.candidates shape ~budget:(bound_c - !cur)
+            ~n:ctx.c_n_threads ~last:ctx.c_last ~enabled
+        in
+        if cut then pruned := true;
+        (* children inherit [pruned]: a pruning event reaches the collector
+           with the first terminal of the pruned decision's subtree, exactly
+           when a sequential walk would observe it *)
+        let t = branch allowed in
+        cur := !cur + Bound_cost.cost shape ctx t;
+        t
   in
   let code =
     try
@@ -218,8 +205,8 @@ let run_worker ~result_w ~control_r ?promote ?max_steps ~(prefix : Strategy.pref
 (* Replicates Driver.explore's stop bookkeeping exactly: the budget check
    precedes the deadline check after every terminal (counted or not), and a
    stop leaves [complete] false even when it lands on the last terminal. *)
-let fork_explore ?promote ?max_steps ?count_exact ?(prefix = [||]) ?deadline
-    ~bound ~limit program : Strategy.walk_result =
+let fork_explore ?promote ?max_steps ?count_exact ?deadline ~bound ~limit
+    program : Strategy.walk_result =
   let counts (res : Runtime.result) =
     let exact =
       match bound with
@@ -237,8 +224,7 @@ let fork_explore ?promote ?max_steps ?count_exact ?(prefix = [||]) ?deadline
   | 0 ->
       Unix.close result_r;
       Unix.close control_w;
-      run_worker ~result_w ~control_r ?promote ?max_steps ~prefix ~bound
-        program
+      run_worker ~result_w ~control_r ?promote ?max_steps ~bound program
   | root_pid ->
       Unix.close result_w;
       Unix.close control_r;
@@ -339,14 +325,14 @@ let fork_explore ?promote ?max_steps ?count_exact ?(prefix = [||]) ?deadline
 
 (* --- entry point -------------------------------------------------------- *)
 
-let explore ?promote ?max_steps ?count_exact ?prefix ?fork ?deadline ~bound
-    ~limit program =
+let explore ?promote ?max_steps ?count_exact ?fork ?deadline ~bound ~limit
+    program =
   let use_fork =
     match fork with Some b -> b | None -> fork_available ()
   in
   if (not use_fork) || limit <= 0 then
-    fallback_explore ?promote ?max_steps ?count_exact ?prefix ?deadline ~bound
-      ~limit program
+    fallback_explore ?promote ?max_steps ?count_exact ?deadline ~bound ~limit
+      program
   else
-    fork_explore ?promote ?max_steps ?count_exact ?prefix ?deadline ~bound
-      ~limit program
+    fork_explore ?promote ?max_steps ?count_exact ?deadline ~bound ~limit
+      program

@@ -34,6 +34,16 @@ let replay ?(promote = fun _ -> false) ?(max_steps = 100_000)
   | res -> Some res
   | exception Infeasible -> None
 
+(* The bytes [String.trim] strips, so that a token's reported offset skips
+   exactly the whitespace its trimming removed. *)
+let is_trimmed = function
+  | ' ' | '\012' | '\n' | '\r' | '\t' -> true
+  | _ -> false
+
+(* Thread ids are plain decimal: [int_of_string] alone would also accept
+   [0x1], [0b11], [0o7], [+2] and [1_0]. *)
+let is_decimal tok = String.for_all (fun c -> c >= '0' && c <= '9') tok
+
 let parse s =
   let n = String.length s in
   (* split on commas, remembering where each token starts so errors can
@@ -53,10 +63,7 @@ let parse s =
            (* report the position of the token itself, not of the
               surrounding whitespace *)
            let lead = ref 0 in
-           while
-             !lead < String.length raw
-             && (raw.[!lead] = ' ' || raw.[!lead] = '\t')
-           do
+           while !lead < String.length raw && is_trimmed raw.[!lead] do
              incr lead
            done;
            let tok = String.trim raw in
@@ -66,9 +73,10 @@ let parse s =
                (Printf.sprintf "Replay.parse: empty thread id at offset %d"
                   pos)
            else
-             match int_of_string_opt tok with
-             | Some t when t >= 0 -> t
-             | _ ->
+             (* [None] past [max_int] too: the overflow error *)
+             match if is_decimal tok then int_of_string_opt tok else None with
+             | Some t -> t
+             | None ->
                  failwith
                    (Printf.sprintf
                       "Replay.parse: bad thread id %S at offset %d" tok pos))

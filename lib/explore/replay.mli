@@ -19,7 +19,9 @@ val replay :
 
 val parse : string -> Sct_core.Schedule.t
 (** Parse a schedule from a comma-separated list of thread ids, e.g.
-    ["0,0,1,2,1"]. Whitespace around the ids and around the whole input is
-    ignored; a blank input is the empty schedule.
+    ["0,0,1,2,1"]. A thread id is a run of decimal digits no larger than
+    [max_int]. Whitespace around the ids and around the whole input (the
+    bytes [String.trim] strips) is ignored; a blank input is the empty
+    schedule.
     @raise Failure on malformed input, naming the offending token and its
     byte offset (e.g. [{|Replay.parse: bad thread id "x" at offset 2|}]). *)

@@ -38,11 +38,6 @@ end
 
 type t = (module STRATEGY)
 
-(* --- sharding capabilities (used by lib/parallel) ----------------------- *)
-
-type prefix = (Tid.t * Tid.t list) array
-type frontier_info = { fi_prefix : prefix; fi_branched_below : bool }
-
 type walk_result = {
   counted : int;
   buggy : int;
@@ -60,15 +55,7 @@ type walk_result = {
   max_sched_points : int;
 }
 
-type tree_walk = {
-  tw_enum :
-    max_branch_depth:int ->
-    on_exec:(Runtime.result -> frontier_info -> unit) ->
-    limit:int ->
-    walk_result;
-  tw_sub : prefix:prefix -> limit:int -> walk_result;
-  tw_counts : Runtime.result -> bool;
-}
+(* --- parallel plans (used by lib/parallel) ------------------------------- *)
 
 type batched_run = unit -> Runtime.result * (unit -> unit)
 
@@ -80,6 +67,6 @@ type run_batches = {
 }
 
 type sharding =
+  | Sequential
   | Shard_seed of (lo:int -> hi:int -> Stats.t)
-  | Shard_tree of ((tree_walk -> limit:int -> walk_result) -> Stats.t)
   | Shard_runs of run_batches

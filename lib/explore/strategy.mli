@@ -111,22 +111,6 @@ end
 
 type t = (module STRATEGY)
 
-(** {1 Sharding capabilities}
-
-    How a campaign may be parallelised, declared per technique and
-    interpreted generically by [Sct_parallel.Drivers] — the shape of the
-    value, not the identity of the technique, decides the parallel plan. *)
-
-type prefix = (Sct_core.Tid.t * Sct_core.Tid.t list) array
-(** Pinned (chosen, enabled) decisions — a replayable subtree prefix. *)
-
-type frontier_info = {
-  fi_prefix : prefix;
-  fi_branched_below : bool;
-      (** the prefix denotes a subtree with more than one terminal
-          schedule *)
-}
-
 type walk_result = {
   counted : int;  (** terminal schedules counted by this walk *)
   buggy : int;
@@ -149,23 +133,11 @@ type walk_result = {
 (** Result of one (bounded) schedule-tree walk; [Dfs.level_result] is an
     alias of this type. *)
 
-type tree_walk = {
-  tw_enum :
-    max_branch_depth:int ->
-    on_exec:(Sct_core.Runtime.result -> frontier_info -> unit) ->
-    limit:int ->
-    walk_result;
-      (** frontier-enumeration walk: backtracking restricted to decisions
-          above [max_branch_depth]; [on_exec] sees every execution's
-          frontier info *)
-  tw_sub : prefix:prefix -> limit:int -> walk_result;
-      (** walk exactly the subtree below [prefix] *)
-  tw_counts : Sct_core.Runtime.result -> bool;
-      (** whether a terminal schedule counts (the level's exact-count
-          filter) *)
-}
-(** A systematic walk, abstract enough for [Sct_parallel.Frontier] to
-    partition it by subtree without knowing the bound function. *)
+(** {1 Parallel plans}
+
+    How a campaign may use a domain pool, declared per technique and
+    interpreted generically by [Sct_parallel.Drivers] — the shape of the
+    value, not the identity of the technique, decides the parallel plan. *)
 
 type batched_run = unit -> Sct_core.Runtime.result * (unit -> unit)
 (** An independent run: executed on any domain, it returns the execution
@@ -187,13 +159,15 @@ type run_batches = {
 }
 
 type sharding =
+  | Sequential
+      (** the campaign runs on one domain for every pool size (DFS, IPB,
+          IDB and the bounding axes Fair, Length, IVB, ITB): a tree walk's
+          backtracking state is one sequential thread of control, so these
+          cells gain from a pool only by running beside other cells
+          ([Sct_parallel.Suite.run_all]) *)
   | Shard_seed of (lo:int -> hi:int -> Stats.t)
       (** run [i] is a pure function of the campaign seed and [i]: shard
           the run range [\[0, limit)] into contiguous slices and fold
           {!Stats.merge} (Rand, PCT, SURW) *)
-  | Shard_tree of ((tree_walk -> limit:int -> walk_result) -> Stats.t)
-      (** systematic walks: the campaign is a function of a walk runner,
-          instantiated with the frontier-partitioned parallel runner
-          (DFS, IPB, IDB) *)
   | Shard_runs of run_batches
       (** finite batches of independent runs merged in order (MapleAlg) *)

@@ -84,7 +84,6 @@ type options = {
   pct_change_points : int;
   maple_profile_runs : int;
   jobs : int;
-  split_depth : int;
   time_limit : float option;
   prefix_batch : bool;
   por : Por.mode option;
@@ -101,7 +100,6 @@ let default_options =
     pct_change_points = 2;
     maple_profile_runs = 10;
     jobs = 1;
-    split_depth = 3;
     time_limit = None;
     prefix_batch = false;
     por = None;
@@ -134,36 +132,15 @@ let strategy ?(promote = fun _ -> false) o technique program =
   | IVB -> Axes.variable ()
   | ITB -> Axes.threads ()
 
-(* The bounding axes beyond the paper run on the sequential driver for
-   every [--jobs] value: their schedule trees cannot be partitioned by the
-   frontier (path-dependent footprint counting, execution-level cuts), and
-   a sequential cell inside a parallel suite stays byte-identical. *)
-let sequential_only = function
-  | Fair | Length | IVB | ITB -> true
-  | IPB | IDB | DFS | Rand | PCT | Maple | SURW -> false
-
 (* Declared parallel plan per technique, consumed by Sct_parallel.Drivers.
-   Again pure registration: the technique only names its capability
+   Again pure registration: the technique only names its plan
    ({!Strategy.sharding}); how shards are dispatched, merged and truncated
-   lives in lib/parallel. *)
+   lives in lib/parallel. The tree walks (DFS, IPB, IDB and the bounding
+   axes) are [Sequential]: their cells run whole on one domain. *)
 let sharding ?(promote = fun _ -> false) o technique program =
   let deadline = deadline_of o in
   match technique with
-  | IPB ->
-      Strategy.Shard_tree
-        (fun run ->
-          Bounded.tree_campaign ~promote ~max_steps:o.max_steps ?deadline
-            ~kind:Bounded.Preemption_bounding ~limit:o.limit program run)
-  | IDB ->
-      Strategy.Shard_tree
-        (fun run ->
-          Bounded.tree_campaign ~promote ~max_steps:o.max_steps ?deadline
-            ~kind:Bounded.Delay_bounding ~limit:o.limit program run)
-  | DFS ->
-      Strategy.Shard_tree
-        (fun run ->
-          Dfs.tree_campaign ~promote ~max_steps:o.max_steps ?deadline
-            ~bound:Dfs.Unbounded ~limit:o.limit program run)
+  | IPB | IDB | DFS | Fair | Length | IVB | ITB -> Strategy.Sequential
   | Rand ->
       Random_walk.sharding ~promote ~max_steps:o.max_steps ?deadline
         ~seed:o.seed program
@@ -177,12 +154,6 @@ let sharding ?(promote = fun _ -> false) o technique program =
   | SURW ->
       Surw.sharding ~promote ~max_steps:o.max_steps ?deadline ~seed:o.seed
         program
-  | Fair | Length | IVB | ITB ->
-      invalid_arg
-        (Printf.sprintf
-           "Sct_explore.Techniques.sharding: %s is sequential-only \
-            (Sct_parallel.Drivers.run routes it to the sequential driver)"
-           (name technique))
 
 let supports_prefix_batch technique =
   (* read off the strategy's declared capability; options/program do not

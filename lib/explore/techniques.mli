@@ -54,26 +54,24 @@ type options = {
           [run_all] below are always sequential — a value > 1 takes effect
           through [Sct_parallel.Drivers] / [Sct_parallel.Suite], which
           produce identical statistics for every [jobs] value *)
-  split_depth : int;
-      (** decision depth at which the parallel engine splits the DFS/IPB/IDB
-          schedule tree into subtree partitions *)
   time_limit : float option;
       (** wall-clock budget in seconds per campaign; [None] (the default)
           disables the deadline and keeps runs fully deterministic *)
   prefix_batch : bool;
       (** route the systematic tree walkers (DFS/IPB/IDB — strategies
-          declaring [supports_prefix_batch]) through {!Prefix_exec},
-          paying each shared schedule prefix once per sibling batch.
+          declaring [supports_prefix_batch]) through {!Prefix_exec}.
           Statistics are identical except [Stats.steps_executed] /
-          [Stats.steps_saved]; other techniques are unaffected *)
+          [Stats.steps_saved], which count the shared prefix steps a
+          sibling batch would not re-execute; the counts are analytic and
+          the campaign runs no faster (see prefix_exec.mli). Other
+          techniques are unaffected *)
   por : Por.mode option;
       (** compose the systematic tree walkers (strategies declaring
           [supports_por]) with the bounded partial-order reduction of
           {!Por.Walk}: sleep sets / DPOR with BPOR's conservative
           backtracking points under IPB/IDB bounds. Exclusive with
           [prefix_batch] — a POR cell always runs unbatched (visible as
-          [Stats.steps_saved = 0]) and sequential for every [jobs] value;
-          other techniques are unaffected *)
+          [Stats.steps_saved = 0]); other techniques are unaffected *)
   fair_bound : int;
       (** the Fair technique's yield-difference bound ([--fair-bound],
           default {!Axes.default_fair_bound}); other techniques ignore it *)
@@ -86,8 +84,8 @@ type options = {
 val default_options : options
 (** [limit = 10_000; seed = 0; max_steps = 100_000; race_runs = 10;
     pct_change_points = 2; maple_profile_runs = 10; jobs = 1;
-    split_depth = 3; time_limit = None; prefix_batch = false; por = None;
-    fair_bound = 5; length_bound = 250]. *)
+    time_limit = None; prefix_batch = false; por = None; fair_bound = 5;
+    length_bound = 250]. *)
 
 val deadline_of : options -> float option
 (** The absolute deadline for a campaign starting now, from
@@ -101,13 +99,6 @@ val strategy :
 (** The registered strategy of a technique under the given options — pure
     registration; all control flow lives in {!Driver.explore}. *)
 
-val sequential_only : t -> bool
-(** The technique runs on the sequential driver for every [--jobs] value
-    (the {!Axes} techniques: their schedule trees cannot be partitioned by
-    the frontier). [Sct_parallel.Drivers.run] consults this before
-    {!sharding}; suite-level cell parallelism still applies, and cell
-    statistics stay byte-identical across [jobs]. *)
-
 val sharding :
   ?promote:(string -> bool) ->
   options ->
@@ -115,8 +106,10 @@ val sharding :
   (unit -> unit) ->
   Strategy.sharding
 (** The declared parallel plan of a technique, dispatched by
-    [Sct_parallel.Drivers] from the capability constructor alone.
-    @raise Invalid_argument on a {!sequential_only} technique. *)
+    [Sct_parallel.Drivers] from the plan's constructor alone:
+    {!Strategy.Sequential} for the tree walks (DFS, IPB, IDB, Fair,
+    Length, IVB, ITB), whatever [prefix_batch] and [por] say, since
+    {!run} honours both on one domain. *)
 
 val supports_prefix_batch : t -> bool
 (** The technique's declared [supports_prefix_batch] capability (read off

@@ -488,7 +488,7 @@ let check ?(wrap = fun r -> r) cfg ~seed program =
             "%s: half-range shards do not merge to the whole range ([0,%d) \
              vs [0,%d)+[%d,%d))"
             (tname t) m h h m
-      | Strategy.Shard_tree _ | Strategy.Shard_runs _ ->
+      | Strategy.Sequential | Strategy.Shard_runs _ ->
           fail "shard-merge" "%s: expected a Shard_seed parallel plan"
             (tname t))
     (List.filter selected [ Techniques.Rand; Techniques.PCT; Techniques.SURW ]);

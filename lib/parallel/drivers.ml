@@ -15,7 +15,7 @@ let merge_all = function
   | [] -> invalid_arg "Sct_parallel.Drivers.merge_all: no shards"
   | s :: rest -> List.fold_left Stats.merge s rest
 
-(* Interpreter for the Shard_seed capability: contiguous per-worker slices
+(* Interpreter for the Shard_seed plan: contiguous per-worker slices
    of the run range, folded with Stats.merge (first-bug indices are
    absolute, so the merge recovers the sequential first bug). *)
 let run_seed_sharded ~pool ~limit shard =
@@ -26,7 +26,7 @@ let run_seed_sharded ~pool ~limit shard =
   in
   merge_all (List.map Pool.await futs)
 
-(* Interpreter for the Shard_runs capability: each batch's independent runs
+(* Interpreter for the Shard_runs plan: each batch's independent runs
    execute in parallel; their results are committed and absorbed in batch
    order, truncated at the first bug — runs past it are cancelled
    unabsorbed, exactly the runs the sequential algorithm would not have
@@ -51,31 +51,17 @@ let run_batched ~pool (rb : Strategy.run_batches) =
   batches ();
   rb.Strategy.rb_finish ()
 
-(* Dispatch purely on the declared capability: the shape of the
-   {!Sct_explore.Strategy.sharding} value decides the parallel plan; no
-   per-technique case analysis remains here. *)
+(* Dispatch purely on the pool size and the declared plan: the shape of
+   the {!Sct_explore.Strategy.sharding} value decides, never the technique
+   or its options. *)
 let run ~pool ?(promote = fun _ -> false) (o : Techniques.options) technique
     program =
-  if
-    Pool.size pool <= 1
-    || (o.Techniques.prefix_batch && Techniques.supports_prefix_batch technique)
-    (* prefix-batched tree campaigns stay on the sequential batching
-       executor even under a pool: the frontier partitioning cannot
-       reproduce the batched step counters, and a cell's statistics must
-       stay byte-identical for every [jobs] value *)
-    || (o.Techniques.por <> None && Techniques.supports_por technique)
-    (* POR campaigns likewise: backtrack and sleep sets are global to the
-       reduction walk, so depth-[split_depth] subtrees are not independent
-       and the frontier cannot partition them (see por.mli) *)
-    || Techniques.sequential_only technique
-    (* the Axes bounding techniques declare no parallel plan at all *)
-  then Techniques.run ~promote o technique program
+  let sequential () = Techniques.run ~promote o technique program in
+  if Pool.size pool <= 1 then sequential ()
   else
     match Techniques.sharding ~promote o technique program with
+    | Strategy.Sequential -> sequential ()
     | Strategy.Shard_seed shard -> run_seed_sharded ~pool ~limit:o.limit shard
-    | Strategy.Shard_tree campaign ->
-        campaign (fun tw ~limit ->
-            Frontier.run ~pool ~split_depth:o.split_depth tw ~limit)
     | Strategy.Shard_runs rb -> run_batched ~pool rb
 
 let run_all ~pool ?(techniques = Techniques.all_paper) o program =

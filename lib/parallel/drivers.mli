@@ -1,17 +1,22 @@
 (** Parallel drivers for the study's techniques, dispatched from each
-    technique's {e declared} sharding capability
-    ({!Sct_explore.Strategy.sharding}) — the shape of the capability value,
-    never the identity of the technique, decides the parallel plan. All
-    plans produce statistics equal ([Sct_explore.Stats.equal]) to the
-    sequential {!Sct_explore.Techniques.run} for every pool size:
+    technique's {e declared} parallel plan
+    ({!Sct_explore.Strategy.sharding}) — the shape of the plan value, never
+    the identity of the technique or its options, decides how a cell uses
+    the pool. All plans produce statistics equal
+    ([Sct_explore.Stats.equal]) to the sequential
+    {!Sct_explore.Techniques.run} for every pool size:
 
+    - [Sequential] (DFS, IPB, IDB and the bounding axes Fair, Length, IVB,
+      ITB — plain, prefix-batched or partial-order-reduced): the cell runs
+      {!Sct_explore.Techniques.run} on the calling domain. Splitting one
+      tree walk across domains was measured slower than walking it on one
+      domain, so these cells use a pool only by running beside other cells
+      ({!Suite.run_all}).
     - [Shard_seed] (Rand, PCT, SURW): run [i] is a pure function of the
       campaign seed and [i]; the run range is sharded into contiguous
       per-worker slices and shard statistics are folded with
       [Sct_explore.Stats.merge] — first-bug indices are absolute, so the
       merge recovers the sequential first bug.
-    - [Shard_tree] (DFS, IPB, IDB): the campaign runs its abstract tree
-      walks through the frontier-partitioned runner ({!Frontier.run}).
     - [Shard_runs] (MapleAlg): finite batches of independent runs execute
       in parallel and are committed and absorbed in batch order, truncated
       at the first bug.

@@ -12,7 +12,7 @@ type t = {
          submitting domain at [submit] time. Task order is the FIFO order a
          single worker would use, and — crucially — the process stays
          single-domain, so {!Sct_explore.Prefix_exec.fork_available}
-         remains true and sequential runs keep the fork fast path. *)
+         remains true and sequential runs keep the fork server. *)
 }
 
 type 'a outcome =

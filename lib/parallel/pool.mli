@@ -4,7 +4,7 @@
     design: one execution runs entirely on one domain, and the ambient
     runtime slot is domain-local. The pool therefore never migrates a task
     between domains, and tasks must not share mutable state — the drivers
-    built on top (see {!Frontier}, {!Drivers}, {!Suite}) only submit
+    built on top (see {!Drivers}, {!Suite}) only submit
     closures over immutable inputs (program thunks are re-invoked per
     execution, which makes them domain-safe).
 
@@ -22,7 +22,8 @@ val create : jobs:int -> t
     domain at {!submit} time, in the same FIFO order a single worker would
     use. Keeping the process single-domain preserves
     {!Sct_explore.Prefix_exec.fork_available}, so sequential runs keep the
-    fork-server fast path. Creating a pool of two or more workers disables
+    fork-server back-end (which is slower than the plain driver, see
+    prefix_exec.mli). Creating a pool of two or more workers disables
     forking for the rest of the process (the OCaml runtime refuses
     [Unix.fork] once a second domain ever existed). *)
 

@@ -1,10 +1,11 @@
 (** Whole-suite parallel execution.
 
     {!run_benchmark} parallelises {e within} one benchmark (fine-grained:
-    the techniques' own parallel drivers); {!run_all} parallelises {e
-    across} the suite (coarse: one pool job per benchmark for race
-    detection, then one per benchmark x technique, each job running the
-    ordinary sequential code). Both produce rows identical to the
+    the techniques' own parallel drivers, {!Drivers.run}, which run tree
+    walks on one domain); {!run_all} parallelises {e across} the suite
+    (coarse: one pool job per benchmark for race detection, then one per
+    benchmark x technique, each job running the ordinary sequential
+    code). Both produce rows identical to the
     sequential {!Sct_report.Run_data} functions for every pool size, and
     both fall back to the sequential code when the pool has one worker.
 
@@ -12,8 +13,7 @@
     functions: journalled cells are reused (never resubmitted as jobs), and
     each freshly computed cell is persisted — from the collector domain
     only — the moment its future is awaited. Since the journal key ignores
-    [jobs]/[split_depth] and the engine is deterministic for every pool
-    size, a store written sequentially resumes under any [--jobs] value and
+    [jobs] and the engine is deterministic for every pool size, a store written sequentially resumes under any [--jobs] value and
     vice versa. *)
 
 val run_benchmark :

@@ -130,7 +130,9 @@ let options_to_json (o : Techniques.options) =
        ("pct_change_points", Json.Int o.Techniques.pct_change_points);
        ("maple_profile_runs", Json.Int o.Techniques.maple_profile_runs);
        ("jobs", Json.Int o.Techniques.jobs);
-       ("split_depth", Json.Int o.Techniques.split_depth);
+       (* a constant of the v1 format: the option it held is gone, but
+          older readers require the member *)
+       ("split_depth", Json.Int 3);
      ]
     @ (match o.Techniques.time_limit with
       | None -> []
@@ -153,6 +155,9 @@ let options_to_json (o : Techniques.options) =
     else [])
 
 let options_of_json j =
+  (* [split_depth] is required by the v1 format; any integer is accepted
+     and ignored *)
+  ignore (get_int (field j "split_depth"));
   {
     Techniques.limit = get_int (field j "limit");
     seed = get_int (field j "seed");
@@ -161,7 +166,6 @@ let options_of_json j =
     pct_change_points = get_int (field j "pct_change_points");
     maple_profile_runs = get_int (field j "maple_profile_runs");
     jobs = get_int (field j "jobs");
-    split_depth = get_int (field j "split_depth");
     time_limit = opt_field j "time_limit" time_limit_of_json;
     prefix_batch =
       (match opt_field j "prefix_batch" get_bool with

@@ -25,7 +25,7 @@ let artifacts_dir t = Filename.concat t.t_dir "artifacts"
 let journal_file dir = Filename.concat dir "journal.jsonl"
 
 let fingerprint ~bench ~technique (o : Techniques.options) =
-  (* jobs / split_depth excluded: results are identical for every value *)
+  (* jobs excluded: results are identical for every value *)
   Json.to_string
     (Json.Obj
        ([

@@ -18,10 +18,10 @@
     journal atomically.
 
     Cells are keyed by {!fingerprint}, a digest of the benchmark name, the
-    technique and the semantically relevant exploration options. [jobs] and
-    [split_depth] are deliberately excluded: the parallel engine produces
-    identical statistics for every value, so a store written with
-    [--jobs 1] resumes cleanly under [--jobs 8] and vice versa.
+    technique and the semantically relevant exploration options. [jobs] is
+    deliberately excluded: the parallel engine produces identical
+    statistics for every value, so a store written with [--jobs 1] resumes
+    cleanly under [--jobs 8] and vice versa.
 
     The campaign orchestrator ([lib/campaign]) journals a record per
     budget {e slice}: the same record shape plus a

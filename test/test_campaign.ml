@@ -48,9 +48,9 @@ let append_torn_record dir =
   output_string oc {|{"v":1,"key":"torn|};
   close_out oc
 
-(* --- the test grid: 2 benchmarks × all 11 techniques, so every sharding
-   capability (seed ranges, tree walks, run batches) and the
-   sequential-only bounding axes all get sliced --- *)
+(* --- the test grid: 2 benchmarks × all 11 techniques, so every parallel
+   plan (tree walks with the bounding axes, seed ranges, run batches) gets
+   sliced --- *)
 
 let pick name =
   match Sctbench.Registry.by_name name with

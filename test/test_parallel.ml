@@ -1,9 +1,7 @@
-(* The domain-pool execution engine (lib/parallel): pool semantics,
-   frontier-partitioned DFS, and the determinism guarantee — parallel
-   drivers produce statistics equal to the sequential techniques for every
-   pool size. *)
+(* The domain-pool execution engine (lib/parallel): pool semantics and the
+   determinism guarantee — parallel drivers produce statistics equal to the
+   sequential techniques for every pool size. *)
 
-open Sct_core
 module Pool = Sct_parallel.Pool
 
 let promote_all _ = true
@@ -71,88 +69,8 @@ let test_pool_many_tasks () =
         (fun i f -> Alcotest.(check int) "value" (i * i) (Pool.await f))
         futs)
 
-(* --- frontier-partitioned DFS --- *)
-
-let two_seq a b () =
-  let (_ : Tid.t) =
-    Sct.spawn
-      (fun () ->
-        for _ = 1 to b do
-          Sct.yield ()
-        done)
-  in
-  for _ = 1 to a do
-    Sct.yield ()
-  done
-
-let check_level ~ignore_pruned name (seq : Sct_explore.Dfs.level_result)
-    (par : Sct_explore.Dfs.level_result) =
-  let par =
-    if ignore_pruned then { par with Sct_explore.Dfs.pruned = seq.pruned }
-    else par
-  in
-  Alcotest.(check bool) (name ^ ": level_result equal") true (seq = par)
-
 let bench_program name =
   (Option.get (Sctbench.Registry.by_name name)).Sctbench.Bench.program
-
-let test_frontier_matches_dfs () =
-  Pool.with_pool ~jobs:3 (fun pool ->
-      List.iter
-        (fun (bname, program, bound, limit) ->
-          List.iter
-            (fun split_depth ->
-              let seq =
-                Sct_explore.Dfs.explore ~promote:promote_all ~bound ~limit
-                  program
-              in
-              let par =
-                Sct_parallel.Frontier.explore ~pool ~promote:promote_all
-                  ~split_depth ~bound ~limit program
-              in
-              (* [pruned] is only specified when the walk completed *)
-              check_level
-                ~ignore_pruned:seq.Sct_explore.Dfs.hit_limit
-                (Printf.sprintf "%s split=%d" bname split_depth)
-                seq par)
-            [ 0; 1; 3; 8 ])
-        [
-          ("two_seq-4-4", two_seq 4 4, Sct_explore.Dfs.Unbounded, 1_000);
-          ("two_seq-4-4/truncated", two_seq 4 4, Sct_explore.Dfs.Unbounded, 30);
-          ("two_seq-5-3/pb1", two_seq 5 3, Sct_explore.Dfs.Preemption 1, 1_000);
-          ("two_seq-5-3/db2", two_seq 5 3, Sct_explore.Dfs.Delay 2, 1_000);
-          ( "twostage/truncated",
-            bench_program "CS.twostage_bad",
-            Sct_explore.Dfs.Unbounded,
-            150 );
-        ])
-
-let test_frontier_bounded_matches_bounded () =
-  Pool.with_pool ~jobs:3 (fun pool ->
-      List.iter
-        (fun (bname, program, limit) ->
-          List.iter
-            (fun kind ->
-              let seq =
-                Sct_explore.Bounded.explore ~promote:promote_all ~kind ~limit
-                  program
-              in
-              let par =
-                Sct_parallel.Frontier.explore_bounded ~pool
-                  ~promote:promote_all ~kind ~limit program
-              in
-              Alcotest.check stats_t
-                (bname ^ "/" ^ Sct_explore.Bounded.technique_name kind)
-                seq par)
-            [
-              Sct_explore.Bounded.Preemption_bounding;
-              Sct_explore.Bounded.Delay_bounding;
-            ])
-        [
-          ("two_seq-3-3", two_seq 3 3, 1_000);
-          ("lazy01", bench_program "CS.lazy01_bad", 200);
-          ("twostage/truncated", bench_program "CS.twostage_bad", 120);
-        ])
 
 (* --- determinism: parallel drivers == sequential techniques --- *)
 
@@ -162,33 +80,52 @@ let det_options =
   { Sct_explore.Techniques.default_options with
     Sct_explore.Techniques.limit = 200 }
 
+(* The options that change how a tree cell runs: prefix batching, POR, and
+   both at once (POR wins). [Drivers.run] sees only the plan value, so a
+   batched or reduced cell must still equal its sequential run on a
+   multi-domain pool. *)
+let det_option_sets =
+  let open Sct_explore.Techniques in
+  [
+    ("default", det_options);
+    ("prefix-batch", { det_options with prefix_batch = true });
+    ("por", { det_options with por = Some Sct_explore.Por.Dpor_sleep });
+    ( "prefix-batch+por",
+      { det_options with prefix_batch = true; por = Some Dpor_sleep } );
+  ]
+
 let test_drivers_match_sequential () =
   Pool.with_pool ~jobs:4 (fun pool ->
       List.iter
-        (fun bname ->
-          let program = bench_program bname in
-          let detection, seq =
-            Sct_explore.Techniques.run_all ~techniques:all_techniques
-              det_options program
-          in
-          let detection', par =
-            Sct_parallel.Drivers.run_all ~pool ~techniques:all_techniques
-              det_options program
-          in
-          Alcotest.(check (list string))
-            (bname ^ ": racy locations") detection.Sct_race.Promotion.racy
-            detection'.Sct_race.Promotion.racy;
-          List.iter2
-            (fun (t, s) (t', s') ->
-              Alcotest.(check string)
-                "technique order"
-                (Sct_explore.Techniques.name t)
-                (Sct_explore.Techniques.name t');
-              Alcotest.check stats_t
-                (bname ^ "/" ^ Sct_explore.Techniques.name t)
-                s s')
-            seq par)
-        [ "CS.lazy01_bad"; "CS.twostage_bad"; "CS.reorder_3_bad" ])
+        (fun (oname, o) ->
+          List.iter
+            (fun bname ->
+              let program = bench_program bname in
+              let detection, seq =
+                Sct_explore.Techniques.run_all ~techniques:all_techniques o
+                  program
+              in
+              let detection', par =
+                Sct_parallel.Drivers.run_all ~pool ~techniques:all_techniques
+                  o program
+              in
+              Alcotest.(check (list string))
+                (oname ^ "/" ^ bname ^ ": racy locations")
+                detection.Sct_race.Promotion.racy
+                detection'.Sct_race.Promotion.racy;
+              List.iter2
+                (fun (t, s) (t', s') ->
+                  Alcotest.(check string)
+                    "technique order"
+                    (Sct_explore.Techniques.name t)
+                    (Sct_explore.Techniques.name t');
+                  Alcotest.check stats_t
+                    (oname ^ "/" ^ bname ^ "/"
+                    ^ Sct_explore.Techniques.name t)
+                    s s')
+                seq par)
+            [ "CS.lazy01_bad"; "CS.twostage_bad"; "CS.reorder_3_bad" ])
+        det_option_sets)
 
 let test_suite_matches_sequential () =
   let benches =
@@ -225,13 +162,6 @@ let suites =
         Alcotest.test_case "cancellation" `Quick test_pool_cancellation;
         Alcotest.test_case "inline one-job pool" `Quick test_pool_inline;
         Alcotest.test_case "many tasks" `Quick test_pool_many_tasks;
-      ] );
-    ( "parallel-dfs",
-      [
-        Alcotest.test_case "frontier DFS == sequential DFS" `Quick
-          test_frontier_matches_dfs;
-        Alcotest.test_case "frontier bounding == sequential bounding" `Quick
-          test_frontier_bounded_matches_bounded;
       ] );
     ( "parallel-determinism",
       [

@@ -38,8 +38,8 @@ let pick name =
 
 let bench_program name = (pick name).Sctbench.Bench.program
 
-(* (name, program, bound, count_exact, limit) — the same tree shapes the
-   frontier equivalence tests use, plus bounded and truncated walks *)
+(* (name, program, bound, count_exact, limit) — small unbounded, bounded
+   and truncated walks *)
 let walk_cases () =
   [
     ("two_seq-4-4", two_seq 4 4, Dfs.Unbounded, None, 1_000);

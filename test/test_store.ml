@@ -77,7 +77,6 @@ let gen_options =
     let* pct_change_points = int_bound 5 in
     let* maple_profile_runs = int_range 1 20 in
     let* jobs = int_range 1 8 in
-    let* split_depth = int_range 1 6 in
     (* dyadic rationals: exactly representable, so [=] on the decoded
        record is meaningful *)
     let* time_limit =
@@ -102,7 +101,6 @@ let gen_options =
         pct_change_points;
         maple_profile_runs;
         jobs;
-        split_depth;
         time_limit;
         prefix_batch;
         por;
@@ -866,11 +864,21 @@ let test_db_truncated_tail () =
 
 let test_fingerprint_ignores_parallelism () =
   let o = Techniques.default_options in
-  let fp j s =
-    Db.fingerprint ~bench:"B" ~technique:"IPB"
-      { o with Techniques.jobs = j; split_depth = s }
+  let fp j =
+    Db.fingerprint ~bench:"B" ~technique:"IPB" { o with Techniques.jobs = j }
   in
-  Alcotest.(check string) "jobs/split_depth excluded" (fp 1 3) (fp 8 5);
+  Alcotest.(check string) "jobs excluded" (fp 1) (fp 8);
+  (* the v1 options record keeps its [split_depth] member, whose value
+     decodes to nothing *)
+  let with_split_depth d =
+    Codec.decode_options
+      (Printf.sprintf
+         {|{"v":1,"options":{"limit":10000,"seed":0,"max_steps":100000,"race_runs":10,"pct_change_points":2,"maple_profile_runs":10,"jobs":1,"split_depth":%d}}|}
+         d)
+  in
+  Alcotest.(check bool)
+    "split_depth ignored" true
+    (with_split_depth 0 = o && with_split_depth 50 = o);
   Alcotest.(check bool)
     "limit included" true
     (Db.fingerprint ~bench:"B" ~technique:"IPB" o

@@ -76,7 +76,35 @@ let test_parse () =
       ignore (Sct_explore.Replay.parse "0, -1"));
   Alcotest.check_raises "empty token"
     (Failure "Replay.parse: empty thread id at offset 2") (fun () ->
-      ignore (Sct_explore.Replay.parse "0,,1"))
+      ignore (Sct_explore.Replay.parse "0,,1"));
+  (* thread ids are decimal digits only: no base prefixes, signs or
+     underscores *)
+  List.iter
+    (fun (input, tok, pos) ->
+      Alcotest.check_raises ("not decimal: " ^ String.escaped input)
+        (Failure
+           (Printf.sprintf "Replay.parse: bad thread id %S at offset %d" tok
+              pos))
+        (fun () -> ignore (Sct_explore.Replay.parse input)))
+    [
+      ("0x1,1_0", "0x1", 0);
+      ("1,1_0", "1_0", 2);
+      ("+2", "+2", 0);
+      ("0b11", "0b11", 0);
+      ("3, 0o7", "0o7", 3);
+      ("99999999999999999999", "99999999999999999999", 0);
+    ];
+  Alcotest.(check (list int)) "max_int is a thread id" [ max_int ]
+    (Schedule.to_list (Sct_explore.Replay.parse (string_of_int max_int)));
+  (* the offset skips every byte [String.trim] strips, not only blanks *)
+  Alcotest.check_raises "newline before the token"
+    (Failure {|Replay.parse: bad thread id "x" at offset 2|}) (fun () ->
+      ignore (Sct_explore.Replay.parse "\n x"));
+  Alcotest.check_raises "carriage return and form feed before the token"
+    (Failure {|Replay.parse: bad thread id "y" at offset 4|}) (fun () ->
+      ignore (Sct_explore.Replay.parse "1,\r\012y"));
+  Alcotest.(check (list int)) "all trimmed bytes around ids" [ 5; 6 ]
+    (Schedule.to_list (Sct_explore.Replay.parse "\r\n\0125\t,\n6\r"))
 
 let test_parse_edges () =
   Alcotest.(check (list int)) "trailing whitespace tolerated" [ 0; 1 ]
@@ -95,6 +123,77 @@ let test_parse_edges () =
   Alcotest.check_raises "inner whitespace does not split ids"
     (Failure {|Replay.parse: bad thread id "7 7" at offset 1|}) (fun () ->
       ignore (Sct_explore.Replay.parse " 7 7"))
+
+(* Bytes that steer the schedule parser, plus any byte at all. *)
+let gen_schedule_byte =
+  QCheck2.Gen.(
+    oneof
+      [
+        oneofl
+          [
+            '0'; '1'; '7'; '9'; ','; ' '; '\t'; '\n'; '\r'; '\012'; '-'; '+';
+            'x'; 'b'; 'o'; '_';
+          ];
+        char;
+      ])
+
+let gen_mutated_schedule_line =
+  QCheck2.Gen.(
+    let* tids =
+      list_size (int_bound 8)
+        (oneof [ int_bound 6; oneofl [ 10; 123; max_int ] ])
+    in
+    let* ms =
+      list_size (int_range 1 3)
+        (let* k = nat in
+         let* c = gen_schedule_byte in
+         oneofl
+           Test_store.[ Truncate k; Replace (k, c); Insert (k, c); Delete k ])
+    in
+    return
+      (List.fold_left Test_store.mutate
+         (Sct_store.Codec.schedule_line (Schedule.of_list tids))
+         ms))
+
+(* A [Failure] from parsing [s] names an offset in [s]: a bad id's offset
+   is where the id itself starts, an empty id's is the comma or the end of
+   input that closes it. *)
+let failure_in_place s msg =
+  let n = String.length s in
+  let blank c = String.trim (String.make 1 c) = "" in
+  match
+    Scanf.sscanf_opt msg "Replay.parse: bad thread id %S at offset %d%!"
+      (fun tok k -> (tok, k))
+  with
+  | Some (tok, k) ->
+      k >= 0
+      && k + String.length tok <= n
+      && String.sub s k (String.length tok) = tok
+      && not (blank s.[k])
+  | None -> (
+      match
+        Scanf.sscanf_opt msg "Replay.parse: empty thread id at offset %d%!"
+          Fun.id
+      with
+      | Some k -> k = n || (k >= 0 && k < n && s.[k] = ',')
+      | None -> false)
+
+(* Mutation law: start from rendered schedule lines ([Codec.schedule_line],
+   the form every [.sched] artifact stores) and mutate bytes. Every input
+   either parses to a schedule whose rendering parses back equal, or fails
+   with [Failure] naming an offset in the input. Any other exception fails
+   the law. The byte edits are [Test_store]'s. *)
+
+let prop_parse_mutated =
+  QCheck2.Test.make
+    ~name:"Replay.parse: mutated schedule lines round-trip or fail in place"
+    ~count:2000 ~print:String.escaped gen_mutated_schedule_line (fun s ->
+      match Sct_explore.Replay.parse s with
+      | sched ->
+          Schedule.equal
+            (Sct_explore.Replay.parse (Sct_store.Codec.schedule_line sched))
+            sched
+      | exception Failure msg -> failure_in_place s msg)
 
 (* --- --technique list parsing --- *)
 
@@ -245,6 +344,7 @@ let suites =
         Alcotest.test_case "schedule parsing" `Quick test_parse;
         Alcotest.test_case "schedule parsing: edge offsets" `Quick
           test_parse_edges;
+        QCheck_alcotest.to_alcotest prop_parse_mutated;
         Alcotest.test_case "--technique list parsing" `Quick
           test_technique_list;
         Alcotest.test_case "simplification reaches the minimal witness"
