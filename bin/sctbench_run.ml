@@ -250,7 +250,8 @@ let run_cmd =
         let row =
           Sct_parallel.Pool.with_pool ~jobs:o.Sct_explore.Techniques.jobs
             (fun pool ->
-              Sct_parallel.Suite.run_benchmark ~pool ?store ~techniques o b)
+              Sct_report.Run_data.run_benchmark ?store ~techniques
+                ~run:(Sct_parallel.Drivers.run ~pool) o b)
         in
         close_store store;
         Printf.printf "%s (%d racy locations)\n" b.Sctbench.Bench.name

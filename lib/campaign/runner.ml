@@ -3,24 +3,9 @@ module Techniques = Sct_explore.Techniques
 module Strategy = Sct_explore.Strategy
 module Db = Sct_store.Db
 module Codec = Sct_store.Codec
-module Pool = Sct_parallel.Pool
 module Drivers = Sct_parallel.Drivers
 
 type slice_result = { stats : Stats.t; progress : Codec.progress }
-
-(* One contiguous sub-range of the seed space per pool worker; the merge
-   equals the sequential [lo, hi) shard (the Shard_seed contract). *)
-let seed_slice ~pool shard ~lo ~hi =
-  let n = hi - lo in
-  if Pool.size pool <= 1 || n <= 1 then shard ~lo ~hi
-  else
-    let futs =
-      List.map
-        (fun (slo, shi) ->
-          Pool.submit pool (fun () -> shard ~lo:(lo + slo) ~hi:(lo + shi)))
-        (Drivers.shard_ranges ~shards:(Pool.size pool) ~n)
-    in
-    Drivers.merge_all (List.map Pool.await futs)
 
 let run_slice ~pool ~promote ~slice ~prev (cell : Cell.t) =
   if slice < 1 then
@@ -69,7 +54,7 @@ let run_slice ~pool ~promote ~slice ~prev (cell : Cell.t) =
   | Strategy.Sequential -> rerun_growing ()
   | Strategy.Shard_seed shard ->
       let hi = min o.Techniques.limit (consumed + slice) in
-      let slice_stats = seed_slice ~pool shard ~lo:consumed ~hi in
+      let slice_stats = Drivers.run_seeds ~pool shard ~lo:consumed ~hi in
       let stats =
         match prev_stats with
         | None -> slice_stats
@@ -82,17 +67,5 @@ let run_slice ~pool ~promote ~slice ~prev (cell : Cell.t) =
             Codec.p_consumed = hi;
             p_slices = slices + 1;
             p_done = hi >= o.Techniques.limit;
-          };
-      }
-  | Strategy.Shard_runs _ ->
-      (* intrinsic-length campaign: one atomic slice *)
-      let s = Drivers.run ~pool ~promote o cell.Cell.technique program in
-      {
-        stats = s;
-        progress =
-          {
-            Codec.p_consumed = s.Stats.total;
-            p_slices = slices + 1;
-            p_done = true;
           };
       }

@@ -11,11 +11,12 @@
       [\[consumed, consumed+slice)] and cumulative statistics fold with
       [Stats.merge] — exactly the contiguous-slice merge the parallel
       drivers already prove equal to the sequential run. A slice is
-      itself sub-sharded across the pool.
-    - [Sequential] (DFS, IPB, IDB and the bounding axes Fair, Length, IVB,
-      ITB): tree walks carry backtracking state that cannot be banked in a
-      [Stats.t], so each slice {e re-runs} the cumulative prefix, on one
-      domain, with a geometrically growing schedule limit
+      itself sub-sharded across the pool
+      ([Sct_parallel.Drivers.run_seeds]).
+    - [Sequential] (DFS, IPB, IDB, the bounding axes Fair, Length, IVB,
+      ITB, and MapleAlg): tree walks carry backtracking state that cannot
+      be banked in a [Stats.t], so each slice {e re-runs} the cumulative
+      prefix, on one domain, with a geometrically growing schedule limit
       [min limit (max (consumed+slice) (2·consumed))] — the doubling keeps
       total re-execution within a constant factor of the final run, and
       the last slice runs with the cell's exact limit (or exhausts the
@@ -23,9 +24,10 @@
       one-shot statistics. Cumulative stats {e replace} the previous
       snapshot. Consumed budget counts cut runs (fair/length bounding
       charge abandoned executions to the budget without counting them),
-      so a cut-heavy cell still advances every slice.
-    - [Shard_runs] (MapleAlg): the campaign's length is intrinsic
-      ([respects_limit = false]), so the cell runs as one atomic slice.
+      so a cut-heavy cell still advances every slice. MapleAlg's campaign
+      length is intrinsic ([respects_limit = false]): it ignores the
+      slice's limit, runs to completion in its first slice and journals
+      that slice as done.
 
     Dispatch is from the declared parallel plan alone, like the parallel
     drivers — no per-technique case analysis. *)

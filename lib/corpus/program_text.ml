@@ -91,9 +91,15 @@ let to_string (p : Ast.program) =
 
 (* ---- parsing ----------------------------------------------------------- *)
 
-type sexp = Atom of string | List of sexp list
+(* Every token and form carries the byte offset where it starts, so that
+   each error can point into the input. *)
+type sexp = Atom of int * string | List of int * sexp list
 
-exception Bad of string
+exception Bad of int * string
+
+let bad off fmt = Printf.ksprintf (fun msg -> raise (Bad (off, msg))) fmt
+
+let offset_of = function Atom (off, _) | List (off, _) -> off
 
 let tokenize src =
   let n = String.length src in
@@ -103,8 +109,8 @@ let tokenize src =
     match src.[!i] with
     | '#' -> while !i < n && src.[!i] <> '\n' do incr i done
     | ' ' | '\t' | '\r' | '\n' -> incr i
-    | '(' -> toks := `L :: !toks; incr i
-    | ')' -> toks := `R :: !toks; incr i
+    | '(' -> toks := `L !i :: !toks; incr i
+    | ')' -> toks := `R !i :: !toks; incr i
     | _ ->
         let start = !i in
         while
@@ -116,125 +122,165 @@ let tokenize src =
         do
           incr i
         done;
-        toks := `A (String.sub src start (!i - start)) :: !toks
+        toks := `A (start, String.sub src start (!i - start)) :: !toks
   done;
   List.rev !toks
 
 let parse_sexps toks =
-  (* one pass with an explicit stack of open lists *)
+  (* one pass with an explicit stack of open lists, each remembering the
+     offset of its '(' *)
   let rec go stack acc = function
     | [] -> (
         match stack with
         | [] -> List.rev acc
-        | _ -> raise (Bad "unbalanced parentheses: missing ')'"))
-    | `A a :: rest -> go stack (Atom a :: acc) rest
-    | `L :: rest -> go (acc :: stack) [] rest
-    | `R :: rest -> (
+        | (off, _) :: _ ->
+            bad off "unbalanced parentheses: this '(' is never closed")
+    | `A (off, a) :: rest -> go stack (Atom (off, a) :: acc) rest
+    | `L off :: rest -> go ((off, acc) :: stack) [] rest
+    | `R off :: rest -> (
         match stack with
-        | [] -> raise (Bad "unbalanced parentheses: stray ')'")
-        | parent :: stack -> go stack (List (List.rev acc) :: parent) rest)
+        | [] -> bad off "unbalanced parentheses: stray ')'"
+        | (start, parent) :: stack ->
+            go stack (List (start, List.rev acc) :: parent) rest)
   in
   go [] [] toks
 
 let rec sexp_to_string = function
-  | Atom a -> a
-  | List l -> "(" ^ String.concat " " (List.map sexp_to_string l) ^ ")"
+  | Atom (_, a) -> a
+  | List (_, l) -> "(" ^ String.concat " " (List.map sexp_to_string l) ^ ")"
+
+(* Integers are plain decimal, what [to_string]'s [%d] prints:
+   [int_of_string] alone would also accept [0x1], [0b11], [0o7], [+1] and
+   [1_0]. *)
+let is_decimal a =
+  let digits =
+    if String.starts_with ~prefix:"-" a then
+      String.sub a 1 (String.length a - 1)
+    else a
+  in
+  digits <> "" && String.for_all (fun c -> c >= '0' && c <= '9') digits
 
 let int_of = function
-  | Atom a -> (
+  | Atom (off, a) when not (is_decimal a) ->
+      bad off "expected a decimal integer, got %s" a
+  | Atom (off, a) -> (
       match int_of_string_opt a with
       | Some n -> n
-      | None -> raise (Bad (Printf.sprintf "expected an integer, got %s" a)))
-  | List _ as s ->
-      raise (Bad ("expected an integer, got " ^ sexp_to_string s))
+      | None -> bad off "integer out of range: %s" a)
+  | List (off, _) as s ->
+      bad off "expected a decimal integer, got %s" (sexp_to_string s)
 
+(* Two integers, read left to right so that an error names the first bad
+   one (record fields and tuple components have no evaluation order). *)
+let ints2 a b =
+  let x = int_of a in
+  (x, int_of b)
+
+(* Statement forms are read left to right for the same reason: [body_of]
+   is [List.map], which applies in order. *)
 let rec stmt_of (s : sexp) : Ast.stmt =
   match s with
-  | Atom a -> raise (Bad (Printf.sprintf "expected a statement form, got %s" a))
-  | List (Atom kw :: args) -> (
-      let wrong () =
-        raise
-          (Bad (Printf.sprintf "bad arity in %s" (sexp_to_string s)))
-      in
+  | Atom (off, a) -> bad off "expected a statement form, got %s" a
+  | List (off, Atom (_, kw) :: args) -> (
+      let wrong () = bad off "bad arity in %s" (sexp_to_string s) in
       match (kw, args) with
       | "yield", [] -> Ast.Yield
-      | "write", [ v; n ] -> Ast.Write { var = int_of v; value = int_of n }
+      | "write", [ v; n ] ->
+          let var, value = ints2 v n in
+          Ast.Write { var; value }
       | "incr", [ v ] -> Ast.Incr { var = int_of v }
-      | "check", [ v; n ] -> Ast.Check_eq { var = int_of v; expect = int_of n }
+      | "check", [ v; n ] ->
+          let var, expect = ints2 v n in
+          Ast.Check_eq { var; expect }
       | "atomic-incr", [] -> Ast.Atomic_incr
-      | "cas", [ e; r ] -> Ast.Atomic_cas { expect = int_of e; repl = int_of r }
+      | "cas", [ e; r ] ->
+          let expect, repl = ints2 e r in
+          Ast.Atomic_cas { expect; repl }
       | "sem-wait", [] -> Ast.Sem_wait
       | "sem-post", [] -> Ast.Sem_post
       | "signal", [] -> Ast.Cond_signal
       | "broadcast", [] -> Ast.Cond_broadcast
       | "cond-wait", [ m ] -> Ast.Cond_wait { m = int_of m }
       | "barrier", [] -> Ast.Barrier_wait
-      | "arr-set", [ i; v ] -> Ast.Arr_set { index = int_of i; value = int_of v }
+      | "arr-set", [ i; v ] ->
+          let index, value = ints2 i v in
+          Ast.Arr_set { index; value }
       | "arr-get", [ i ] -> Ast.Arr_get { index = int_of i }
       | "join", [ t ] -> Ast.Join { thread = int_of t }
       | "await", [ s ] -> Ast.Await { slot = int_of s }
-      | "send", [ c; v ] -> Ast.Chan_send { ch = int_of c; value = int_of v }
+      | "send", [ c; v ] ->
+          let ch, value = ints2 c v in
+          Ast.Chan_send { ch; value }
       | "recv", [ c ] -> Ast.Chan_recv { ch = int_of c }
       | "wq-put", [ t ] -> Ast.Wq_put { task = int_of t }
       | "wq-take", [] -> Ast.Wq_take
-      | "lock", m :: body -> Ast.Lock { m = int_of m; body = body_of body }
+      | "lock", m :: body ->
+          let m = int_of m in
+          Ast.Lock { m; body = body_of body }
       | "trylock", m :: body ->
-          Ast.Try_lock { m = int_of m; body = body_of body }
-      | "loop", n :: body -> Ast.Loop { times = int_of n; body = body_of body }
+          let m = int_of m in
+          Ast.Try_lock { m; body = body_of body }
+      | "loop", n :: body ->
+          let times = int_of n in
+          Ast.Loop { times; body = body_of body }
       | "future", sl :: body ->
-          Ast.Future { slot = int_of sl; body = body_of body }
+          let slot = int_of sl in
+          Ast.Future { slot; body = body_of body }
       | ( "if",
-          [ v; e; List (Atom "then" :: then_); List (Atom "else" :: else_) ] )
-        ->
-          Ast.If_eq
-            {
-              var = int_of v;
-              expect = int_of e;
-              then_ = body_of then_;
-              else_ = body_of else_;
-            }
+          [
+            v;
+            e;
+            List (_, Atom (_, "then") :: then_);
+            List (_, Atom (_, "else") :: else_);
+          ] ) ->
+          let var, expect = ints2 v e in
+          let then_ = body_of then_ in
+          Ast.If_eq { var; expect; then_; else_ = body_of else_ }
       | ( ( "yield" | "write" | "incr" | "check" | "atomic-incr" | "cas"
           | "sem-wait" | "sem-post" | "signal" | "broadcast" | "cond-wait"
           | "barrier" | "arr-set" | "arr-get" | "join" | "await" | "send"
           | "recv" | "wq-put" | "wq-take" | "if" ),
           _ ) ->
           wrong ()
-      | _ -> raise (Bad (Printf.sprintf "unknown statement form %s" kw)))
-  | List _ ->
-      raise (Bad ("expected a statement form, got " ^ sexp_to_string s))
+      | _ -> bad off "unknown statement form %s" kw)
+  | List (off, _) ->
+      bad off "expected a statement form, got %s" (sexp_to_string s)
 
 and body_of stmts = List.map stmt_of stmts
 
 let thread_of = function
-  | List (Atom "thread" :: body) -> body_of body
-  | s -> raise (Bad ("expected a (thread ...) form, got " ^ sexp_to_string s))
+  | List (_, Atom (_, "thread") :: body) -> body_of body
+  | s ->
+      bad (offset_of s) "expected a (thread ...) form, got %s"
+        (sexp_to_string s)
+
+(* The bytes [String.trim] strips: a line of only these is blank. *)
+let is_blank = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
 
 (* The first non-blank line must be the version header: a v2 file (or a
    file that is not a corpus program at all) is an error, not a guess. *)
 let check_header src =
+  let n = String.length src in
   let rec first_line i =
-    if i >= String.length src then None
+    if i >= n then None
     else
-      match String.index_from_opt src i '\n' with
-      | None ->
-          let l = String.trim (String.sub src i (String.length src - i)) in
-          if l = "" then None else Some l
-      | Some j ->
-          let l = String.trim (String.sub src i (j - i)) in
-          if l = "" then first_line (j + 1) else Some l
+      let j = Option.value ~default:n (String.index_from_opt src i '\n') in
+      let l = String.trim (String.sub src i (j - i)) in
+      if l = "" then first_line (j + 1)
+      else
+        let start = ref i in
+        while is_blank src.[!start] do incr start done;
+        Some (!start, l)
   in
   match first_line 0 with
-  | Some l when l = header -> Ok ()
-  | Some l -> Error (Printf.sprintf "expected header %S, got %S" header l)
-  | None -> Error (Printf.sprintf "empty input (expected header %S)" header)
+  | Some (_, l) when l = header -> ()
+  | Some (off, l) -> bad off "expected header %S, got %S" header l
+  | None -> bad 0 "empty input (expected header %S)" header
 
 let parse src =
-  match check_header src with
-  | Error _ as e -> e
-  | Ok () -> (
-  match parse_sexps (tokenize src) with
-  | exception Bad msg -> Error msg
-  | sexps -> (
-      match List.map thread_of sexps with
-      | threads -> Ok { Ast.threads }
-      | exception Bad msg -> Error msg))
+  match
+    check_header src;
+    List.map thread_of (parse_sexps (tokenize src))
+  with
+  | threads -> Ok { Ast.threads }
+  | exception Bad (off, msg) -> Error (Printf.sprintf "offset %d: %s" off msg)

@@ -34,6 +34,9 @@ val to_string : Sct_fuzz.Ast.program -> string
 val parse : string -> (Sct_fuzz.Ast.program, string) result
 (** Parse a program file. The first non-blank line must be exactly
     {!header} (a future v2 file is an error, not a guess). Otherwise
-    whitespace-insensitive; [#] comments run to end of line. Errors carry
-    a human-readable description (and, where available, the offending
-    form). *)
+    whitespace-insensitive; [#] comments run to end of line. Integers are
+    decimal, [-?[0-9]+], as {!to_string} prints them: [0x1], [+1], [0b11],
+    [0o7] and [1_0] are errors. Every error reads
+    ["offset N: description"], where [N] is the byte offset in the input
+    of the offending token or form (for an unclosed parenthesis, of the
+    ['('] that is never closed; for a blank input, [0]). *)

@@ -23,9 +23,10 @@
       footprint axes follow the local/variable/thread bounding proposals of
       arXiv:1207.2544.
 
-    All four declare [supports_prefix_batch = false] and
-    [supports_por = false] (their trees cannot be restructured). Like
-    every tree walk their cells run on one domain
+    None of the four is batched or reduced: [Techniques.run] sends only
+    DFS, IPB and IDB to {!Prefix_exec} and {!Por.Walk}, since the
+    filters and footprint bounds do not survive restructuring the tree.
+    Like every tree walk their cells run on one domain
     ([Strategy.Sequential]) for every [--jobs] value, so campaign
     statistics stay byte-identical. *)
 

@@ -19,14 +19,6 @@ let bound_of kind c =
   | Variable_bounding -> Dfs.Variable c
   | Thread_bounding -> Dfs.Threads c
 
-(* The structural kinds are the paper's: their per-level trees can be
-   restructured by the prefix-batch and POR machineries. The footprint
-   kinds (IVB/ITB) have path-dependent level counting, which neither
-   machinery supports. *)
-let structural = function
-  | Preemption_bounding | Delay_bounding -> true
-  | Variable_bounding | Thread_bounding -> false
-
 (* One bound level's walk, plain or reduced: the level strategy below is
    generic over which core enumerates the level's tree. *)
 type level_walk = {
@@ -86,12 +78,6 @@ let strategy ?(max_levels = 64) ?por ?fair ?technique
 
     let tracks_distinct = false
     let respects_limit = true
-
-    (* the batch/POR machineries restructure the level's tree, which is
-       only sound for the structural kinds without execution-level
-       filters *)
-    let supports_prefix_batch = structural kind && fair = None
-    let supports_por = structural kind && fair = None
 
     type state = {
       mutable c : int;

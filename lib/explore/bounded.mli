@@ -53,11 +53,6 @@ val technique_name : kind -> string
 val bound_of : kind -> int -> Dfs.bound
 (** The level-[c] walk bound of this kind. *)
 
-val structural : kind -> bool
-(** Whether the kind's per-level trees may be restructured by the
-    prefix-batch and POR machineries (IPB/IDB only: the footprint kinds
-    count levels path-dependently). *)
-
 val strategy :
   ?max_levels:int ->
   ?por:Por.mode ->
@@ -75,11 +70,9 @@ val strategy :
     [fair] composes the fair filter of {!Dfs.Walk.make} with every level's
     walk (the [Axes.fair] technique: iterative preemption bounding over
     fairly-bounded executions, the composition of the dejafu default
-    bounds). A campaign with [fair] (or a non-structural [kind]) declares
-    [supports_prefix_batch = false] and [supports_por = false], and its
-    [Stats.complete] additionally requires that no level cut an execution
-    on the fair filter. [technique] overrides the recorded technique
-    name. *)
+    bounds). Its [Stats.complete] additionally requires that no level cut
+    an execution on the fair filter. [technique] overrides the recorded
+    technique name. *)
 
 val explore :
   ?promote:(string -> bool) ->

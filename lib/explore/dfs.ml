@@ -316,11 +316,6 @@ module Walk = struct
   let pruned w = w.pruned
   let aux_pruned w = w.aux_pruned
   let exhausted w = w.exhausted
-
-  (* Whether the walk carries an execution-level filter (fair or length
-     bounding). Unrestricted walks are the only ones whose schedule trees
-     the prefix-batch and POR machineries may restructure. *)
-  let restricted w = w.w_fair <> None || w.w_length <> None
 end
 
 (* --- the single-level STRATEGY instance --------------------------------- *)
@@ -330,8 +325,6 @@ let strategy_of_walk ?(technique = "DFS") (w : Walk.t) : Strategy.t =
     let technique = technique
     let tracks_distinct = false
     let respects_limit = true
-    let supports_prefix_batch = not (Walk.restricted w)
-    let supports_por = not (Walk.restricted w)
 
     type state = { w : Walk.t; mutable started : bool }
 

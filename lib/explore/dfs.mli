@@ -93,12 +93,6 @@ module Walk : sig
       children (iterative bounding must not climb levels over it). *)
 
   val exhausted : t -> bool
-
-  val restricted : t -> bool
-  (** The walk carries a fair or length filter. Restricted walks declare
-      [supports_prefix_batch = false] and [supports_por = false]: both
-      machineries restructure the schedule tree, which is only sound for
-      unrestricted walks. *)
 end
 
 val strategy_of_walk : ?technique:string -> Walk.t -> Strategy.t

@@ -6,6 +6,10 @@ type t =
 
 let of_stats (s : Stats.t) =
   if Stats.found s then Falsified { bound = s.Stats.bound }
+  else if s.Stats.technique = "MapleAlg" then
+    (* MapleAlg's [complete] means every candidate was attempted (its
+       heuristic termination), not that the schedule space was exhausted *)
+    None_
   else if s.Stats.complete then Verified
   else
     let kind =

@@ -12,5 +12,10 @@ type t =
                or a non-systematic technique) *)
 
 val of_stats : Stats.t -> t
+(** The guarantee a campaign's statistics support. [Stats.complete] reads
+    as "the schedule space was exhausted" ({!Verified}) for every technique
+    but MapleAlg, whose [complete] only records that every candidate was
+    attempted: a bug-free MapleAlg campaign gives {!None_}. *)
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

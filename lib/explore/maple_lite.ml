@@ -87,34 +87,6 @@ let observe_run_pairs p (ev : Event.t) =
       Hashtbl.replace per_thread tid (k, ks)
   | Event.Acquire _ | Event.Release _ | Event.Fork _ | Event.Joined _ -> ()
 
-let bug_stats s (res : Runtime.result) =
-  match res.Runtime.r_outcome with
-  | Outcome.Bug { bug; by } ->
-      let s = { s with Stats.buggy = s.Stats.buggy + 1 } in
-      if s.Stats.to_first_bug = None then
-        {
-          s with
-          Stats.to_first_bug = Some s.Stats.total;
-          first_bug =
-            Some
-              {
-                Stats.w_bug = bug;
-                w_by = by;
-                w_schedule = res.Runtime.r_schedule;
-                w_pc = res.Runtime.r_pc;
-                w_dc = res.Runtime.r_dc;
-              };
-        }
-      else s
-  | Outcome.Ok | Outcome.Step_limit -> s
-
-let count_run s res =
-  let s = Stats.observe_run s res in
-  let s =
-    { s with Stats.total = s.Stats.total + 1; executions = s.executions + 1 }
-  in
-  bug_stats s res
-
 (* The profiling scheduler. Maple profiles under native, uncontrolled
    execution, which is mostly run-to-block scheduling with occasional OS
    preemptions; we model that as round-robin with sparse random
@@ -136,20 +108,6 @@ let profile_choose rng (ctx : Runtime.ctx) =
     with
     | Some t -> t
     | None -> assert false
-
-(* One profiling run. The RNG is re-seeded from [(seed, i)] and the access
-   history is per-run, so run [i] is independent of every other run —
-   profiling shards merge by unioning the returned iRoot sets. *)
-let profile_one ?(promote = fun _ -> false) ?(max_steps = 100_000) ~seed i
-    program =
-  let profile = new_profile () in
-  let rng = Random.State.make [| seed; i; 0x3aF |] in
-  let res =
-    Runtime.exec ~promote ~max_steps ~record_decisions:false
-      ~listener:(observe_run_pairs profile)
-      ~scheduler:(profile_choose rng) program
-  in
-  (res, profile.observed, profile.adjacent)
 
 (* Candidates = unobserved reversals on promoted locations, in the
    (deterministic) set order. *)
@@ -199,14 +157,6 @@ let active_choose ~forced ~patience target (ctx : Runtime.ctx) =
         t
   end
 
-let active_run ?(promote = fun _ -> false) ?(max_steps = 100_000) target
-    program =
-  let forced = ref false in
-  let patience = ref 400 in
-  Runtime.exec ~promote ~max_steps ~record_decisions:false
-    ~scheduler:(active_choose ~forced ~patience target)
-    program
-
 (* --- the STRATEGY instance --------------------------------------------- *)
 
 type stage = Profiling of int | Forcing of iroot list | Finished_
@@ -220,8 +170,6 @@ let strategy ?(promote = fun _ -> false) ?(profile_runs = 10) ~seed () :
     (* the campaign length is intrinsic: [profile_runs] profiling runs plus
        one active run per candidate, regardless of the schedule limit *)
     let respects_limit = false
-    let supports_prefix_batch = false
-    let supports_por = false
 
     type state = {
       mutable stage : stage;
@@ -324,48 +272,3 @@ let explore ?promote ?max_steps ?(profile_runs = 10) ?deadline ~seed program =
   Driver.explore ?promote ?max_steps ?deadline ~limit:max_int
     (strategy ?promote ~profile_runs ~seed ())
     program
-
-(* --- the batched sharding capability ------------------------------------ *)
-
-(* Profiling runs are independent: they execute on any domain and their
-   iRoot sets are unioned by commit closures in run order, truncated at the
-   first buggy run (the point where the sequential algorithm stops
-   profiling). Candidates are generated once the profiling batch is fully
-   absorbed; active runs are deterministic per candidate and merged in
-   candidate order up to the first bug. *)
-let batches ?(promote = fun _ -> false) ?(max_steps = 100_000)
-    ?(profile_runs = 10) ~seed program : Strategy.run_batches =
-  let stats = ref (Stats.base ~technique:"MapleAlg") in
-  let observed = ref Iroot_set.empty in
-  let adjacent = ref Iroot_set.empty in
-  let stage = ref `Profile in
-  let rb_next () =
-    match !stage with
-    | `Profile ->
-        stage := `Force;
-        Some
-          (List.init profile_runs (fun i () ->
-               let res, obs, adj =
-                 profile_one ~promote ~max_steps ~seed i program
-               in
-               ( res,
-                 fun () ->
-                   observed := Iroot_set.union !observed obs;
-                   adjacent := Iroot_set.union !adjacent adj )))
-    | `Force ->
-        stage := `Done;
-        if Stats.found !stats then None
-        else
-          Some
-            (List.map
-               (fun c () ->
-                 (active_run ~promote ~max_steps c program, fun () -> ()))
-               (candidates ~promote ~observed:!observed ~adjacent:!adjacent))
-    | `Done -> None
-  in
-  {
-    Strategy.rb_next;
-    rb_found = (fun () -> Stats.found !stats);
-    rb_absorb = (fun res -> stats := count_run !stats res);
-    rb_finish = (fun () -> { !stats with Stats.complete = true });
-  }

@@ -26,7 +26,13 @@ val strategy :
 (** The MapleLite campaign as a {!Strategy.STRATEGY}: [profile_runs]
     profiling runs (default 10), then one active run per candidate, stopping
     at the first bug. The campaign length is intrinsic ([respects_limit] is
-    [false]); the generic driver runs it to heuristic completion. *)
+    [false]); the generic driver runs it to heuristic completion, or to the
+    deadline. Its parallel plan is [Strategy.Sequential]: the whole
+    campaign is too short to gain from sharding its runs across domains.
+
+    [Stats.complete] is set once every candidate has been attempted. That
+    is Maple's heuristic termination, not an exhausted schedule space, so
+    {!Guarantee.of_stats} gives no coverage guarantee for it. *)
 
 val explore :
   ?promote:(string -> bool) ->
@@ -40,58 +46,3 @@ val explore :
     defaults to 10 random executions) followed by one active run per
     candidate reversal. Stops at the first bug. [total] counts profiling and
     active runs, matching how the paper reports MapleAlg schedule counts. *)
-
-(** {1 Phases}
-
-    The pieces of {!explore}, exposed so the parallel drivers
-    (lib/parallel) can shard profiling runs and active runs across domains
-    while merging results in the sequential order. *)
-
-type iroot
-(** An idiom-1 iRoot: an ordered pair of access kinds on one location. *)
-
-module Iroot_set : Set.S with type elt = iroot
-
-val profile_one :
-  ?promote:(string -> bool) ->
-  ?max_steps:int ->
-  seed:int ->
-  int ->
-  (unit -> unit) ->
-  Sct_core.Runtime.result * Iroot_set.t * Iroot_set.t
-(** [profile_one ~seed i program] performs profiling run [i] (a pure
-    function of [(seed, i)]) and returns its execution result together with
-    the observed and adjacent iRoot sets of that run. Unioning the sets of
-    runs [0..n-1] reproduces a sequential profiling phase of [n] runs. *)
-
-val candidates :
-  promote:(string -> bool) ->
-  observed:Iroot_set.t ->
-  adjacent:Iroot_set.t ->
-  iroot list
-(** The candidate reversals, in the deterministic order {!explore} attempts
-    them. *)
-
-val active_run :
-  ?promote:(string -> bool) ->
-  ?max_steps:int ->
-  iroot ->
-  (unit -> unit) ->
-  Sct_core.Runtime.result
-(** One deterministic active run forcing the given candidate. *)
-
-val count_run : Stats.t -> Sct_core.Runtime.result -> Stats.t
-(** Fold one profiling/active execution into the statistics exactly as
-    {!explore} does (total, executions, buggy, first bug). *)
-
-val batches :
-  ?promote:(string -> bool) ->
-  ?max_steps:int ->
-  ?profile_runs:int ->
-  seed:int ->
-  (unit -> unit) ->
-  Strategy.run_batches
-(** The declared parallel plan ({!Strategy.Shard_runs}): a batch of
-    independent profiling runs whose iRoot sets are unioned by commit
-    closures in run order, then — unless a profiling run was buggy — a batch
-    of active runs generated from the absorbed sets. *)

@@ -139,7 +139,7 @@ module Walk = struct
   let make ?(on_prune = fun () -> ()) ?count_exact ~mode ~bound () =
     (match bound with
     | Dfs.Variable _ | Dfs.Threads _ ->
-        (* the footprint bounds declare [supports_por = false] *)
+        (* [Techniques.run] reduces only DFS, IPB and IDB *)
         invalid_arg "Sct_explore.Por: footprint bounds are unsupported"
     | Dfs.Unbounded | Dfs.Preemption _ | Dfs.Delay _ -> ());
     let bounded = bound <> Dfs.Unbounded in
@@ -477,8 +477,6 @@ let strategy_of_walk ?(technique = "DFS") (w : Walk.t) : Strategy.t =
     let technique = technique
     let tracks_distinct = false
     let respects_limit = true
-    let supports_prefix_batch = false
-    let supports_por = true
 
     type state = { w : Walk.t; mutable started : bool }
 

@@ -125,8 +125,8 @@ end
 
 val strategy_of_walk : ?technique:string -> Walk.t -> Strategy.t
 (** One walk as a single-phase strategy for {!Driver.explore}, mirroring
-    [Dfs.strategy_of_walk]. Declares [supports_por] and {e not}
-    [supports_prefix_batch] (see the interaction contract above). *)
+    [Dfs.strategy_of_walk]. It is never batched (see the interaction
+    contract above). *)
 
 type result = {
   counted : int;  (** terminal schedules explored *)

@@ -142,7 +142,7 @@ let run_worker ~result_w ~control_r ?promote ?max_steps ~bound program :
     'never =
   (match bound with
   | Dfs.Variable _ | Dfs.Threads _ ->
-      (* the footprint bounds declare [supports_prefix_batch = false] *)
+      (* [Techniques.run] batches only DFS, IPB and IDB *)
       invalid_arg "Sct_explore.Prefix_exec: footprint bounds are unsupported"
   | Dfs.Unbounded | Dfs.Preemption _ | Dfs.Delay _ -> ());
   let shape = Dfs.cost_shape bound and bound_c = Dfs.bound_limit bound in

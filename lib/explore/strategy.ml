@@ -20,11 +20,9 @@ type verdict = { v_counts : bool; v_phase_over : bool; v_cut : bool }
 module type STRATEGY = sig
   val technique : string
 
-  (* declared capabilities *)
+  (* declared properties, read by the driver *)
   val tracks_distinct : bool
   val respects_limit : bool
-  val supports_prefix_batch : bool
-  val supports_por : bool
 
   type state
 
@@ -55,18 +53,6 @@ type walk_result = {
   max_sched_points : int;
 }
 
-(* --- parallel plans (used by lib/parallel) ------------------------------- *)
+(* --- parallel plans (used by lib/parallel and lib/campaign) -------------- *)
 
-type batched_run = unit -> Runtime.result * (unit -> unit)
-
-type run_batches = {
-  rb_next : unit -> batched_run list option;
-  rb_found : unit -> bool;
-  rb_absorb : Runtime.result -> unit;
-  rb_finish : unit -> Stats.t;
-}
-
-type sharding =
-  | Sequential
-  | Shard_seed of (lo:int -> hi:int -> Stats.t)
-  | Shard_runs of run_batches
+type sharding = Sequential | Shard_seed of (lo:int -> hi:int -> Stats.t)

@@ -53,7 +53,7 @@ module type STRATEGY = sig
   val technique : string
   (** Name recorded in the statistics (e.g. ["IPB"]). *)
 
-  (** {2 Declared capabilities} *)
+  (** {2 Declared properties, read by the driver} *)
 
   val tracks_distinct : bool
   (** The technique may re-explore schedules, so the driver keeps the set
@@ -62,27 +62,6 @@ module type STRATEGY = sig
   val respects_limit : bool
   (** When [false] the campaign's length is intrinsic (MapleAlg attempts
       each candidate once) and the driver ignores the schedule limit. *)
-
-  val supports_prefix_batch : bool
-  (** The technique enumerates a deterministic schedule tree whose sibling
-      continuations share a pinned prefix, so [Techniques.run] may route
-      the campaign through {!Prefix_exec} (pay each shared prefix once per
-      batch) instead of the one-run-at-a-time driver loop. True only for
-      the systematic tree walkers (DFS, IPB, IDB); randomised and
-      profile-guided techniques pick schedules independently, so there is
-      no shared prefix structure to batch. *)
-
-  val supports_por : bool
-  (** The technique's schedule tree can be walked by the partial-order
-      reduction core ({!Por.Walk}): sleep sets and DPOR backtracking prune
-      schedules that only commute independent operations, and for the
-      bounded walkers the reduction adds the conservative backtracking
-      points of BPOR (Coons, Musuvathi, McKinley). True only for the
-      systematic tree walkers (DFS, IPB, IDB) — the same set as
-      [supports_prefix_batch], but the two capabilities are exclusive at
-      run time: a POR cell always runs unbatched, because sleep-set state
-      threads through sibling continuations in walk order and cannot be
-      forked into batched children (see prefix_exec.mli). *)
 
   (** {2 Campaign state} *)
 
@@ -136,38 +115,20 @@ type walk_result = {
 (** {1 Parallel plans}
 
     How a campaign may use a domain pool, declared per technique and
-    interpreted generically by [Sct_parallel.Drivers] — the shape of the
-    value, not the identity of the technique, decides the parallel plan. *)
-
-type batched_run = unit -> Sct_core.Runtime.result * (unit -> unit)
-(** An independent run: executed on any domain, it returns the execution
-    result and a commit closure the collector applies in sequential order
-    (MapleAlg unions per-run iRoot sets this way). *)
-
-type run_batches = {
-  rb_next : unit -> batched_run list option;
-      (** next batch of independent runs, or [None] when the campaign is
-          over; called on the collector after the previous batch was fully
-          absorbed *)
-  rb_found : unit -> bool;
-      (** campaign already found its bug: remaining runs of the current
-          batch are discarded unabsorbed, exactly as the sequential
-          algorithm would not have executed them *)
-  rb_absorb : Sct_core.Runtime.result -> unit;
-      (** fold one run's result, in batch order, after its commit closure *)
-  rb_finish : unit -> Stats.t;
-}
+    interpreted generically by [Sct_parallel.Drivers] and the campaign
+    runner: the shape of the value, not the identity of the technique,
+    decides the parallel plan. *)
 
 type sharding =
   | Sequential
       (** the campaign runs on one domain for every pool size (DFS, IPB,
-          IDB and the bounding axes Fair, Length, IVB, ITB): a tree walk's
-          backtracking state is one sequential thread of control, so these
-          cells gain from a pool only by running beside other cells
-          ([Sct_parallel.Suite.run_all]) *)
+          IDB, the bounding axes Fair, Length, IVB, ITB, and MapleAlg): a
+          tree walk's backtracking state is one sequential thread of
+          control, and MapleAlg's whole campaign (about ten profiling runs
+          plus one forcing run per candidate) is too short to pay for
+          dispatch, so these cells gain from a pool only by running beside
+          other cells ([Sct_parallel.Suite.run_all]) *)
   | Shard_seed of (lo:int -> hi:int -> Stats.t)
       (** run [i] is a pure function of the campaign seed and [i]: shard
           the run range [\[0, limit)] into contiguous slices and fold
           {!Stats.merge} (Rand, PCT, SURW) *)
-  | Shard_runs of run_batches
-      (** finite batches of independent runs merged in order (MapleAlg) *)

@@ -109,8 +109,6 @@ let strategy ?(promote = fun _ -> false) ?(max_steps = 100_000) ?estimates
     let technique = "SURW"
     let tracks_distinct = true
     let respects_limit = true
-    let supports_prefix_batch = false
-    let supports_por = false
 
     type state = {
       estimates : estimates;

@@ -108,7 +108,6 @@ let default_options =
   }
 
 let deadline_of o = Driver.deadline_of_time_limit o.time_limit
-let dfs_stats = Dfs.stats_of
 
 (* Pure STRATEGY registration: which strategy value a technique name
    denotes, under the campaign options. All exploration control flow lives
@@ -132,100 +131,70 @@ let strategy ?(promote = fun _ -> false) o technique program =
   | IVB -> Axes.variable ()
   | ITB -> Axes.threads ()
 
-(* Declared parallel plan per technique, consumed by Sct_parallel.Drivers.
-   Again pure registration: the technique only names its plan
-   ({!Strategy.sharding}); how shards are dispatched, merged and truncated
-   lives in lib/parallel. The tree walks (DFS, IPB, IDB and the bounding
-   axes) are [Sequential]: their cells run whole on one domain. *)
+(* Declared parallel plan per technique, consumed by Sct_parallel.Drivers
+   and the campaign runner. Again pure registration: the technique only
+   names its plan ({!Strategy.sharding}); how shards are dispatched and
+   merged lives in lib/parallel. The tree walks and MapleAlg are
+   [Sequential]: their cells run whole on one domain. *)
 let sharding ?(promote = fun _ -> false) o technique program =
   let deadline = deadline_of o in
   match technique with
-  | IPB | IDB | DFS | Fair | Length | IVB | ITB -> Strategy.Sequential
+  | IPB | IDB | DFS | Maple | Fair | Length | IVB | ITB -> Strategy.Sequential
   | Rand ->
       Random_walk.sharding ~promote ~max_steps:o.max_steps ?deadline
         ~seed:o.seed program
   | PCT ->
       Pct.sharding ~promote ~max_steps:o.max_steps
         ~change_points:o.pct_change_points ?deadline ~seed:o.seed program
-  | Maple ->
-      Strategy.Shard_runs
-        (Maple_lite.batches ~promote ~max_steps:o.max_steps
-           ~profile_runs:o.maple_profile_runs ~seed:o.seed program)
   | SURW ->
       Surw.sharding ~promote ~max_steps:o.max_steps ?deadline ~seed:o.seed
         program
 
-let supports_prefix_batch technique =
-  (* read off the strategy's declared capability; options/program do not
-     affect it, so probe with the defaults *)
-  let (module S : Strategy.STRATEGY) =
-    strategy default_options technique ignore
-  in
-  S.supports_prefix_batch
-
-let supports_por technique =
-  let (module S : Strategy.STRATEGY) =
-    strategy default_options technique ignore
-  in
-  S.supports_por
-
-(* The POR-composed campaign: the technique's schedule tree walked by the
-   Por.Walk reduction core. Exclusive with prefix batching (see por.mli's
-   interaction contract): when a cell requests both, POR wins and the cell
-   runs unbatched — visible as [steps_saved = 0] in its statistics. The
-   sleep-pruned-run counter is threaded out of the walks through
-   [on_prune] and patched into the final statistics. *)
-let run_por ~promote ~(mode : Por.mode) o technique program =
-  let deadline = deadline_of o in
-  let pruned = ref 0 in
-  let on_prune () = incr pruned in
-  let s =
-    match technique with
-    | DFS ->
-        let w =
-          Por.Walk.make ~on_prune ~mode ~bound:Dfs.Unbounded ()
-        in
-        Driver.explore ~promote ~max_steps:o.max_steps ?deadline
-          ~max_executions:o.limit ~limit:o.limit
-          (Por.strategy_of_walk w)
-          program
-    | IPB ->
-        Bounded.explore ~promote ~max_steps:o.max_steps ~por:mode ~on_prune
-          ?deadline ~kind:Bounded.Preemption_bounding ~limit:o.limit program
-    | IDB ->
-        Bounded.explore ~promote ~max_steps:o.max_steps ~por:mode ~on_prune
-          ?deadline ~kind:Bounded.Delay_bounding ~limit:o.limit program
-    | Rand | PCT | Maple | SURW | Fair | Length | IVB | ITB -> assert false
-  in
-  { s with Stats.por_pruned = !pruned }
-
+(* One match picks the walk. The partial-order reduction and the
+   prefix-batching executor exist for the tree walkers DFS, IPB and IDB
+   only; every other technique ignores both options. POR wins over
+   batching (see por.mli's interaction contract): a cell requesting both
+   runs reduced and unbatched, visible as [steps_saved = 0]. A reduced
+   walk threads its sleep-pruned-run counter out through [on_prune], and
+   the count is patched into the final statistics. *)
 let run ?(promote = fun _ -> false) o technique program =
-  match o.por with
-  | Some mode when supports_por technique -> run_por ~promote ~mode o technique program
-  | _ ->
-  if o.prefix_batch && supports_prefix_batch technique then begin
-    (* the systematic tree walkers route through the prefix-batching
-       executor; statistics are identical to the driver loop below except
-       for the steps_executed / steps_saved counters *)
-    let deadline = deadline_of o in
-    match technique with
-    | DFS ->
-        Dfs.stats_of ~technique:"DFS"
-          (Prefix_exec.explore ~promote ~max_steps:o.max_steps ?deadline
-             ~bound:Dfs.Unbounded ~limit:o.limit program)
-    | IPB ->
-        Bounded.explore_batched ~promote ~max_steps:o.max_steps ?deadline
-          ~kind:Bounded.Preemption_bounding ~limit:o.limit program
-    | IDB ->
-        Bounded.explore_batched ~promote ~max_steps:o.max_steps ?deadline
-          ~kind:Bounded.Delay_bounding ~limit:o.limit program
-    | Rand | PCT | Maple | SURW | Fair | Length | IVB | ITB -> assert false
-  end
-  else
-    Driver.explore ~promote ~max_steps:o.max_steps ?deadline:(deadline_of o)
-      ~limit:o.limit
-      (strategy ~promote o technique program)
+  let deadline = deadline_of o in
+  let max_steps = o.max_steps and limit = o.limit in
+  let reduced explore =
+    let pruned = ref 0 in
+    let s = explore (fun () -> incr pruned) in
+    { s with Stats.por_pruned = !pruned }
+  in
+  let bounded_por kind mode =
+    reduced (fun on_prune ->
+        Bounded.explore ~promote ~max_steps ~por:mode ~on_prune ?deadline
+          ~kind ~limit program)
+  in
+  let bounded_batched kind =
+    Bounded.explore_batched ~promote ~max_steps ?deadline ~kind ~limit
       program
+  in
+  match (technique, o.por, o.prefix_batch) with
+  | DFS, Some mode, _ ->
+      reduced (fun on_prune ->
+          Driver.explore ~promote ~max_steps ?deadline ~max_executions:limit
+            ~limit
+            (Por.strategy_of_walk
+               (Por.Walk.make ~on_prune ~mode ~bound:Dfs.Unbounded ()))
+            program)
+  | IPB, Some mode, _ -> bounded_por Bounded.Preemption_bounding mode
+  | IDB, Some mode, _ -> bounded_por Bounded.Delay_bounding mode
+  | DFS, None, true ->
+      Dfs.stats_of ~technique:"DFS"
+        (Prefix_exec.explore ~promote ~max_steps ?deadline
+           ~bound:Dfs.Unbounded ~limit program)
+  | IPB, None, true -> bounded_batched Bounded.Preemption_bounding
+  | IDB, None, true -> bounded_batched Bounded.Delay_bounding
+  | (DFS | IPB | IDB), None, false
+  | (Rand | PCT | Maple | SURW | Fair | Length | IVB | ITB), _, _ ->
+      Driver.explore ~promote ~max_steps ?deadline ~limit
+        (strategy ~promote o technique program)
+        program
 
 let detect_races o program =
   Sct_race.Promotion.detect ~runs:o.race_runs ~seed:o.seed

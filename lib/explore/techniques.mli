@@ -2,8 +2,11 @@
     (paper §5): the race-detection phase followed by any of the IPB, IDB,
     DFS, Rand and MapleAlg phases, plus the PCT and SURW extensions.
 
-    Every technique is a {!Strategy.STRATEGY} value; {!run} is nothing but
-    {!Driver.explore} applied to the registered strategy. *)
+    Every technique is a {!Strategy.STRATEGY} value. {!run} applies
+    {!Driver.explore} to the registered strategy, except that the tree
+    walkers DFS, IPB and IDB may run on the partial-order reduction or the
+    prefix-batching executor instead; one match on the technique and those
+    two options picks the walk. *)
 
 type t =
   | IPB
@@ -58,20 +61,19 @@ type options = {
       (** wall-clock budget in seconds per campaign; [None] (the default)
           disables the deadline and keeps runs fully deterministic *)
   prefix_batch : bool;
-      (** route the systematic tree walkers (DFS/IPB/IDB — strategies
-          declaring [supports_prefix_batch]) through {!Prefix_exec}.
-          Statistics are identical except [Stats.steps_executed] /
-          [Stats.steps_saved], which count the shared prefix steps a
-          sibling batch would not re-execute; the counts are analytic and
-          the campaign runs no faster (see prefix_exec.mli). Other
-          techniques are unaffected *)
+      (** route the systematic tree walkers (DFS, IPB, IDB) through
+          {!Prefix_exec}. Statistics are identical except
+          [Stats.steps_executed] / [Stats.steps_saved], which count the
+          shared prefix steps a sibling batch would not re-execute; the
+          counts are analytic and the campaign runs no faster (see
+          prefix_exec.mli). Other techniques are unaffected *)
   por : Por.mode option;
-      (** compose the systematic tree walkers (strategies declaring
-          [supports_por]) with the bounded partial-order reduction of
-          {!Por.Walk}: sleep sets / DPOR with BPOR's conservative
-          backtracking points under IPB/IDB bounds. Exclusive with
-          [prefix_batch] — a POR cell always runs unbatched (visible as
-          [Stats.steps_saved = 0]); other techniques are unaffected *)
+      (** compose the systematic tree walkers (DFS, IPB, IDB) with the
+          bounded partial-order reduction of {!Por.Walk}: sleep sets /
+          DPOR with BPOR's conservative backtracking points under IPB/IDB
+          bounds. Exclusive with [prefix_batch] — a POR cell always runs
+          unbatched (visible as [Stats.steps_saved = 0]); other techniques
+          are unaffected *)
   fair_bound : int;
       (** the Fair technique's yield-difference bound ([--fair-bound],
           default {!Axes.default_fair_bound}); other techniques ignore it *)
@@ -91,9 +93,6 @@ val deadline_of : options -> float option
 (** The absolute deadline for a campaign starting now, from
     [options.time_limit]. *)
 
-val dfs_stats : technique:string -> Dfs.level_result -> Stats.t
-(** Lift a DFS level result into the Table 3 statistics record. *)
-
 val strategy :
   ?promote:(string -> bool) -> options -> t -> (unit -> unit) -> Strategy.t
 (** The registered strategy of a technique under the given options — pure
@@ -106,32 +105,25 @@ val sharding :
   (unit -> unit) ->
   Strategy.sharding
 (** The declared parallel plan of a technique, dispatched by
-    [Sct_parallel.Drivers] from the plan's constructor alone:
-    {!Strategy.Sequential} for the tree walks (DFS, IPB, IDB, Fair,
-    Length, IVB, ITB), whatever [prefix_batch] and [por] say, since
-    {!run} honours both on one domain. *)
-
-val supports_prefix_batch : t -> bool
-(** The technique's declared [supports_prefix_batch] capability (read off
-    its {!Strategy.STRATEGY} instance). *)
-
-val supports_por : t -> bool
-(** The technique's declared [supports_por] capability (read off its
-    {!Strategy.STRATEGY} instance): true for the systematic tree walkers
-    DFS, IPB and IDB. *)
+    [Sct_parallel.Drivers] and the campaign runner from the plan's
+    constructor alone: {!Strategy.Shard_seed} for Rand, PCT and SURW, and
+    {!Strategy.Sequential} for everything else: the tree walks (DFS, IPB,
+    IDB, Fair, Length, IVB, ITB), whatever [prefix_batch] and [por] say,
+    since {!run} honours both on one domain, and MapleAlg. *)
 
 val run :
   ?promote:(string -> bool) -> options -> t -> (unit -> unit) -> Stats.t
 (** Run one technique with an externally supplied promotion predicate
-    (defaults to promoting nothing): {!Driver.explore} over {!strategy},
-    budgeted by [options.limit] and [options.time_limit]. With
-    [options.prefix_batch], techniques whose strategy declares
-    [supports_prefix_batch] run through {!Prefix_exec} instead — same
-    statistics, plus the step counters. With [options.por], techniques
-    whose strategy declares [supports_por] run the {!Por.Walk} reduction
-    instead — fewer executions to the same bugs, [Stats.por_pruned]
-    counting the sleep-pruned runs; POR takes precedence over
-    [prefix_batch] (see por.mli's interaction contract). *)
+    (defaults to promoting nothing), budgeted by [options.limit] and
+    [options.time_limit]. The walk is chosen by one match:
+    + with [options.por], DFS, IPB and IDB run the {!Por.Walk} reduction:
+      fewer executions to the same bugs, [Stats.por_pruned] counting the
+      sleep-pruned runs. POR takes precedence over [prefix_batch] (see
+      por.mli's interaction contract);
+    + otherwise, with [options.prefix_batch], DFS, IPB and IDB run through
+      {!Prefix_exec}: same statistics, plus the step counters;
+    + otherwise the technique's registered {!strategy} runs on
+      {!Driver.explore}. *)
 
 val detect_races : options -> (unit -> unit) -> Sct_race.Promotion.result
 (** Phase 1: the data-race detection phase. *)

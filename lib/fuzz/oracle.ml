@@ -424,9 +424,7 @@ let check ?(wrap = fun r -> r) cfg ~seed program =
              | None -> "None"
              | Some b -> string_of_int b)
        end)
-     (List.filter
-        (fun t -> selected t && Techniques.supports_por t)
-        [ Techniques.IPB; Techniques.IDB ]));
+     (List.filter selected [ Techniques.IPB; Techniques.IDB ]));
 
   (* ---- bound-level algebra: monotone in c, and DC >= PC ---------------- *)
   (* Also DFS-based: the bounded walks reuse the DFS explorer. *)
@@ -488,7 +486,7 @@ let check ?(wrap = fun r -> r) cfg ~seed program =
             "%s: half-range shards do not merge to the whole range ([0,%d) \
              vs [0,%d)+[%d,%d))"
             (tname t) m h h m
-      | Strategy.Sequential | Strategy.Shard_runs _ ->
+      | Strategy.Sequential ->
           fail "shard-merge" "%s: expected a Shard_seed parallel plan"
             (tname t))
     (List.filter selected [ Techniques.Rand; Techniques.PCT; Techniques.SURW ]);
@@ -501,7 +499,8 @@ let check ?(wrap = fun r -> r) cfg ~seed program =
   if cfg.prefix_batch then
     List.iter
       (fun (t, (s : Stats.t)) ->
-        if Techniques.supports_prefix_batch t then begin
+        if List.mem t [ Techniques.DFS; Techniques.IPB; Techniques.IDB ]
+        then begin
           let n = tname t in
           let plain =
             Techniques.run ~promote

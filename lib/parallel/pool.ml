@@ -1,5 +1,3 @@
-exception Cancelled
-
 type t = {
   lock : Mutex.t;
   work : Condition.t;  (* signalled when the queue grows or the pool closes *)
@@ -15,15 +13,11 @@ type t = {
          remains true and sequential runs keep the fork server. *)
 }
 
-type 'a outcome =
-  | Value of 'a
-  | Error of exn * Printexc.raw_backtrace
-  | Cancelled_before_start
+type 'a outcome = Value of 'a | Error of exn * Printexc.raw_backtrace
 
 type 'a future = {
   pool : t;
   mutable outcome : 'a outcome option;  (* [None] while pending or running *)
-  mutable cancel_requested : bool;
 }
 
 let size pool = if pool.inline then 1 else Array.length pool.domains
@@ -70,22 +64,15 @@ let create ~jobs =
   pool
 
 let submit pool fn =
-  let fut = { pool; outcome = None; cancel_requested = false } in
-  let finish outcome =
+  let fut = { pool; outcome = None } in
+  let task () =
+    let outcome =
+      try Value (fn ()) with e -> Error (e, Printexc.get_raw_backtrace ())
+    in
     Mutex.lock pool.lock;
     fut.outcome <- Some outcome;
     Condition.broadcast pool.finished;
     Mutex.unlock pool.lock
-  in
-  let task () =
-    Mutex.lock pool.lock;
-    let cancelled = fut.cancel_requested in
-    Mutex.unlock pool.lock;
-    if cancelled then finish Cancelled_before_start
-    else
-      finish
-        (try Value (fn ())
-         with e -> Error (e, Printexc.get_raw_backtrace ()))
   in
   Mutex.lock pool.lock;
   if pool.closed then begin
@@ -94,8 +81,6 @@ let submit pool fn =
   end;
   if pool.inline then begin
     Mutex.unlock pool.lock;
-    (* run on the submitting domain right away; a later [cancel] is simply
-       too late, which best-effort cancellation already allows *)
     task ()
   end
   else begin
@@ -120,13 +105,6 @@ let await fut =
   match o with
   | Value v -> v
   | Error (e, bt) -> Printexc.raise_with_backtrace e bt
-  | Cancelled_before_start -> raise Cancelled
-
-let cancel fut =
-  let pool = fut.pool in
-  Mutex.lock pool.lock;
-  fut.cancel_requested <- true;
-  Mutex.unlock pool.lock
 
 let shutdown pool =
   Mutex.lock pool.lock;

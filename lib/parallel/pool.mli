@@ -40,16 +40,7 @@ val submit : t -> (unit -> 'a) -> 'a future
 
 val await : 'a future -> 'a
 (** Block until the task finished; returns its value, or re-raises the
-    task's exception (with its original backtrace).
-    @raise Cancelled if the task was cancelled before it started. *)
-
-exception Cancelled
-
-val cancel : 'a future -> unit
-(** Best-effort cancellation: a task that has not started will never run
-    (its [await] raises {!Cancelled}); a running task completes normally.
-    Used to stop outstanding shards once a technique hit its stop
-    condition. *)
+    task's exception (with its original backtrace). *)
 
 val shutdown : t -> unit
 (** Drain the queue, then join all worker domains. Idempotent. *)

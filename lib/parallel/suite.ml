@@ -7,14 +7,6 @@ let row_of ~bench ~detection results =
     results;
   }
 
-let keyed_cells o (bench : Sctbench.Bench.t) techniques =
-  List.map
-    (fun t ->
-      ( t,
-        Sct_store.Db.fingerprint ~bench:bench.Sctbench.Bench.name
-          ~technique:(Techniques.name t) o ))
-    techniques
-
 let cached_stats db key = (Option.get (Sct_store.Db.find db key)).Sct_store.Db.e_stats
 
 (* Await the futures of one benchmark's missing cells and journal each
@@ -37,56 +29,6 @@ let collect_stored db ~bench ~racy ~options keyed futs =
       | None -> (t, cached_stats db key))
     keyed
 
-let run_benchmark ~pool ?store ?(techniques = Techniques.all_paper) o
-    (bench : Sctbench.Bench.t) =
-  if Pool.size pool <= 1 then
-    Sct_report.Run_data.run_benchmark ?store ~techniques o bench
-  else
-    match store with
-    | None ->
-        let detection, results =
-          Drivers.run_all ~pool ~techniques o bench.Sctbench.Bench.program
-        in
-        row_of ~bench ~detection results
-    | Some db ->
-        let keyed = keyed_cells o bench techniques in
-        if List.for_all (fun (_, key) -> Sct_store.Db.mem db key) keyed then
-          {
-            Sct_report.Run_data.bench;
-            racy_locations =
-              (match keyed with
-              | (_, key) :: _ ->
-                  (Option.get (Sct_store.Db.find db key)).Sct_store.Db.e_racy
-              | [] -> 0);
-            results = List.map (fun (t, key) -> (t, cached_stats db key)) keyed;
-          }
-        else begin
-          let detection =
-            Techniques.detect_races o bench.Sctbench.Bench.program
-          in
-          let promote = Sct_race.Promotion.promote detection in
-          let racy = List.length detection.Sct_race.Promotion.racy in
-          (* [Drivers.run] parallelises within each technique; missing cells
-             run one after another, each journalled as soon as it finishes. *)
-          let results =
-            List.map
-              (fun (t, key) ->
-                match Sct_store.Db.find db key with
-                | Some e -> (t, e.Sct_store.Db.e_stats)
-                | None ->
-                    let s =
-                      Drivers.run ~pool ~promote o t
-                        bench.Sctbench.Bench.program
-                    in
-                    Sct_store.Db.record db ~key
-                      ~bench:bench.Sctbench.Bench.name
-                      ~technique:(Techniques.name t) ~racy ~options:o s;
-                    (t, s))
-              keyed
-          in
-          { Sct_report.Run_data.bench; racy_locations = racy; results }
-        end
-
 let run_all ~pool ?store ?(techniques = Techniques.all_paper)
     ?(progress = fun _ -> ()) o benches =
   if Pool.size pool <= 1 then
@@ -98,7 +40,7 @@ let run_all ~pool ?store ?(techniques = Techniques.all_paper)
        same function as [Run_data.run_all], merely on another domain. With a
        store, fully journalled cells never become jobs, and benchmarks whose
        cells are all journalled skip race detection too. *)
-    let cells b = keyed_cells o b techniques in
+    let cells b = Sct_report.Run_data.keyed_cells o b techniques in
     let needs_detection (b : Sctbench.Bench.t) =
       match store with
       | None -> true

@@ -27,18 +27,17 @@ let cached_racy db = function
       | None -> None)
   | [] -> None
 
-let run_benchmark ?store ?(techniques = Sct_explore.Techniques.all_paper) o
-    (bench : Sctbench.Bench.t) =
+let run_benchmark ?store ?(techniques = Sct_explore.Techniques.all_paper)
+    ?(run = Sct_explore.Techniques.run) o (bench : Sctbench.Bench.t) =
+  let program = bench.Sctbench.Bench.program in
   match store with
   | None ->
-      let detection, results =
-        Sct_explore.Techniques.run_all ~techniques o
-          bench.Sctbench.Bench.program
-      in
+      let detection = Sct_explore.Techniques.detect_races o program in
+      let promote = Sct_race.Promotion.promote detection in
       {
         bench;
         racy_locations = List.length detection.Sct_race.Promotion.racy;
-        results;
+        results = List.map (fun t -> (t, run ~promote o t program)) techniques;
       }
   | Some db ->
       let keyed = keyed_cells o bench techniques in
@@ -59,9 +58,7 @@ let run_benchmark ?store ?(techniques = Sct_explore.Techniques.all_paper) o
               keyed;
         }
       else begin
-        let detection =
-          Sct_explore.Techniques.detect_races o bench.Sctbench.Bench.program
-        in
+        let detection = Sct_explore.Techniques.detect_races o program in
         let promote = Sct_race.Promotion.promote detection in
         let racy = List.length detection.Sct_race.Promotion.racy in
         let results =
@@ -70,10 +67,7 @@ let run_benchmark ?store ?(techniques = Sct_explore.Techniques.all_paper) o
               match Sct_store.Db.find db key with
               | Some e -> (t, e.Sct_store.Db.e_stats)
               | None ->
-                  let s =
-                    Sct_explore.Techniques.run ~promote o t
-                      bench.Sctbench.Bench.program
-                  in
+                  let s = run ~promote o t program in
                   Sct_store.Db.record db ~key ~bench:bench.Sctbench.Bench.name
                     ~technique:(Sct_explore.Techniques.name t) ~racy
                     ~options:o s;

@@ -224,8 +224,9 @@ let test_jobs_byte_identical () =
     Sct_parallel.Pool.with_pool ~jobs (fun pool ->
         render_table3 ~limit:o.Techniques.limit
           (List.map
-             (Sct_parallel.Suite.run_benchmark ~pool
-                ~techniques:axes_study_techniques o)
+             (Sct_report.Run_data.run_benchmark
+                ~techniques:axes_study_techniques
+                ~run:(Sct_parallel.Drivers.run ~pool) o)
              benches))
   in
   let t1 = table 1 in

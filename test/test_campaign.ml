@@ -49,7 +49,7 @@ let append_torn_record dir =
   close_out oc
 
 (* --- the test grid: 2 benchmarks × all 11 techniques, so every parallel
-   plan (tree walks with the bounding axes, seed ranges, run batches) gets
+   plan (tree walks with the bounding axes and MapleAlg, seed ranges) gets
    sliced --- *)
 
 let pick name =

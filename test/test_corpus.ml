@@ -48,6 +48,105 @@ let test_text_rejects () =
       | Ok _ -> Alcotest.failf "%s: expected a parse error" what)
     bad
 
+(* Integers are decimal only, as [to_string] prints them, and every error
+   names the byte offset of the offending token or form. *)
+let test_text_positioned_errors () =
+  let h = Program_text.header ^ "\n" in
+  let at = String.length h in
+  List.iter
+    (fun (src, expect) ->
+      match Program_text.parse src with
+      | Error msg -> Alcotest.(check string) (String.escaped src) expect msg
+      | Ok p ->
+          Alcotest.failf "%s: accepted, rendered as %s" (String.escaped src)
+            (String.escaped (Program_text.to_string p)))
+    [
+      ( h ^ "(thread (write 0x1 1_0))\n",
+        Printf.sprintf "offset %d: expected a decimal integer, got 0x1"
+          (at + 15) );
+      ( h ^ "(thread (write 1 1_0))\n",
+        Printf.sprintf "offset %d: expected a decimal integer, got 1_0"
+          (at + 17) );
+      ( h ^ "(thread (write +1 0b11))\n",
+        Printf.sprintf "offset %d: expected a decimal integer, got +1"
+          (at + 15) );
+      ( h ^ "(thread (join 0o7))\n",
+        Printf.sprintf "offset %d: expected a decimal integer, got 0o7"
+          (at + 14) );
+      ( h ^ "(thread (incr 99999999999999999999))\n",
+        Printf.sprintf "offset %d: integer out of range: 99999999999999999999"
+          (at + 14) );
+      ( h ^ "(thread (writ 1 2))\n",
+        Printf.sprintf "offset %d: unknown statement form writ" (at + 8) );
+      ( h ^ "(thread (yield)\n",
+        Printf.sprintf
+          "offset %d: unbalanced parentheses: this '(' is never closed" at );
+      ( h ^ "(thread (yield)))\n",
+        Printf.sprintf "offset %d: unbalanced parentheses: stray ')'"
+          (at + 16) );
+      ( h ^ "(thread (write 1))\n",
+        Printf.sprintf "offset %d: bad arity in (write 1)" (at + 8) );
+      ( h ^ "(yield)\n",
+        Printf.sprintf "offset %d: expected a (thread ...) form, got (yield)"
+          at );
+      ("", {|offset 0: empty input (expected header "# sct-corpus program v1")|});
+      ( "\n  # sct-corpus program v2\n",
+        {|offset 3: expected header "# sct-corpus program v1", got "# sct-corpus program v2"|}
+      );
+    ];
+  (* negative integers are what [%d] prints for them *)
+  match Program_text.parse (h ^ "(thread (write -3 7))\n") with
+  | Ok { Ast.threads = [ [ Ast.Write { var = -3; value = 7 } ] ] } -> ()
+  | Ok _ -> Alcotest.fail "(write -3 7) parsed to another program"
+  | Error msg -> Alcotest.failf "(write -3 7) rejected: %s" msg
+
+(* Bytes that steer the program parser, plus any byte at all. *)
+let gen_program_byte =
+  QCheck2.Gen.(
+    oneof
+      [
+        oneofl
+          [
+            '('; ')'; '0'; '1'; '7'; '-'; '+'; 'x'; 'b'; 'o'; '_'; ' '; '\n';
+            '\t'; '\r'; '\012'; '#'; 'e'; 't';
+          ];
+        char;
+      ])
+
+let gen_mutated_program_text =
+  QCheck2.Gen.(
+    let* vocab = oneofl vocabs in
+    let* seed = int_bound 10_000 in
+    let* ms =
+      list_size (int_range 1 4)
+        (let* k = nat in
+         let* c = gen_program_byte in
+         oneofl
+           Test_store.[ Truncate k; Replace (k, c); Insert (k, c); Delete k ])
+    in
+    return
+      (List.fold_left Test_store.mutate
+         (Program_text.to_string (Gen.generate ~vocab ~seed ()))
+         ms))
+
+(* Mutation law: start from [to_string] renderings of generated programs
+   and mutate bytes. Every input either parses to a program whose
+   rendering parses back equal, or returns an [Error] naming an offset
+   inside the input. No exception escapes [parse]. *)
+let prop_text_mutated =
+  QCheck2.Test.make
+    ~name:"Program_text.parse: mutated programs round-trip or fail in place"
+    ~count:2000 ~print:String.escaped gen_mutated_program_text (fun src ->
+      match Program_text.parse src with
+      | Ok p -> (
+          match Program_text.parse (Program_text.to_string p) with
+          | Ok q -> Ast.equal p q
+          | Error _ -> false)
+      | Error msg -> (
+          match Scanf.sscanf_opt msg "offset %d: %_s" Fun.id with
+          | Some off -> off >= 0 && off < max 1 (String.length src)
+          | None -> false))
+
 (* --- the HB/POR law behind the dedupe digest ---------------------------- *)
 
 (* Two schedules that differ only by swapping adjacent commuting steps of
@@ -397,6 +496,9 @@ let suites =
           `Quick test_text_roundtrip;
         Alcotest.test_case "malformed inputs are rejected" `Quick
           test_text_rejects;
+        Alcotest.test_case "decimal integers, positioned errors" `Quick
+          test_text_positioned_errors;
+        QCheck_alcotest.to_alcotest prop_text_mutated;
       ] );
     ( "corpus.signature",
       [

@@ -21,29 +21,6 @@ let test_pool_exception_propagates () =
       let ok = Pool.submit pool (fun () -> 6 * 7) in
       Alcotest.(check int) "pool still works" 42 (Pool.await ok))
 
-let test_pool_cancellation () =
-  Pool.with_pool ~jobs:2 (fun pool ->
-      let gate = Mutex.create () in
-      Mutex.lock gate;
-      (* occupy both workers until the gate opens; the FIFO queue keeps
-         [last] behind them, so it is still queued when it is cancelled *)
-      let blocked =
-        List.init 2 (fun i ->
-            Pool.submit pool (fun () ->
-                Mutex.lock gate;
-                Mutex.unlock gate;
-                i + 1))
-      in
-      let last = Pool.submit pool (fun () -> 3) in
-      Pool.cancel last;
-      Mutex.unlock gate;
-      List.iteri
-        (fun i f -> Alcotest.(check int) "blocked" (i + 1) (Pool.await f))
-        blocked;
-      match Pool.await last with
-      | _ -> Alcotest.fail "expected Cancelled"
-      | exception Pool.Cancelled -> ())
-
 (* a one-job pool runs tasks inline on the submitting domain and — unlike
    a real worker pool — leaves the prefix-batch fork server available *)
 let test_pool_inline () =
@@ -105,27 +82,35 @@ let test_drivers_match_sequential () =
                 Sct_explore.Techniques.run_all ~techniques:all_techniques o
                   program
               in
-              let detection', par =
-                Sct_parallel.Drivers.run_all ~pool ~techniques:all_techniques
-                  o program
-              in
-              Alcotest.(check (list string))
-                (oname ^ "/" ^ bname ^ ": racy locations")
-                detection.Sct_race.Promotion.racy
-                detection'.Sct_race.Promotion.racy;
-              List.iter2
-                (fun (t, s) (t', s') ->
-                  Alcotest.(check string)
-                    "technique order"
-                    (Sct_explore.Techniques.name t)
-                    (Sct_explore.Techniques.name t');
+              let promote = Sct_race.Promotion.promote detection in
+              List.iter
+                (fun (t, s) ->
                   Alcotest.check stats_t
                     (oname ^ "/" ^ bname ^ "/"
                     ^ Sct_explore.Techniques.name t)
-                    s s')
-                seq par)
+                    s
+                    (Sct_parallel.Drivers.run ~pool ~promote o t program))
+                seq)
             [ "CS.lazy01_bad"; "CS.twostage_bad"; "CS.reorder_3_bad" ])
         det_option_sets)
+
+(* MapleAlg's plan is [Sequential], so on a pool it runs the same driver
+   loop as [Techniques.run] and stops at the wall-clock deadline after its
+   first execution. *)
+let test_maple_deadline_on_pool () =
+  let program = bench_program "CS.twostage_100_bad" in
+  let o =
+    { det_options with Sct_explore.Techniques.time_limit = Some 0.0 }
+  in
+  let maple = Sct_explore.Techniques.Maple in
+  let seq = Sct_explore.Techniques.run ~promote:promote_all o maple program in
+  let par =
+    Pool.with_pool ~jobs:2 (fun pool ->
+        Sct_parallel.Drivers.run ~pool ~promote:promote_all o maple program)
+  in
+  Alcotest.check stats_t "2-domain pool == sequential" seq par;
+  Alcotest.(check bool) "hit_deadline" true par.Sct_explore.Stats.hit_deadline;
+  Alcotest.(check int) "one execution" 1 par.Sct_explore.Stats.executions
 
 let test_suite_matches_sequential () =
   let benches =
@@ -159,7 +144,6 @@ let suites =
       [
         Alcotest.test_case "worker exception propagates" `Quick
           test_pool_exception_propagates;
-        Alcotest.test_case "cancellation" `Quick test_pool_cancellation;
         Alcotest.test_case "inline one-job pool" `Quick test_pool_inline;
         Alcotest.test_case "many tasks" `Quick test_pool_many_tasks;
       ] );
@@ -167,6 +151,8 @@ let suites =
       [
         Alcotest.test_case "drivers == sequential techniques" `Slow
           test_drivers_match_sequential;
+        Alcotest.test_case "MapleAlg honours --time-limit on a pool" `Quick
+          test_maple_deadline_on_pool;
         Alcotest.test_case "suite rows == sequential rows" `Slow
           test_suite_matches_sequential;
       ] );

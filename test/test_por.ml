@@ -260,25 +260,37 @@ let test_parse_mode () =
             (Astring_contains.contains e m))
         Sct_explore.Por.valid_mode_names
 
-(* --- the supports_por capability ---------------------------------------- *)
+(* --- which techniques --por reaches ------------------------------------- *)
 
-let test_supports_por_capability () =
+(* The reduction exists for the tree walkers only: on a benchmark with
+   commuting steps, [--por dpor+sleep] changes the statistics of exactly
+   DFS, IPB and IDB, and every other technique ignores the option. *)
+let test_por_reaches_tree_walkers () =
+  let program =
+    (Option.get (Sctbench.Registry.by_name "CS.reorder_3_bad"))
+      .Sctbench.Bench.program
+  in
+  let o =
+    { Sct_explore.Techniques.default_options with
+      Sct_explore.Techniques.limit = 200 }
+  in
+  let promote =
+    Sct_race.Promotion.promote (Sct_explore.Techniques.detect_races o program)
+  in
   List.iter
-    (fun (t, expect) ->
+    (fun t ->
+      let run o = Sct_explore.Techniques.run ~promote o t program in
+      let plain = run o in
+      let reduced =
+        run
+          { o with
+            Sct_explore.Techniques.por = Some Sct_explore.Por.Dpor_sleep }
+      in
       Alcotest.(check bool)
-        (Sct_explore.Techniques.name t)
-        expect
-        (Sct_explore.Techniques.supports_por t))
-    Sct_explore.Techniques.
-      [
-        (DFS, true);
-        (IPB, true);
-        (IDB, true);
-        (Rand, false);
-        (PCT, false);
-        (Maple, false);
-        (SURW, false);
-      ]
+        (Sct_explore.Techniques.name t ^ ": --por changes the statistics")
+        (List.mem t Sct_explore.Techniques.[ DFS; IPB; IDB ])
+        (not (Sct_explore.Stats.equal plain reduced)))
+    Sct_explore.Techniques.all
 
 (* --- BPOR: the bounded walks against the plain bounded walks ------------ *)
 
@@ -388,8 +400,8 @@ let suites =
         QCheck_alcotest.to_alcotest prop_por_finds_what_dfs_finds;
         Alcotest.test_case "--por mode names parse, errors list all modes"
           `Quick test_parse_mode;
-        Alcotest.test_case "supports_por capability per technique" `Quick
-          test_supports_por_capability;
+        Alcotest.test_case "--por changes exactly DFS, IPB and IDB" `Quick
+          test_por_reaches_tree_walkers;
         Alcotest.test_case "BPOR agrees with the plain bounded walks" `Quick
           test_bpor_bound_equivalence;
         QCheck_alcotest.to_alcotest prop_bpor_signature_subset;

@@ -321,6 +321,31 @@ let test_guarantee_falsified () =
   | Sct_explore.Guarantee.Falsified { bound = Some 1 } -> ()
   | g -> Alcotest.failf "expected Falsified(1), got %s" (Sct_explore.Guarantee.to_string g)
 
+(* MapleAlg marks its campaign complete once every candidate was
+   attempted. On a buggy benchmark it misses, that is no proof of
+   bug-freedom, so no guarantee may be claimed. *)
+let test_guarantee_maple_heuristic () =
+  let program =
+    (Option.get (Sctbench.Registry.by_name "CS.reorder_10_bad"))
+      .Sctbench.Bench.program
+  in
+  let o = Sct_explore.Techniques.default_options in
+  let promote =
+    Sct_race.Promotion.promote (Sct_explore.Techniques.detect_races o program)
+  in
+  let s =
+    Sct_explore.Techniques.run ~promote o Sct_explore.Techniques.Maple program
+  in
+  Alcotest.(check bool) "MapleAlg misses the bug" false
+    (Sct_explore.Stats.found s);
+  Alcotest.(check bool) "MapleAlg reports complete" true
+    s.Sct_explore.Stats.complete;
+  match Sct_explore.Guarantee.of_stats s with
+  | Sct_explore.Guarantee.None_ -> ()
+  | g ->
+      Alcotest.failf "expected no guarantee, got %s"
+        (Sct_explore.Guarantee.to_string g)
+
 let test_random_distinct_tracking () =
   let s =
     Sct_explore.Random_walk.explore ~promote:promote_all ~seed:0 ~runs:500
@@ -355,6 +380,8 @@ let suites =
           test_guarantee_bounded;
         Alcotest.test_case "falsification guarantee" `Quick
           test_guarantee_falsified;
+        Alcotest.test_case "MapleAlg completion is no guarantee" `Quick
+          test_guarantee_maple_heuristic;
         Alcotest.test_case "random walk tracks distinct schedules" `Quick
           test_random_distinct_tracking;
       ] );
