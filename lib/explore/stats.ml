@@ -1,8 +1,79 @@
-module Sched_set = Set.Make (struct
-  type t = Sct_core.Tid.t list
+module Sched_set = struct
+  module S = Set.Make (String)
 
-  let compare = Stdlib.compare
-end)
+  type t = S.t
+  type key = string
+
+  (* A schedule is packed one tid after another: a tid below 255 is one
+     byte, a larger one is the byte 255 followed by its 8 bytes big-endian.
+     Byte order on keys is then [Stdlib.compare] on the lists. Up to the
+     first differing tid two keys are equal, so that tid starts at the same
+     offset in both; one-byte tids compare as integers and sort below every
+     escaped one, and two escaped ones compare by their big-endian bytes. A
+     proper prefix sorts first in both orders. *)
+  let escape = 255
+
+  let width tid =
+    if tid < 0 then invalid_arg "Stats.Sched_set: negative thread id"
+    else if tid < escape then 1
+    else 9
+
+  let key_of_map buf f l =
+    Buffer.clear buf;
+    List.iter
+      (fun x ->
+        let tid = f x in
+        if width tid = 1 then Buffer.add_char buf (Char.unsafe_chr tid)
+        else begin
+          Buffer.add_char buf '\255';
+          Buffer.add_int64_be buf (Int64.of_int tid)
+        end)
+      l;
+    Buffer.contents buf
+
+  (* [Driver] packs every counted schedule, so this path writes the bytes
+     in place rather than through a [Buffer]. *)
+  let key_of_list l =
+    let rec size n = function [] -> n | tid :: l -> size (n + width tid) l in
+    let b = Bytes.create (size 0 l) in
+    let rec write pos = function
+      | [] -> ()
+      | tid :: l when tid < escape ->
+          Bytes.unsafe_set b pos (Char.unsafe_chr tid);
+          write (pos + 1) l
+      | tid :: l ->
+          Bytes.unsafe_set b pos '\255';
+          Bytes.set_int64_be b (pos + 1) (Int64.of_int tid);
+          write (pos + 9) l
+    in
+    write 0 l;
+    Bytes.unsafe_to_string b
+
+  let tid_at k pos =
+    match String.unsafe_get k pos with
+    | '\255' -> Int64.to_int (String.get_int64_be k (pos + 1))
+    | c -> Char.code c
+
+  let[@tail_mod_cons] rec map_from f k pos =
+    if pos = String.length k then []
+    else
+      let tid = tid_at k pos in
+      let x = f tid in
+      x :: map_from f k (pos + width tid)
+
+  let map_key f k = map_from f k 0
+
+  let empty = S.empty
+  let add l t = S.add (key_of_list l) t
+  let of_list ls = List.fold_left (fun t l -> add l t) empty ls
+  let elements t = List.map (map_key Fun.id) (S.elements t)
+  let cardinal = S.cardinal
+  let union = S.union
+  let equal = S.equal
+  let subset = S.subset
+  let keys = S.elements
+  let add_key = S.add
+end
 
 type bug_witness = {
   w_bug : Sct_core.Outcome.bug;

@@ -1,9 +1,57 @@
 (** Per-technique exploration statistics: the columns of the paper's
     Table 3. *)
 
-module Sched_set : Set.S with type elt = Sct_core.Tid.t list
 (** Sets of terminal schedules, used to count distinct schedules exactly
-    even when shards of a campaign are merged. *)
+    even when shards of a campaign are merged.
+
+    A schedule is kept as a packed key, not as a list: a thread id below
+    255 takes one byte and a larger one nine (the byte 255, then the id's
+    8 bytes big-endian), against a 3-word list cell per step. Keys compare
+    as strings, and that order is [Stdlib.compare] on the schedules, so
+    {!elements} and {!keys} list schedules in the same order as a set of
+    lists would. *)
+module Sched_set : sig
+  type t
+
+  val empty : t
+
+  val add : Sct_core.Tid.t list -> t -> t
+  (** @raise Invalid_argument on a negative thread id. *)
+
+  val of_list : Sct_core.Tid.t list list -> t
+
+  val elements : t -> Sct_core.Tid.t list list
+  (** The schedules in increasing [Stdlib.compare] order. *)
+
+  val cardinal : t -> int
+  val union : t -> t -> t
+  val equal : t -> t -> bool
+  val subset : t -> t -> bool
+
+  (** {2 Packed keys}
+
+      The store codec writes and reads a set key by key, so that no
+      schedule is ever held as a list of thread ids. *)
+
+  type key = private string
+  (** One packed schedule. [String.compare] on keys is [Stdlib.compare] on
+      the schedules they pack. *)
+
+  val keys : t -> key list
+  (** The keys in increasing order. *)
+
+  val add_key : key -> t -> t
+
+  val map_key : (Sct_core.Tid.t -> 'a) -> key -> 'a list
+  (** [map_key f k] lists [f tid] for the thread ids [tid] of [k], in
+      order, without building a list of the ids. *)
+
+  val key_of_map : Buffer.t -> ('a -> Sct_core.Tid.t) -> 'a list -> key
+  (** [key_of_map buf f l] packs the thread ids [f x] of the elements [x]
+      of [l], in order. [buf] is cleared first and holds nothing the key
+      needs afterwards, so the caller may reuse it from key to key.
+      @raise Invalid_argument on a negative thread id. *)
+end
 
 type bug_witness = {
   w_bug : Sct_core.Outcome.bug;
@@ -72,7 +120,10 @@ type t = {
   distinct_schedules : Sched_set.t option;
       (** the distinct schedules among [total], when the technique tracks
           them (the random scheduler re-explores duplicates, paper §3);
-          kept as a set so shard merges union rather than double-count *)
+          kept as a set so shard merges union rather than double-count.
+          Every consumer reads only its size ({!distinct}, {!coverage}),
+          but the journal stores the whole set, so it is kept packed at
+          about one byte per step (see {!Sched_set}). *)
 }
 
 val found : t -> bool

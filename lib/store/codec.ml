@@ -23,9 +23,11 @@ let get_string = function
   | Json.Str s -> s
   | j -> error "expected a string, got %s" (Json.to_string j)
 
-let get_list f = function
-  | Json.Arr l -> List.map f l
+let get_arr = function
+  | Json.Arr l -> l
   | j -> error "expected an array, got %s" (Json.to_string j)
+
+let get_list f j = List.map f (get_arr j)
 
 let field obj name =
   match Json.member name obj with
@@ -50,8 +52,13 @@ let opt_to_json f = function None -> Json.Null | Some x -> f x
 
 (* --- schedules --- *)
 
-let schedule_to_json s =
-  Json.Arr (List.map (fun t -> Json.Int t) (Schedule.to_list s))
+(* Thread ids fill most journal bytes; with one shared node per small id,
+   encoding one costs a list cell and no [Json.Int]. *)
+let small_ints = Array.init 256 (fun i -> Json.Int i)
+let tid_to_json t =
+  if 0 <= t && t < 256 then Array.unsafe_get small_ints t else Json.Int t
+
+let schedule_to_json s = Json.Arr (List.map tid_to_json (Schedule.to_list s))
 
 let schedule_of_json j = Schedule.of_list (get_list (get_nat "thread id") j)
 
@@ -207,6 +214,39 @@ let progress_of_json j =
   if p_slices < 0 then error "negative slice count %d" p_slices;
   { p_consumed; p_slices; p_done }
 
+(* --- distinct-schedule sets ---
+   Nearly every journal byte is a thread id of a distinct schedule, so a
+   set goes to and from JSON key by key, with no list of thread ids on
+   either side. *)
+
+module Sched_set = Stats.Sched_set
+
+(* The keys are in increasing order, so the encoding is canonical. *)
+let distinct_to_json set =
+  Json.Arr
+    (List.map
+       (fun k -> Json.Arr (Sched_set.map_key tid_to_json k))
+       (Sched_set.keys set))
+
+(* Only a strictly increasing array re-encodes to its own bytes; any other
+   one is damaged, and refusing it costs one key compare per schedule. *)
+let distinct_of_json j =
+  let buf = Buffer.create 256 in
+  let rec add i prev set = function
+    | [] -> set
+    | s :: l ->
+        let k = Sched_set.key_of_map buf (get_nat "thread id") (get_arr s) in
+        (match prev with
+        | Some p
+          when String.compare (p : Sched_set.key :> string) (k :> string) >= 0
+          ->
+            error "distinct[%d] does not sort strictly after distinct[%d]" i
+              (i - 1)
+        | _ -> ());
+        add (i + 1) (Some k) (Sched_set.add_key k set) l
+  in
+  add 0 None Sched_set.empty (get_arr j)
+
 (* --- statistics --- *)
 
 let stats_to_json (s : Stats.t) =
@@ -250,17 +290,7 @@ let stats_to_json (s : Stats.t) =
          fair/length bounding) keep the pre-cut byte encoding *)
     (if s.Stats.cut_runs <> 0 then [ ("cut_runs", Json.Int s.Stats.cut_runs) ]
      else [])
-    @ [
-      ( "distinct",
-        opt_to_json
-          (fun set ->
-            (* [elements] is sorted, so the encoding is canonical *)
-            Json.Arr
-              (List.map
-                 (fun sched -> schedule_to_json (Schedule.of_list sched))
-                 (Stats.Sched_set.elements set)))
-          s.Stats.distinct_schedules );
-    ])
+    @ [ ("distinct", opt_to_json distinct_to_json s.Stats.distinct_schedules) ])
 
 let stats_of_json j =
   let nat name = nat_field j name in
@@ -289,10 +319,7 @@ let stats_of_json j =
     steps_saved = count "steps_saved";
     por_pruned = count "por_pruned";
     cut_runs = count "cut_runs";
-    distinct_schedules =
-      opt_field j "distinct" (fun v ->
-          Stats.Sched_set.of_list
-            (get_list (fun s -> Schedule.to_list (schedule_of_json s)) v));
+    distinct_schedules = opt_field j "distinct" distinct_of_json;
   }
 
 (* --- version-tagged string forms --- *)

@@ -33,8 +33,10 @@ val stats_to_json : Sct_explore.Stats.t -> Json.t
 
 val stats_of_json : Json.t -> Sct_explore.Stats.t
 (** @raise Error also on a negative count, bound, [to_first_bug], witness
-    [by]/[pc]/[dc] or deadlock thread id, naming the field: such a record
-    is damaged, and {!Db.open_} skips it like a torn one. *)
+    [by]/[pc]/[dc] or deadlock thread id, naming the field, and on a
+    [distinct] array whose schedules are not strictly increasing (the only
+    order {!stats_to_json} writes), naming the index: such a record is
+    damaged, and {!Db.open_} skips it like a torn one. *)
 
 type progress = {
   p_consumed : int;

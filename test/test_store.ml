@@ -687,17 +687,19 @@ let words_per_byte f s =
   ignore (Sys.opaque_identity (f ()));
   (Gc.minor_words () -. before) /. float_of_int (String.length s)
 
+(* The Rand record of parsec.streamcluster2 at limit 10: ten long distinct
+   schedules, so nearly every byte is a thread id. *)
+let streamcluster2_rand =
+  lazy
+    (match Sctbench.Registry.by_name "parsec.streamcluster2" with
+    | Some b ->
+        Techniques.run
+          { Techniques.default_options with Techniques.limit = 10 }
+          Techniques.Rand b.Sctbench.Bench.program
+    | None -> Alcotest.fail "missing parsec.streamcluster2")
+
 let test_json_allocation () =
-  let b =
-    match Sctbench.Registry.by_name "parsec.streamcluster2" with
-    | Some b -> b
-    | None -> Alcotest.fail "missing parsec.streamcluster2"
-  in
-  let stats =
-    Techniques.run
-      { Techniques.default_options with Techniques.limit = 10 }
-      Techniques.Rand b.Sctbench.Bench.program
-  in
+  let stats = Lazy.force streamcluster2_rand in
   (* a Rand record: mostly integer arrays, one per distinct schedule *)
   let s = Codec.encode_stats stats in
   Alcotest.(check bool) "a sizeable record" true (String.length s > 50_000);
@@ -711,6 +713,161 @@ let test_json_allocation () =
       print;
   Alcotest.(check string) "the record re-prints byte-identically" s
     (Json.to_string v)
+
+(* --- distinct-schedule sets ---
+   [Stats.Sched_set] keeps each schedule as a packed key. A test-local set
+   of lists, ordered by [Stdlib.compare], is the reference it must agree
+   with, and [list_distinct_to_json] encodes such a set the way the codec
+   did before the packing. *)
+
+module List_set = Set.Make (struct
+  type t = Tid.t list
+
+  let compare = Stdlib.compare
+end)
+
+let list_distinct_to_json set =
+  Json.Arr
+    (List.map
+       (fun sched -> Json.Arr (List.map (fun t -> Json.Int t) sched))
+       (List_set.elements set))
+
+(* Thread ids on both sides of the one-byte limit and far beyond it. *)
+let gen_wide_schedule =
+  QCheck2.Gen.(
+    list_size (int_bound 8)
+      (oneof [ int_bound 6; int_range 253 257; oneofl [ 65535; max_int ] ]))
+
+let gen_wide_schedules = QCheck2.Gen.(list_size (int_bound 8) gen_wide_schedule)
+
+let pack =
+  let buf = Buffer.create 16 in
+  fun l -> (Stats.Sched_set.key_of_map buf Fun.id l :> string)
+
+let prop_packing_laws =
+  QCheck2.Test.make
+    ~name:"Sched_set: packed keys keep list order, set algebra and bytes"
+    ~count:1000
+    ~print:QCheck2.Print.(triple (list (list int)) (list (list int)) (list bool))
+    QCheck2.Gen.(
+      triple gen_wide_schedules gen_wide_schedules
+        (list_size (int_bound 8) bool))
+    (fun (ls, extra, keep) ->
+      let module S = Stats.Sched_set in
+      (* [ms] shares a random part of [ls], so [subset] goes both ways *)
+      let ms =
+        List.filteri
+          (fun i _ -> match List.nth_opt keep i with Some k -> k | None -> false)
+          ls
+        @ extra
+      in
+      let sign c = Int.compare c 0 in
+      let order =
+        List.for_all
+          (fun a ->
+            List.for_all
+              (fun b ->
+                sign (String.compare (pack a) (pack b))
+                = sign (Stdlib.compare a b))
+              (ls @ ms))
+          ls
+      in
+      let set = S.of_list ls and set' = S.of_list ms in
+      let ref_set = List_set.of_list ls and ref_set' = List_set.of_list ms in
+      let stats =
+        {
+          (Stats.base ~technique:"Rand") with
+          Stats.total = List.length ls;
+          distinct_schedules = Some set;
+        }
+      in
+      let reference =
+        with_field
+          (Codec.encode_stats { stats with Stats.distinct_schedules = None })
+          "distinct" (list_distinct_to_json ref_set)
+      in
+      order
+      && S.elements set = List.sort_uniq Stdlib.compare ls
+      && S.elements (S.union set set')
+         = List_set.elements (List_set.union ref_set ref_set')
+      && S.cardinal set = List_set.cardinal ref_set
+      && S.cardinal (S.union set set')
+         = List_set.cardinal (List_set.union ref_set ref_set')
+      && S.subset set set' = List_set.subset ref_set ref_set'
+      && S.subset set' set = List_set.subset ref_set' ref_set
+      && Codec.encode_stats stats = reference
+      && Stats.equal stats (Codec.decode_stats reference))
+
+let stats_with_distinct distinct =
+  Printf.sprintf
+    {|{"v":1,"stats":{"technique":"Rand","bound":null,"bound_complete":false,"to_first_bug":null,"total":2,"new_at_bound":0,"buggy":0,"complete":false,"hit_limit":true,"first_bug":null,"n_threads":2,"max_enabled":2,"max_sched_points":1,"executions":2,"distinct":%s}}|}
+    distinct
+
+let test_noncanonical_distinct_rejected () =
+  let canonical = stats_with_distinct "[[0,1],[1,0]]" in
+  let s = Codec.decode_stats canonical in
+  Alcotest.(check (option int)) "a canonical array decodes" (Some 2)
+    (Stats.distinct s);
+  Alcotest.(check string) "and re-encodes to its bytes" canonical
+    (Codec.encode_stats s);
+  List.iter
+    (fun distinct ->
+      match Codec.decode_stats (stats_with_distinct distinct) with
+      | _ -> Alcotest.failf "%s decoded" distinct
+      | exception Codec.Error msg ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%S names distinct[1]" msg)
+            true
+            (Astring_contains.contains msg "distinct[1]"))
+    [ "[[1,0],[0,1]]"; "[[0,1],[0,1]]" ];
+  with_dir (fun dir ->
+      let o = Techniques.default_options in
+      let k = Db.fingerprint ~bench:"B1" ~technique:"Rand" o in
+      let db = Db.open_ ~dir in
+      Db.record db ~key:k ~bench:"B1" ~technique:"Rand" ~racy:0 ~options:o s;
+      Db.close db;
+      let file = Filename.concat dir "journal.jsonl" in
+      let line = String.trim (In_channel.with_open_bin file In_channel.input_all) in
+      let swapped =
+        Json.Arr
+          [ Json.Arr [ Json.Int 1; Json.Int 0 ]; Json.Arr [ Json.Int 0; Json.Int 1 ] ]
+      in
+      Out_channel.with_open_bin file (fun oc ->
+          output_string oc (with_field line "distinct" swapped ^ "\n"));
+      let db = Db.open_ ~dir in
+      Alcotest.(check bool)
+        "a record with an unsorted distinct array reads as a torn one" true
+        (Db.find_any db k = None);
+      Db.close db)
+
+(* The gates below fail on a set of [Tid.t list]s (3.00 words per step) and
+   on a codec that goes through such lists (2.50 and 3.99 minor words per
+   byte). *)
+let test_distinct_size () =
+  let stats = Lazy.force streamcluster2_rand in
+  let set = Option.get stats.Stats.distinct_schedules in
+  let steps =
+    List.fold_left
+      (fun n l -> n + List.length l)
+      0
+      (Stats.Sched_set.elements set)
+  in
+  let per_step =
+    float_of_int (Obj.reachable_words (Obj.repr set)) /. float_of_int steps
+  in
+  if per_step > 0.25 then
+    Alcotest.failf "the set keeps %.3f words per step (limit 0.25)" per_step;
+  let s = Codec.encode_stats stats in
+  let encode = words_per_byte (fun () -> Codec.encode_stats stats) s in
+  let decode = words_per_byte (fun () -> Codec.decode_stats s) s in
+  if encode > 1.75 then
+    Alcotest.failf "encoding allocates %.2f minor words per byte (limit 1.75)"
+      encode;
+  if decode > 3.0 then
+    Alcotest.failf "decoding allocates %.2f minor words per byte (limit 3.0)"
+      decode;
+  Alcotest.(check bool) "the record round-trips" true
+    (Stats.equal stats (Codec.decode_stats s))
 
 (* --- artifacts --- *)
 
@@ -1337,6 +1494,14 @@ let suites =
           `Quick test_json_errors;
         Alcotest.test_case "parse and print allocate little per byte" `Quick
           test_json_allocation;
+      ] );
+    ( "store.distinct",
+      [
+        QCheck_alcotest.to_alcotest prop_packing_laws;
+        Alcotest.test_case "non-canonical distinct arrays are refused" `Quick
+          test_noncanonical_distinct_rejected;
+        Alcotest.test_case "sets and their codec are small per step" `Quick
+          test_distinct_size;
       ] );
     ( "store.artifact",
       [
