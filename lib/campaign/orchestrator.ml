@@ -43,6 +43,8 @@ let run ?(policy = Scheduler.Uniform) ?(slice = 500)
         Hashtbl.replace detections name d;
         d
   in
+  (* walks of unfinished tree cells, kept alive between their slices *)
+  let sessions = Runner.sessions () in
   let granted = ref 0 in
   let rec loop () =
     match Scheduler.pick ~policy states with
@@ -53,7 +55,7 @@ let run ?(policy = Scheduler.Uniform) ?(slice = 500)
         let promote = Sct_race.Promotion.promote det in
         let racy = List.length det.Sct_race.Promotion.racy in
         let prev = Db.find_any db c.Cell.key in
-        let r = Runner.run_slice ~pool ~promote ~slice ~prev c in
+        let r = Runner.run_slice ~pool ~sessions ~promote ~slice ~prev c in
         Db.record ~progress:r.Runner.progress db ~key:c.Cell.key
           ~bench:c.Cell.bench.Sctbench.Bench.name
           ~technique:(Techniques.name c.Cell.technique)

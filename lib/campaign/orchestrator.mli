@@ -5,10 +5,16 @@
     detection is deterministic, so re-running it after a restart
     reproduces the promoted-location set the journalled slices were
     explored under), grants the cell one slice ({!Runner.run_slice}) and
-    journals the cumulative snapshot. The loop's only state is the store:
-    restarting after any crash — including SIGKILL mid-write — resumes
-    the exact schedule, and a finished campaign's tables are byte-identical
-    to the one-shot study runner's under either policy. *)
+    journals the cumulative snapshot. The loop's only durable state is
+    the store: restarting after any crash — including SIGKILL mid-write —
+    resumes the exact schedule, and a finished campaign's tables are
+    byte-identical to the one-shot study runner's under either policy.
+
+    Each call also owns a {!Runner.sessions} table, so a tree cell's walk
+    stays alive between its slices and each slice continues it. The table
+    is a cache whose hits and misses journal identical records: a
+    restarted process starts with an empty one and re-runs each
+    unfinished tree cell's journalled prefix once. *)
 
 type outcome = {
   cells : int;  (** cells in the campaign grid *)

@@ -15,19 +15,31 @@
       ([Sct_parallel.Drivers.run_seeds]).
     - [Sequential] (DFS, IPB, IDB, the bounding axes Fair, Length, IVB,
       ITB, and MapleAlg): tree walks carry backtracking state that cannot
-      be banked in a [Stats.t], so each slice {e re-runs} the cumulative
-      prefix, on one domain, with a geometrically growing schedule limit
-      [min limit (max (consumed+slice) (2·consumed))] — the doubling keeps
-      total re-execution within a constant factor of the final run, and
-      the last slice runs with the cell's exact limit (or exhausts the
-      bounded space below it), making the final statistics literally the
-      one-shot statistics. Cumulative stats {e replace} the previous
+      be banked in a [Stats.t]. Each slice advances the cell's
+      {!Sct_explore.Techniques.session}, on one domain, to a
+      geometrically growing schedule limit
+      [min limit (max (consumed+slice) (2·consumed))]; the last slice
+      runs with the cell's exact limit (or exhausts the bounded space
+      below it). By the session law, each slice's statistics are the
+      one-shot statistics at its limit, so the final ones are literally
+      the one-shot run's. Cumulative stats {e replace} the previous
       snapshot. Consumed budget counts cut runs (fair/length bounding
       charge abandoned executions to the budget without counting them),
       so a cut-heavy cell still advances every slice. MapleAlg's campaign
       length is intrinsic ([respects_limit = false]): it ignores the
       slice's limit, runs to completion in its first slice and journals
       that slice as done.
+
+    {b Live sessions.} The store is the only durable state. A
+    {!sessions} table keeps the session of each unfinished [Sequential]
+    cell in memory between its slices, so the next slice continues the
+    walk instead of re-running it from the root. The table is a cache: a
+    slice uses a session only when it stands exactly where the journal
+    does (its consumed budget equals [prev]'s), and otherwise starts a
+    fresh one that re-runs the journalled prefix once, bounded by the
+    doubling. Both paths journal identical records, so a restarted
+    process, which starts with an empty table, resumes byte-identically.
+    A prefix-batched cell keeps no walk and re-runs at every slice.
 
     Dispatch is from the declared parallel plan alone, like the parallel
     drivers — no per-technique case analysis. *)
@@ -40,8 +52,16 @@ type slice_result = {
           finished) *)
 }
 
+type sessions
+(** The live sessions of unfinished [Sequential] cells, keyed by cell
+    fingerprint. *)
+
+val sessions : unit -> sessions
+(** An empty table. *)
+
 val run_slice :
   pool:Sct_parallel.Pool.t ->
+  sessions:sessions ->
   promote:(string -> bool) ->
   slice:int ->
   prev:Sct_store.Db.entry option ->
@@ -49,4 +69,6 @@ val run_slice :
   slice_result
 (** Grant one budget slice to an unfinished cell. [prev] is the cell's
     latest journal record ([None] if never run); it must not be finished.
+    A [Sequential] cell's session is taken from [sessions] when it stands
+    where [prev] does, and left there while the cell is unfinished.
     @raise Invalid_argument if [slice < 1]. *)

@@ -160,12 +160,10 @@ let strategy ?(max_levels = 64) ?por ?fair ?technique
       v
   end)
 
-let explore ?promote ?max_steps ?max_levels ?por ?fair ?technique ?on_prune
-    ?deadline ~kind ~limit program =
-  (* reduced campaigns budget raw executions too (see Driver.explore) *)
-  let max_executions = match por with Some _ -> Some limit | None -> None in
-  Driver.explore ?promote ?max_steps ?max_executions ?deadline ~limit
-    (strategy ?max_levels ?por ?fair ?technique ?on_prune ~kind ())
+let explore ?promote ?max_steps ?max_levels ?fair ?technique ?deadline ~kind
+    ~limit program =
+  Driver.explore ?promote ?max_steps ?deadline ~limit
+    (strategy ?max_levels ?fair ?technique ~kind ())
     program
 
 (* The same level progression over an abstract per-level walk, for the

@@ -78,10 +78,8 @@ val explore :
   ?promote:(string -> bool) ->
   ?max_steps:int ->
   ?max_levels:int ->
-  ?por:Por.mode ->
   ?fair:int ->
   ?technique:string ->
-  ?on_prune:(unit -> unit) ->
   ?deadline:float ->
   kind:kind ->
   limit:int ->
@@ -89,7 +87,8 @@ val explore :
   Stats.t
 (** [explore ~kind ~limit program] performs the full iterative search with a
     total budget of [limit] counted terminal schedules —
-    {!Driver.explore} over {!strategy}. *)
+    {!Driver.explore} over {!strategy}. The reduced (BPOR) campaign, which
+    also budgets raw executions, is built by [Techniques.session]. *)
 
 val explore_batched :
   ?promote:(string -> bool) ->

@@ -45,7 +45,10 @@ let fresh_frame () = { chosen = 0; rest = []; f_enabled = []; f_fp = 0 }
 (* Growable stack of decision frames. The frame records are preallocated
    (each slot holds a distinct record) and mutated in place, so pushing a
    decision during the millions of executions of an exploration does not
-   allocate. *)
+   allocate. It starts small and doubles: a walk holds about its deepest
+   path, which matters when many walks are alive at once (one per level
+   of iterative bounding, paused campaign cells, the fuzz oracle's
+   campaigns). *)
 type stack = { mutable frames : frame array; mutable len : int }
 
 let push st ~chosen ~rest ~enabled ~fp =
@@ -96,7 +99,7 @@ module Walk = struct
       w_fair = fair;
       w_length = length;
       w_on_exec = on_exec;
-      st = { frames = Array.init 1024 (fun _ -> fresh_frame ()); len = 0 };
+      st = { frames = Array.init 16 (fun _ -> fresh_frame ()); len = 0 };
       replay_len = 0;
       depth = 0;
       cur_count = 0;

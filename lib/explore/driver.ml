@@ -3,14 +3,23 @@ open Sct_core
 (* The one generic campaign loop. Every technique runs through here (the
    parallel engine runs shards of campaigns, each shard again through
    here); all budget, deadline, statistics and hook logic lives in this
-   file only. *)
+   file only. [explore] is one advance of a fresh session; the campaign
+   runner keeps sessions of tree cells alive between budget slices. *)
 
-let explore ?(promote = fun _ -> false) ?(max_steps = 100_000)
+(* A session is the campaign loop paused between two advances: the
+   counters, the strategy state and the continuation that the budget stop
+   interrupted all live in this closure. *)
+type session =
+  max_executions:int option -> deadline:float option -> limit:int -> Stats.t
+
+let start ?(promote = fun _ -> false) ?(max_steps = 100_000)
     ?(record_decisions = false) ?(stop_on_bug = false) ?(count_offset = 0)
-    ?max_executions ?deadline ?(on_schedule = fun _ -> ()) ~limit
-    (module S : Strategy.STRATEGY) program =
+    ?(on_schedule = fun _ -> ()) (module S : Strategy.STRATEGY) program :
+    session =
   let st = S.init () in
-  let limit = if S.respects_limit then limit else max_int in
+  let limit = ref 0 in
+  let max_executions = ref None in
+  let deadline = ref None in
   let counted = ref 0 in
   let cuts = ref 0 in
   let phase_counted = ref 0 in
@@ -52,19 +61,26 @@ let explore ?(promote = fun _ -> false) ?(max_steps = 100_000)
      are charged the same way: a cut prefix is not a terminal schedule, but
      a cut-heavy space must not spin without budget progress. *)
   let budget_spent () =
-    !counted + !cuts >= limit
-    || match max_executions with Some m -> !executions >= m | None -> false
+    !counted + !cuts >= !limit
+    || match !max_executions with Some m -> !executions >= m | None -> false
+  in
+  (* Where the next advance continues: the whole campaign before the first
+     advance, the interrupted check after a budget stop, nothing once the
+     strategy finished or the deadline or [stop_on_bug] stopped it. *)
+  let resume = ref None in
+  let pause ph k =
+    hit_limit := true;
+    stop_in ph;
+    resume := Some k
   in
   let rec phases () =
     match S.next_phase st with
     | Strategy.Finished f -> finish f
     | Strategy.Phase ph ->
         phase_counted := 0;
-        if budget_spent () then begin
-          hit_limit := true;
-          stop_in ph
-        end
-        else runs ph
+        opened ph
+  and opened ph =
+    if budget_spent () then pause ph (fun () -> opened ph) else runs ph
   and runs ph =
     S.begin_run st;
     let res =
@@ -104,39 +120,62 @@ let explore ?(promote = fun _ -> false) ?(max_steps = 100_000)
           end
       | Outcome.Ok | Outcome.Step_limit -> ()
     end;
-    if budget_spent () then begin
-      hit_limit := true;
-      stop_in ph
-    end
+    ran ph v
+  (* The checks after an execution, in order; a budget stop pauses right
+     here, so a larger budget re-enters with the same verdict. *)
+  and ran ph v =
+    if budget_spent () then pause ph (fun () -> ran ph v)
     else if stop_on_bug && !to_first_bug <> None then stop_in ph
     else
-      match deadline with
+      match !deadline with
       | Some dl when Unix.gettimeofday () > dl ->
           hit_deadline := true;
           stop_in ph
       | _ -> if v.Strategy.v_phase_over then phases () else runs ph
   in
-  phases ();
-  {
-    (Stats.base ~technique:S.technique) with
-    Stats.bound = !bound;
-    bound_complete = !bound_complete;
-    to_first_bug = !to_first_bug;
-    total = !counted;
-    new_at_bound = !new_at_bound;
-    buggy = !buggy;
-    complete = !complete;
-    hit_limit = !hit_limit;
-    hit_deadline = !hit_deadline;
-    first_bug = !first_bug;
-    n_threads = !n_threads;
-    max_enabled = !max_enabled;
-    max_sched_points = !max_points;
-    executions = !executions;
-    steps_executed = !steps;
-    cut_runs = !cuts;
-    distinct_schedules = !seen;
-  }
+  resume := Some phases;
+  fun ~max_executions:m ~deadline:d ~limit:l ->
+    (match !resume with
+    | None -> ()
+    | Some k ->
+        resume := None;
+        limit := if S.respects_limit then l else max_int;
+        max_executions := m;
+        deadline := d;
+        (* a fresh campaign at the larger limit has not stopped yet *)
+        hit_limit := false;
+        bound := None;
+        new_at_bound := 0;
+        k ());
+    {
+      (Stats.base ~technique:S.technique) with
+      Stats.bound = !bound;
+      bound_complete = !bound_complete;
+      to_first_bug = !to_first_bug;
+      total = !counted;
+      new_at_bound = !new_at_bound;
+      buggy = !buggy;
+      complete = !complete;
+      hit_limit = !hit_limit;
+      hit_deadline = !hit_deadline;
+      first_bug = !first_bug;
+      n_threads = !n_threads;
+      max_enabled = !max_enabled;
+      max_sched_points = !max_points;
+      executions = !executions;
+      steps_executed = !steps;
+      cut_runs = !cuts;
+      distinct_schedules = !seen;
+    }
+
+let advance ?max_executions ?deadline (session : session) ~limit =
+  session ~max_executions ~deadline ~limit
+
+let explore ?promote ?max_steps ?record_decisions ?stop_on_bug ?count_offset
+    ?max_executions ?deadline ?on_schedule ~limit strategy program =
+  advance ?max_executions ?deadline ~limit
+    (start ?promote ?max_steps ?record_decisions ?stop_on_bug ?count_offset
+       ?on_schedule strategy program)
 
 let deadline_of_time_limit = function
   | None -> None

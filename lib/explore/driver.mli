@@ -5,7 +5,51 @@
     owns all cross-cutting bookkeeping — the schedule budget, the optional
     wall-clock deadline, statistics accumulation, distinct-schedule
     tracking, bug witnesses, and the [on_schedule] hook the reports and the
-    store build on. *)
+    store build on.
+
+    The loop is resumable. {!start} sets a campaign up and {!advance} runs
+    it up to a budget; a later {!advance} at a larger budget continues
+    from the point where the budget stopped it, and returns exactly what
+    {!explore} at that budget returns. {!explore} is one advance of a
+    fresh session. *)
+
+type session
+(** A campaign paused between two advances: the strategy's state, the
+    counters, and where the budget stopped the loop. It lives in memory
+    only; nothing of it is journalled. *)
+
+val start :
+  ?promote:(string -> bool) ->
+  ?max_steps:int ->
+  ?record_decisions:bool ->
+  ?stop_on_bug:bool ->
+  ?count_offset:int ->
+  ?on_schedule:(Sct_core.Runtime.result -> unit) ->
+  Strategy.t ->
+  (unit -> unit) ->
+  session
+(** [start strategy program] runs the strategy's [init] and sets the
+    counters up; it executes nothing else. The arguments mean what they
+    mean for {!explore}. *)
+
+val advance :
+  ?max_executions:int -> ?deadline:float -> session -> limit:int -> Stats.t
+(** [advance session ~limit] runs the campaign until the budget
+    ([limit], [max_executions]), the [deadline] or the strategy stops it,
+    and returns the statistics of the whole campaign so far.
+
+    {b The session law.} Advancing one session through non-decreasing
+    limits L1 <= L2 <= ... returns at each Li exactly what
+    [explore ~limit:Li] on a fresh session returns (with the same
+    [max_executions] rule at every advance, and no [deadline]). An advance
+    after a budget stop clears [hit_limit], [bound] and [new_at_bound] and
+    re-enters the loop at the check the budget interrupted: the next run
+    of the same phase, the strategy's next phase after a phase-over
+    verdict, or the first run of the phase just opened. A deadline,
+    [stop_on_bug] or a finished strategy ends the session; later advances
+    return the same statistics and execute nothing. A limit below an
+    earlier one executes nothing either, so the law needs non-decreasing
+    limits. *)
 
 val explore :
   ?promote:(string -> bool) ->
@@ -44,7 +88,9 @@ val explore :
     [count_offset] shifts [Stats.to_first_bug] into an absolute index space
     (shard [lo]), so shard statistics merge into the sequential campaign's.
     [on_schedule] is called on every counted terminal schedule; pass
-    [record_decisions:true] if the callback needs the decision trace. *)
+    [record_decisions:true] if the callback needs the decision trace.
+
+    It is [advance ~limit (start strategy program)]. *)
 
 val deadline_of_time_limit : float option -> float option
 (** Turn a relative [--time-limit] (seconds, [None] = unlimited) into an

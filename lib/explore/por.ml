@@ -158,7 +158,7 @@ module Walk = struct
       w_bound_c = Dfs.bound_limit bound;
       w_count_exact = count_exact;
       w_on_prune = on_prune;
-      st = { frames = Array.make 1024 dummy_frame; len = 0 };
+      st = { frames = Array.make 16 dummy_frame; len = 0 };
       replay_len = 0;
       depth = 0;
       cur_count = 0;

@@ -111,7 +111,7 @@ let deadline_of o = Driver.deadline_of_time_limit o.time_limit
 
 (* Pure STRATEGY registration: which strategy value a technique name
    denotes, under the campaign options. All exploration control flow lives
-   in Driver.explore. *)
+   in Driver. *)
 let strategy ?(promote = fun _ -> false) o technique program =
   match technique with
   | IPB -> Bounded.strategy ~kind:Bounded.Preemption_bounding ()
@@ -156,45 +156,56 @@ let sharding ?(promote = fun _ -> false) o technique program =
    batching (see por.mli's interaction contract): a cell requesting both
    runs reduced and unbatched, visible as [steps_saved = 0]. A reduced
    walk threads its sleep-pruned-run counter out through [on_prune], and
-   the count is patched into the final statistics. *)
-let run ?(promote = fun _ -> false) o technique program =
-  let deadline = deadline_of o in
-  let max_steps = o.max_steps and limit = o.limit in
-  let reduced explore =
+   the running count is patched into each advance's statistics. Every
+   advance takes [o.time_limit] afresh from its own start. *)
+let session ?(promote = fun _ -> false) o technique program =
+  let max_steps = o.max_steps in
+  let driven strategy =
+    let s = Driver.start ~promote ~max_steps strategy program in
+    fun ~limit -> Driver.advance ?deadline:(deadline_of o) s ~limit
+  in
+  let reduced strategy =
     let pruned = ref 0 in
-    let s = explore (fun () -> incr pruned) in
-    { s with Stats.por_pruned = !pruned }
+    let s =
+      Driver.start ~promote ~max_steps
+        (strategy (fun () -> incr pruned))
+        program
+    in
+    fun ~limit ->
+      (* reduced campaigns budget raw executions too (see Driver.explore) *)
+      let st =
+        Driver.advance ?deadline:(deadline_of o) ~max_executions:limit s ~limit
+      in
+      { st with Stats.por_pruned = !pruned }
   in
   let bounded_por kind mode =
-    reduced (fun on_prune ->
-        Bounded.explore ~promote ~max_steps ~por:mode ~on_prune ?deadline
-          ~kind ~limit program)
+    reduced (fun on_prune -> Bounded.strategy ~por:mode ~on_prune ~kind ())
   in
-  let bounded_batched kind =
-    Bounded.explore_batched ~promote ~max_steps ?deadline ~kind ~limit
-      program
+  (* the batched executor keeps no session: each advance re-runs *)
+  let bounded_batched kind ~limit =
+    Bounded.explore_batched ~promote ~max_steps ?deadline:(deadline_of o)
+      ~kind ~limit program
   in
   match (technique, o.por, o.prefix_batch) with
   | DFS, Some mode, _ ->
       reduced (fun on_prune ->
-          Driver.explore ~promote ~max_steps ?deadline ~max_executions:limit
-            ~limit
-            (Por.strategy_of_walk
-               (Por.Walk.make ~on_prune ~mode ~bound:Dfs.Unbounded ()))
-            program)
+          Por.strategy_of_walk
+            (Por.Walk.make ~on_prune ~mode ~bound:Dfs.Unbounded ()))
   | IPB, Some mode, _ -> bounded_por Bounded.Preemption_bounding mode
   | IDB, Some mode, _ -> bounded_por Bounded.Delay_bounding mode
   | DFS, None, true ->
-      Dfs.stats_of ~technique:"DFS"
-        (Prefix_exec.explore ~promote ~max_steps ?deadline
-           ~bound:Dfs.Unbounded ~limit program)
+      fun ~limit ->
+        Dfs.stats_of ~technique:"DFS"
+          (Prefix_exec.explore ~promote ~max_steps ?deadline:(deadline_of o)
+             ~bound:Dfs.Unbounded ~limit program)
   | IPB, None, true -> bounded_batched Bounded.Preemption_bounding
   | IDB, None, true -> bounded_batched Bounded.Delay_bounding
   | (DFS | IPB | IDB), None, false
   | (Rand | PCT | Maple | SURW | Fair | Length | IVB | ITB), _, _ ->
-      Driver.explore ~promote ~max_steps ?deadline ~limit
-        (strategy ~promote o technique program)
-        program
+      driven (strategy ~promote o technique program)
+
+let run ?promote o technique program =
+  session ?promote o technique program ~limit:o.limit
 
 let detect_races o program =
   Sct_race.Promotion.detect ~runs:o.race_runs ~seed:o.seed

@@ -2,11 +2,11 @@
     (paper §5): the race-detection phase followed by any of the IPB, IDB,
     DFS, Rand and MapleAlg phases, plus the PCT and SURW extensions.
 
-    Every technique is a {!Strategy.STRATEGY} value. {!run} applies
-    {!Driver.explore} to the registered strategy, except that the tree
+    Every technique is a {!Strategy.STRATEGY} value. {!session} drives the
+    registered strategy on a {!Driver} session, except that the tree
     walkers DFS, IPB and IDB may run on the partial-order reduction or the
     prefix-batching executor instead; one match on the technique and those
-    two options picks the walk. *)
+    two options picks the walk. {!run} is one advance of a session. *)
 
 type t =
   | IPB
@@ -96,7 +96,7 @@ val deadline_of : options -> float option
 val strategy :
   ?promote:(string -> bool) -> options -> t -> (unit -> unit) -> Strategy.t
 (** The registered strategy of a technique under the given options — pure
-    registration; all control flow lives in {!Driver.explore}. *)
+    registration; all control flow lives in {!Driver}. *)
 
 val sharding :
   ?promote:(string -> bool) ->
@@ -111,19 +111,36 @@ val sharding :
     IDB, Fair, Length, IVB, ITB), whatever [prefix_batch] and [por] say,
     since {!run} honours both on one domain, and MapleAlg. *)
 
-val run :
-  ?promote:(string -> bool) -> options -> t -> (unit -> unit) -> Stats.t
-(** Run one technique with an externally supplied promotion predicate
-    (defaults to promoting nothing), budgeted by [options.limit] and
-    [options.time_limit]. The walk is chosen by one match:
+val session :
+  ?promote:(string -> bool) ->
+  options ->
+  t ->
+  (unit -> unit) ->
+  limit:int ->
+  Stats.t
+(** [session o t program] sets one technique's campaign up and returns
+    its advance: each call [~limit] continues the campaign up to that
+    schedule limit ([options.limit] is ignored) and returns the
+    statistics so far. Through non-decreasing limits, each call returns
+    exactly what {!run} with [{o with limit}] returns (the session law of
+    {!Driver.advance}); [options.time_limit] budgets every call afresh
+    from its start. The walk is chosen by one match:
     + with [options.por], DFS, IPB and IDB run the {!Por.Walk} reduction:
       fewer executions to the same bugs, [Stats.por_pruned] counting the
       sleep-pruned runs. POR takes precedence over [prefix_batch] (see
       por.mli's interaction contract);
     + otherwise, with [options.prefix_batch], DFS, IPB and IDB run through
-      {!Prefix_exec}: same statistics, plus the step counters;
+      {!Prefix_exec}: same statistics, plus the step counters. This
+      executor keeps no walk between calls, so each call re-runs the
+      campaign from the root;
     + otherwise the technique's registered {!strategy} runs on
-      {!Driver.explore}. *)
+      {!Driver.advance}. *)
+
+val run :
+  ?promote:(string -> bool) -> options -> t -> (unit -> unit) -> Stats.t
+(** Run one technique with an externally supplied promotion predicate
+    (defaults to promoting nothing), budgeted by [options.limit] and
+    [options.time_limit]: [session o t program ~limit:o.limit]. *)
 
 val detect_races : options -> (unit -> unit) -> Sct_race.Promotion.result
 (** Phase 1: the data-race detection phase. *)

@@ -283,6 +283,55 @@ let test_interrupt_and_resume () =
       Alcotest.(check int) "campaign is complete" 0 noop.Orchestrator.slices;
       Db.close db)
 
+(* A tree cell's slices continue one live walk: over a whole campaign the
+   program runs once per detection run and once per execution the final
+   records report, with no slice re-running an earlier slice's prefix. *)
+let test_tree_cells_walk_once () =
+  let invocations = ref 0 in
+  let counted (b : Sctbench.Bench.t) =
+    {
+      b with
+      Sctbench.Bench.program =
+        (fun () ->
+          incr invocations;
+          b.Sctbench.Bench.program ());
+    }
+  in
+  let benches =
+    List.map counted [ pick "CS.reorder_4_bad"; pick "CS.stack_bad" ]
+  in
+  let cells =
+    Cell.grid ~techniques:Techniques.[ DFS; IPB; IDB ] options benches
+  in
+  with_dir (fun dir ->
+      let db = Db.open_ ~dir in
+      let outcome = run_campaign db cells in
+      let detection_runs =
+        List.fold_left
+          (fun acc (b : Sctbench.Bench.t) ->
+            acc
+            + (Techniques.detect_races options b.Sctbench.Bench.program)
+                .Sct_race.Promotion.runs)
+          0 benches
+      in
+      let executions =
+        List.fold_left
+          (fun acc (c : Cell.t) ->
+            match Db.find db c.Cell.key with
+            | Some e -> acc + e.Db.e_stats.Stats.executions
+            | None -> Alcotest.fail (Cell.name c ^ " not finished"))
+          0 cells
+      in
+      Db.close db;
+      Alcotest.(check bool)
+        "some cell took three slices" true
+        (outcome.Orchestrator.slices >= List.length cells + 2);
+      (* the detection recount above ran the programs once more *)
+      Alcotest.(check int)
+        "program invocations = detection runs + final executions"
+        ((2 * detection_runs) + executions)
+        !invocations)
+
 (* --- scheduler determinism (pure unit tests) --- *)
 
 let arm ?(slices = 1) ?(coverage = 0) ?bound ?(finished = false) consumed =
@@ -432,6 +481,8 @@ let suites =
           test_pool_same_results;
         Alcotest.test_case "interrupted campaign resumes exactly" `Slow
           test_interrupt_and_resume;
+        Alcotest.test_case "tree cells walk once across their slices" `Quick
+          test_tree_cells_walk_once;
       ] );
     ( "campaign.status",
       [

@@ -323,6 +323,139 @@ let test_surw_weights_cover_both_orders () =
     "several distinct schedules" true
     (match Stats.distinct s with Some d -> d > 1 | None -> false)
 
+(* --- the session law (Driver.start/advance, Techniques.session) ---
+   One session advanced through non-decreasing limits must return, at each
+   limit, the bytes of a fresh one-shot run at that limit: the campaign
+   runner journals a tree cell's slices from one live session, and the
+   journal must not tell whether the process was restarted in between. *)
+
+module Driver = Sct_explore.Driver
+module Bounded = Sct_explore.Bounded
+module Por = Sct_explore.Por
+
+let encode = Sct_store.Codec.encode_stats
+
+(* Every arm of Techniques.session's dispatch match: the 11 techniques on
+   their registered strategies, and the tree walkers under each [--por]
+   mode and under prefix batching. *)
+let session_configs =
+  let o = Techniques.default_options in
+  let tree = Techniques.[ DFS; IPB; IDB ] in
+  List.map (fun t -> (Techniques.name t, o, t)) Techniques.all
+  @ List.concat_map
+      (fun mode ->
+        List.map
+          (fun t ->
+            ( Techniques.name t ^ " --por " ^ Por.mode_name mode,
+              { o with Techniques.por = Some mode },
+              t ))
+          tree)
+      Por.[ Sleep; Dpor; Dpor_sleep ]
+  @ List.map
+      (fun t ->
+        ( Techniques.name t ^ " --prefix-batch",
+          { o with Techniques.prefix_batch = true },
+          t ))
+      tree
+
+(* Driver sessions the dispatch match never builds: a level cap, whose
+   finish does not report [new_at_bound] (so a paused level's count must
+   not survive the resume), and [stop_on_bug], checked after the budget. *)
+let driver_configs =
+  [
+    ( "IPB capped at level 1",
+      false,
+      fun () ->
+        Bounded.strategy ~max_levels:1 ~kind:Bounded.Preemption_bounding () );
+    ( "IDB capped at level 2",
+      false,
+      fun () ->
+        Bounded.strategy ~max_levels:2 ~kind:Bounded.Delay_bounding () );
+    ( "DFS stopping on the first bug",
+      true,
+      fun () -> Sct_explore.Dfs.strategy ~bound:Sct_explore.Dfs.Unbounded () );
+  ]
+
+let session_benches =
+  [|
+    "CS.account_bad"; "CS.lazy01_bad"; "CS.reorder_3_bad"; "CS.deadlock01_bad";
+  |]
+
+type session_case = {
+  source : [ `Bench of int | `Gen of int ];
+  limits : int list;
+      (** non-decreasing; a first limit of 0 pauses the campaign as its
+          first phase opens *)
+}
+
+let session_case_gen =
+  let open QCheck2.Gen in
+  let* source =
+    oneof
+      [
+        map (fun i -> `Bench i) (int_bound (Array.length session_benches - 1));
+        map (fun s -> `Gen s) (int_bound 10_000);
+      ]
+  in
+  let* first = int_bound 12 in
+  let+ steps = list_size (int_range 1 4) (int_bound 40) in
+  let limits =
+    List.rev
+      (List.fold_left (fun acc d -> (List.hd acc + d) :: acc) [ first ] steps)
+  in
+  { source; limits }
+
+let print_session_case c =
+  Printf.sprintf "%s, limits [%s]"
+    (match c.source with
+    | `Bench i -> session_benches.(i)
+    | `Gen s -> Printf.sprintf "generated program, seed %d" s)
+    (String.concat "; " (List.map string_of_int c.limits))
+
+let prop_session_law =
+  QCheck2.Test.make ~name:"a session advanced to L equals a fresh run at L"
+    ~count:25 ~print:print_session_case session_case_gen (fun c ->
+      let program =
+        match c.source with
+        | `Bench i ->
+            (Option.get (Sctbench.Registry.by_name session_benches.(i)))
+              .Sctbench.Bench.program
+        | `Gen seed ->
+            Sct_fuzz.Compile.program (Sct_fuzz.Gen.generate ~seed ())
+      in
+      let promote =
+        Sct_race.Promotion.promote
+          (Techniques.detect_races Techniques.default_options program)
+      in
+      let law name ~advance ~fresh =
+        List.iter
+          (fun limit ->
+            let got = encode (advance ~limit)
+            and want = encode (fresh ~limit) in
+            if got <> want then
+              QCheck2.Test.fail_reportf
+                "%s at limit %d:@.session  %s@.one-shot %s" name limit got
+                want)
+          c.limits
+      in
+      List.iter
+        (fun (name, o, t) ->
+          law name
+            ~advance:(Techniques.session ~promote o t program)
+            ~fresh:(fun ~limit ->
+              Techniques.run ~promote { o with Techniques.limit } t program))
+        session_configs;
+      List.iter
+        (fun (name, stop_on_bug, strategy) ->
+          let s = Driver.start ~promote ~stop_on_bug (strategy ()) program in
+          law name
+            ~advance:(fun ~limit -> Driver.advance s ~limit)
+            ~fresh:(fun ~limit ->
+              Driver.explore ~promote ~stop_on_bug ~limit (strategy ())
+                program))
+        driver_configs;
+      true)
+
 let suites =
   [
     ( "strategy-driver",
@@ -336,6 +469,7 @@ let suites =
         Alcotest.test_case "deadline reported distinctly from limit" `Quick
           test_deadline_distinct_from_limit;
       ] );
+    ("strategy.session", [ QCheck_alcotest.to_alcotest prop_session_law ]);
     ( "surw",
       [
         Alcotest.test_case "seed-deterministic and jobs 1 == jobs 4" `Quick
