@@ -3,9 +3,26 @@
 
 open Cmdliner
 
+(* Integer flags are checked at the boundary: a value below [min] is a
+   command-line error (exit 124, naming the option), not an input for the
+   engine to crash on or to mis-count. *)
+let int_at_least min =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n < min ->
+        Error (`Msg (Printf.sprintf "%d is below the minimum %d" n min))
+    | result -> result
+  in
+  Arg.conv ~docv:"N" (parse, Arg.conv_printer Arg.int)
+
+let non_negative = int_at_least 0
+let positive = int_at_least 1
+
 let limit_t =
-  let doc = "Schedule limit per technique (the paper uses 10000)." in
-  Arg.(value & opt int 10_000 & info [ "limit" ] ~docv:"N" ~doc)
+  let doc =
+    "Schedule limit per technique (the paper uses 10000); at least 0."
+  in
+  Arg.(value & opt non_negative 10_000 & info [ "limit" ] ~docv:"N" ~doc)
 
 let seed_t =
   let doc = "Random seed for Rand/PCT/Maple and race detection." in
@@ -42,9 +59,9 @@ let time_limit_t =
 let jobs_t =
   let doc =
     "Worker domains for the parallel engine (0 = one per recommended \
-     domain). Results are identical for every value."
+     domain; at least 0). Results are identical for every value."
   in
-  Arg.(value & opt int 0 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
+  Arg.(value & opt non_negative 0 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
 let prefix_batch_t =
   let doc =
@@ -81,21 +98,23 @@ let fair_bound_t =
   let doc =
     "Yield-difference bound for the $(b,fair) technique: a schedule is cut \
      once a yielding thread is $(docv) yields ahead of the least-yielded \
-     live thread (dejafu's sctFairBound). Other techniques ignore it."
+     live thread (dejafu's sctFairBound); at least 0. Other techniques \
+     ignore it."
   in
   Arg.(
     value
-    & opt int Sct_explore.Axes.default_fair_bound
+    & opt non_negative Sct_explore.Axes.default_fair_bound
     & info [ "fair-bound" ] ~docv:"N" ~doc)
 
 let length_bound_t =
   let doc =
     "Schedule-length bound in scheduling points for the $(b,length) \
-     technique (dejafu's sctLengthBound). Other techniques ignore it."
+     technique (dejafu's sctLengthBound); at least 0. Other techniques \
+     ignore it."
   in
   Arg.(
     value
-    & opt int Sct_explore.Axes.default_length_bound
+    & opt non_negative Sct_explore.Axes.default_length_bound
     & info [ "length-bound" ] ~docv:"N" ~doc)
 
 (* The two Axes bounds travel together through [options_of]. *)
@@ -507,16 +526,18 @@ let study_cmd name what doc =
 (* self-testing fuzz: generated programs under the differential oracle *)
 let fuzz_cmd =
   let count_t =
-    let doc = "Number of programs to generate and check." in
-    Arg.(value & opt int 200 & info [ "count" ] ~docv:"N" ~doc)
+    let doc = "Number of programs to generate and check; at least 0." in
+    Arg.(value & opt non_negative 200 & info [ "count" ] ~docv:"N" ~doc)
   in
   let fuzz_limit_t =
-    let doc = "Schedule budget per technique campaign and program." in
-    Arg.(value & opt int 500 & info [ "limit" ] ~docv:"N" ~doc)
+    let doc =
+      "Schedule budget per technique campaign and program; at least 0."
+    in
+    Arg.(value & opt non_negative 500 & info [ "limit" ] ~docv:"N" ~doc)
   in
   let max_steps_t =
-    let doc = "Per-execution step budget (live-lock guard)." in
-    Arg.(value & opt int 5_000 & info [ "max-steps" ] ~docv:"N" ~doc)
+    let doc = "Per-execution step budget (live-lock guard); at least 1." in
+    Arg.(value & opt positive 5_000 & info [ "max-steps" ] ~docv:"N" ~doc)
   in
   let fuzz_store_t =
     let doc =
@@ -601,18 +622,24 @@ let corpus_cmd =
   let module Mine = Sct_corpus.Mine in
   let module Manifest = Sct_corpus.Manifest in
   let count_t =
-    let doc = "Number of programs to generate and survey." in
-    Arg.(value & opt int Mine.default_config.Mine.count & info [ "count" ] ~docv:"N" ~doc)
-  in
-  let mine_limit_t =
-    let doc = "Schedule budget per technique and program." in
-    Arg.(value & opt int Mine.default_config.Mine.limit & info [ "limit" ] ~docv:"N" ~doc)
-  in
-  let max_steps_t =
-    let doc = "Per-execution step budget (live-lock guard)." in
+    let doc = "Number of programs to generate and survey; at least 0." in
     Arg.(
       value
-      & opt int Mine.default_config.Mine.max_steps
+      & opt non_negative Mine.default_config.Mine.count
+      & info [ "count" ] ~docv:"N" ~doc)
+  in
+  let mine_limit_t =
+    let doc = "Schedule budget per technique and program; at least 0." in
+    Arg.(
+      value
+      & opt non_negative Mine.default_config.Mine.limit
+      & info [ "limit" ] ~docv:"N" ~doc)
+  in
+  let max_steps_t =
+    let doc = "Per-execution step budget (live-lock guard); at least 1." in
+    Arg.(
+      value
+      & opt positive Mine.default_config.Mine.max_steps
       & info [ "max-steps" ] ~docv:"N" ~doc)
   in
   let vocab_t =
@@ -623,10 +650,10 @@ let corpus_cmd =
       & info [ "vocab" ] ~docv:"VOCAB" ~doc)
   in
   let shrink_checks_t =
-    let doc = "Survey budget per keeper shrink." in
+    let doc = "Survey budget per keeper shrink; at least 0." in
     Arg.(
       value
-      & opt int Mine.default_config.Mine.shrink_checks
+      & opt non_negative Mine.default_config.Mine.shrink_checks
       & info [ "shrink-checks" ] ~docv:"N" ~doc)
   in
   let dir_t =
@@ -902,8 +929,10 @@ let policy_t =
   Arg.(value & opt string "uniform" & info [ "policy" ] ~docv:"POLICY" ~doc)
 
 let slice_t =
-  let doc = "Budget slice (schedules) leased to a cell at a time." in
-  Arg.(value & opt int 500 & info [ "slice" ] ~docv:"N" ~doc)
+  let doc =
+    "Budget slice (schedules) leased to a cell at a time; at least 1."
+  in
+  Arg.(value & opt positive 500 & info [ "slice" ] ~docv:"N" ~doc)
 
 let parse_policy s =
   match Sct_campaign.Scheduler.policy_of_name s with

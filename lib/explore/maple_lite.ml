@@ -101,13 +101,7 @@ let profile_choose rng (ctx : Runtime.ctx) =
     | enabled ->
         let enabled = Array.of_list enabled in
         enabled.(Random.State.int rng (Array.length enabled))
-  else
-    match
-      Sct_core.Delay.deterministic_choice ~n:ctx.c_n_threads ~last:ctx.c_last
-        ~enabled:ctx.c_enabled
-    with
-    | Some t -> t
-    | None -> assert false
+  else Replay.round_robin ctx
 
 (* Candidates = unobserved reversals on promoted locations, in the
    (deterministic) set order. *)

@@ -5,20 +5,8 @@ open Sct_core
    [k] is an a-priori estimate fixed for the whole campaign — keeping it
    independent of the sampled runs is what makes run [i] a pure function of
    [(seed, i, k)] and therefore shardable across domains. *)
-let probe ?(promote = fun _ -> false) ?(max_steps = 100_000) program =
-  let rr (ctx : Runtime.ctx) =
-    match
-      Delay.deterministic_choice ~n:ctx.c_n_threads ~last:ctx.c_last
-        ~enabled:ctx.c_enabled
-    with
-    | Some t -> t
-    | None -> assert false
-  in
-  let res =
-    Runtime.exec ~promote ~max_steps ~record_decisions:false ~scheduler:rr
-      program
-  in
-  max 1 res.Runtime.r_steps
+let probe ?promote ?max_steps program =
+  max 1 (Replay.round_robin_run ?promote ?max_steps program).Runtime.r_steps
 
 (* Per-run scheduler state: the lazily drawn priorities and the sampled
    change depths. Distinct-with-high-probability initial priorities above

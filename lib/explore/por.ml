@@ -339,17 +339,11 @@ module Walk = struct
   let choose w (ctx : Runtime.ctx) =
     let i = w.depth in
     w.depth <- i + 1;
-    if w.run_pruned then begin
+    if w.run_pruned then
       (* past a sleep-pruned node: follow the zero-cost round-robin child
          to the end of the run without recording anything — the whole
          branch is discarded by [on_terminal] *)
-      match
-        Delay.deterministic_choice ~n:ctx.c_n_threads ~last:ctx.c_last
-          ~enabled:ctx.c_enabled
-      with
-      | Some t -> t
-      | None -> assert false (* the engine never schedules an empty set *)
-    end
+      Replay.round_robin ctx
     else if i < w.replay_len then begin
       let fr = w.st.frames.(i) in
       if fr.f_fp <> ctx.c_enabled_fp then

@@ -1,21 +1,28 @@
 open Sct_core
 
+(* [Runtime.exec] reports a deadlock instead of scheduling an empty
+   enabled set, so the zero-delay pick always exists. *)
+let round_robin (ctx : Runtime.ctx) =
+  match
+    Delay.deterministic_choice ~n:ctx.c_n_threads ~last:ctx.c_last
+      ~enabled:ctx.c_enabled
+  with
+  | Some t -> t
+  | None -> invalid_arg "Sct_explore.Replay.round_robin: no enabled thread"
+
+let round_robin_run ?(promote = fun _ -> false) ?(max_steps = 100_000)
+    program =
+  Runtime.exec ~promote ~max_steps ~record_decisions:false
+    ~scheduler:round_robin program
+
 exception Infeasible
 
 let replay ?(promote = fun _ -> false) ?(max_steps = 100_000)
     ?(strict = true) ~schedule program =
   let remaining = ref (Schedule.to_list schedule) in
   let scheduler (ctx : Runtime.ctx) =
-    let fallback () =
-      match
-        Delay.deterministic_choice ~n:ctx.c_n_threads ~last:ctx.c_last
-          ~enabled:ctx.c_enabled
-      with
-      | Some t -> t
-      | None -> assert false
-    in
     match !remaining with
-    | [] -> fallback ()
+    | [] -> round_robin ctx
     | t :: rest ->
         if List.exists (Tid.equal t) ctx.c_enabled then begin
           remaining := rest;
@@ -24,7 +31,7 @@ let replay ?(promote = fun _ -> false) ?(max_steps = 100_000)
         else if strict then raise Infeasible
         else begin
           remaining := rest;
-          fallback ()
+          round_robin ctx
         end
   in
   match

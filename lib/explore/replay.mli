@@ -5,6 +5,23 @@
     list; when the schedule is exhausted (or names a disabled thread with
     [strict] off) it falls back to the deterministic round-robin choice. *)
 
+val round_robin : Sct_core.Runtime.scheduler
+(** The deterministic zero-delay scheduler:
+    {!Sct_core.Delay.deterministic_choice}, the first enabled thread in
+    round-robin order from the last one to run. The engine never calls a
+    scheduler with an empty enabled set ({!Sct_core.Runtime.exec} reports
+    a deadlock instead), so the pick always exists.
+    @raise Invalid_argument on a context with no enabled thread. *)
+
+val round_robin_run :
+  ?promote:(string -> bool) ->
+  ?max_steps:int ->
+  (unit -> unit) ->
+  Sct_core.Runtime.result
+(** One execution under {!round_robin}, recording no decisions: the
+    uncounted probe from which PCT ({!Pct.probe}) and SURW ({!Surw.probe})
+    fix their campaign estimates. *)
+
 val replay :
   ?promote:(string -> bool) ->
   ?max_steps:int ->

@@ -38,24 +38,11 @@ let counts_of_schedule sched : estimates =
     (Schedule.to_list sched);
   counts
 
-let probe ?(promote = fun _ -> false) ?(max_steps = 100_000) program :
-    estimates =
-  (* the probe scheduler is a pure round-robin pick: the counting moved off
-     the execution path into [counts_of_schedule] over the recorded
-     traversal, which yields byte-identical estimates *)
-  let rr (ctx : Runtime.ctx) =
-    match
-      Delay.deterministic_choice ~n:ctx.c_n_threads ~last:ctx.c_last
-        ~enabled:ctx.c_enabled
-    with
-    | Some t -> t
-    | None -> assert false
-  in
-  let res =
-    Runtime.exec ~promote ~max_steps ~record_decisions:false ~scheduler:rr
-      program
-  in
-  counts_of_schedule res.Runtime.r_schedule
+(* the counting happens off the execution path, in [counts_of_schedule]
+   over the recorded traversal *)
+let probe ?promote ?max_steps program : estimates =
+  counts_of_schedule
+    (Replay.round_robin_run ?promote ?max_steps program).Runtime.r_schedule
 
 (* Per-run state: the RNG and the mutable events-left budgets, seeded from
    the campaign estimates. *)

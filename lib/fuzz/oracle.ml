@@ -31,8 +31,8 @@ type runner = Techniques.t -> Stats.t
 
 let promote_all _ = true
 
-(* The sub-budget of the POR cross-check and the shard-merge check: both
-   re-explore, so they run on a slice of the campaign budget. *)
+(* The sub-budget of the reference campaigns and the POR cross-checks: they
+   run on a slice of the campaign budget. *)
 let sub_limit limit = min limit 200
 
 let check ?(wrap = fun r -> r) cfg ~seed program =
@@ -63,7 +63,35 @@ let check ?(wrap = fun r -> r) cfg ~seed program =
   in
   let detection = Techniques.detect_races o program in
   let promote = Sct_race.Promotion.promote detection in
-  let base : runner = fun t -> Techniques.run ~promote o t program in
+  (* The shard-merge and axes-unbounded checks compare against a campaign
+     at the sub-budget [m] with the options of [o_sub]. Where those equal
+     the main campaign's options, [base] advances the main session to [m]
+     first and keeps that reference (the session law makes it a fresh run
+     at [m]); it keeps it beneath [wrap], so an injected fault never
+     reaches it. *)
+  let m = sub_limit cfg.limit in
+  let o_sub =
+    { o with Techniques.limit = m; prefix_batch = false; por = None }
+  in
+  let keeps_reference = function
+    | Techniques.Rand | Techniques.PCT | Techniques.SURW -> true
+    | Techniques.IPB | Techniques.DFS ->
+        cfg.por = None && not cfg.prefix_batch
+    | _ -> false
+  in
+  let references = ref [] in
+  let base : runner =
+   fun t ->
+    let advance = Techniques.session ~promote o t program in
+    if keeps_reference t then
+      references := (t, advance ~limit:m) :: !references;
+    advance ~limit:cfg.limit
+  in
+  let reference t =
+    match List.assoc_opt t !references with
+    | Some s -> s
+    | None -> Techniques.run ~promote o_sub t program
+  in
   let runner = wrap base in
   let stats = List.map (fun t -> (t, runner t)) cfg.techniques in
   let stat t = List.assoc_opt t stats in
@@ -249,44 +277,39 @@ let check ?(wrap = fun r -> r) cfg ~seed program =
      at an unreachable cap never cuts: each must be byte-identical to its
      unrestricted counterpart (modulo the technique name) — the no-bug-lost
      direction of the execution-level filters. *)
-  (let m = sub_limit cfg.limit in
-   let o_sub =
-     { o with Techniques.limit = m; prefix_batch = false; por = None }
-   in
-   if selected Techniques.Fair && selected Techniques.IPB then begin
-     let ipb = Techniques.run ~promote o_sub Techniques.IPB program in
-     let fair =
-       Techniques.run ~promote
-         { o_sub with Techniques.fair_bound = max_int }
-         Techniques.Fair program
-     in
-     require "axes-unbounded"
-       (Stats.equal { fair with Stats.technique = ipb.Stats.technique } ipb)
-       "Fair at an unreachable bound differs from plain IPB (%a vs %a)"
-       Stats.pp fair Stats.pp ipb
-   end;
-   if selected Techniques.Length && selected Techniques.DFS then begin
-     let dfs = Techniques.run ~promote o_sub Techniques.DFS program in
-     let len =
-       Techniques.run ~promote
-         { o_sub with Techniques.length_bound = max_int }
-         Techniques.Length program
-     in
-     require "axes-unbounded"
-       (Stats.equal { len with Stats.technique = dfs.Stats.technique } dfs)
-       "Length at an unreachable cap differs from plain DFS (%a vs %a)"
-       Stats.pp len Stats.pp dfs
-   end);
+  if selected Techniques.Fair && selected Techniques.IPB then begin
+    let ipb = reference Techniques.IPB in
+    let fair =
+      Techniques.run ~promote
+        { o_sub with Techniques.fair_bound = max_int }
+        Techniques.Fair program
+    in
+    require "axes-unbounded"
+      (Stats.equal { fair with Stats.technique = ipb.Stats.technique } ipb)
+      "Fair at an unreachable bound differs from plain IPB (%a vs %a)"
+      Stats.pp fair Stats.pp ipb
+  end;
+  if selected Techniques.Length && selected Techniques.DFS then begin
+    let dfs = reference Techniques.DFS in
+    let len =
+      Techniques.run ~promote
+        { o_sub with Techniques.length_bound = max_int }
+        Techniques.Length program
+    in
+    require "axes-unbounded"
+      (Stats.equal { len with Stats.technique = dfs.Stats.technique } dfs)
+      "Length at an unreachable cap differs from plain DFS (%a vs %a)"
+      Stats.pp len Stats.pp dfs
+  end;
 
   (* ---- POR vs full DFS, all locations visible -------------------------- *)
   (* A DFS-based cross-check; skipped when the campaign deselected DFS. *)
-  let por_limit = sub_limit cfg.limit in
   let dfs_all =
     if not (selected Techniques.DFS) then None
     else
       Some
         (Dfs.explore ~promote:promote_all ~max_steps:cfg.max_steps
-           ~bound:Dfs.Unbounded ~limit:por_limit program)
+           ~bound:Dfs.Unbounded ~limit:m program)
   in
   (match dfs_all with None -> () | Some dfs_all ->
   if dfs_all.Dfs.complete then
@@ -294,7 +317,7 @@ let check ?(wrap = fun r -> r) cfg ~seed program =
       (fun (mode, mode_name) ->
         let por =
           Por.explore ~promote:promote_all ~max_steps:cfg.max_steps ~mode
-            ~limit:por_limit program
+            ~limit:m program
         in
         require "por" por.Por.complete
           "POR(%s) did not complete on a space full DFS exhausted (%d \
@@ -336,14 +359,14 @@ let check ?(wrap = fun r -> r) cfg ~seed program =
             in
             let plain =
               Dfs.explore ~promote:promote_all ~max_steps:cfg.max_steps ~bound
-                ~limit:por_limit program
+                ~limit:m program
             in
             List.iter
               (fun mode ->
                 let mn = Por.mode_name mode in
                 let bpor =
                   Por.explore ~promote:promote_all ~max_steps:cfg.max_steps
-                    ~bound ~mode ~limit:por_limit program
+                    ~bound ~mode ~limit:m program
                 in
                 require "bpor"
                   (bpor.Por.counted <= plain.Dfs.counted)
@@ -385,14 +408,6 @@ let check ?(wrap = fun r -> r) cfg ~seed program =
    List.iter
      (fun t ->
        let n = tname t in
-       let o_sub =
-         {
-           o with
-           Techniques.limit = por_limit;
-           prefix_batch = false;
-           por = None;
-         }
-       in
        let plain = Techniques.run ~promote:promote_all o_sub t program in
        let bpor =
          Techniques.run ~promote:promote_all
@@ -433,29 +448,30 @@ let check ?(wrap = fun r -> r) cfg ~seed program =
       Dfs.explore ~promote ~max_steps:cfg.max_steps ~bound ~limit:cfg.limit
         program
     in
-    let pc_counts =
-      List.map (fun c -> (walk (Dfs.Preemption c)).Dfs.counted) [ 0; 1; 2 ]
+    let counts bound =
+      let count c = (walk (bound c)).Dfs.counted in
+      let c0 = count 0 in
+      let c1 = count 1 in
+      (c0, c1, count 2)
     in
-    let dc_counts =
-      List.map (fun c -> (walk (Dfs.Delay c)).Dfs.counted) [ 0; 1; 2 ]
-    in
-    let monotone name = function
-      | [ a; b; c ] ->
-          require "bound-algebra"
-            (a <= b && b <= c)
-            "%s-bounded schedule counts not monotone in the bound: %d, %d, %d"
-            name a b c
-      | _ -> assert false
+    let pc_counts = counts (fun c -> Dfs.Preemption c) in
+    let dc_counts = counts (fun c -> Dfs.Delay c) in
+    let monotone name (a, b, c) =
+      require "bound-algebra"
+        (a <= b && b <= c)
+        "%s-bounded schedule counts not monotone in the bound: %d, %d, %d"
+        name a b c
     in
     monotone "preemption" pc_counts;
     monotone "delay" dc_counts;
+    let list (a, b, c) = [ a; b; c ] in
     List.iteri
       (fun c (dc, pc) ->
         require "bound-algebra" (dc <= pc)
           "delay bound %d admits %d schedules, preemption bound %d only %d \
            (DC >= PC violated)"
           c dc c pc)
-      (List.combine dc_counts pc_counts);
+      (List.combine (list dc_counts) (list pc_counts));
     (* the full-space cap only holds against a plain DFS total: under
        [por] the campaign's DFS is reduced, and a plain bounded count can
        legitimately exceed the reduced full-space count *)
@@ -468,24 +484,25 @@ let check ?(wrap = fun r -> r) cfg ~seed program =
               "preemption bound %d counts %d schedules, beyond the full \
                space's %d"
               c pc dfs.Stats.total)
-          pc_counts
+          (list pc_counts)
     | _ -> ()
   end;
 
   (* ---- shard-merge determinism for the seed-sharded techniques --------- *)
+  (* Two half-range shards, merged, must equal the sequential campaign at
+     the sub-budget: what [--jobs 1] prints, and so what the merged shards
+     of [--jobs N] must reproduce. *)
   List.iter
     (fun t ->
       match Techniques.sharding ~promote o t program with
       | Strategy.Shard_seed f ->
-          let m = sub_limit cfg.limit in
-          let whole = f ~lo:0 ~hi:m in
           let h = m / 2 in
           let merged = Stats.merge (f ~lo:0 ~hi:h) (f ~lo:h ~hi:m) in
           require "shard-merge"
-            (Stats.equal whole merged)
-            "%s: half-range shards do not merge to the whole range ([0,%d) \
-             vs [0,%d)+[%d,%d))"
-            (tname t) m h h m
+            (Stats.equal (reference t) merged)
+            "%s: half-range shards [0,%d)+[%d,%d) do not merge to the \
+             sequential campaign at limit %d (the --jobs 1 result)"
+            (tname t) h h m m
       | Strategy.Sequential ->
           fail "shard-merge" "%s: expected a Shard_seed parallel plan"
             (tname t))

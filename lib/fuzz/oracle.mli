@@ -43,10 +43,21 @@
       witness bound consistency for IPB ([w_pc = bound]) and IDB
       ([w_dc = bound]).
     - {b Shard-merge determinism}: for the seed-sharded techniques
-      (Rand, PCT, SURW), running a prefix range and merging two half-range
-      shards with {!Sct_explore.Stats.merge} must be
-      {!Sct_explore.Stats.equal} — the algebra that makes [--jobs N]
-      byte-identical.
+      (Rand, PCT, SURW), the two half-range shards [\[0, m/2)] and
+      [\[m/2, m)] of the sub-budget [m = min limit 200], merged with
+      {!Sct_explore.Stats.merge}, must be {!Sct_explore.Stats.equal} to
+      the sequential campaign at [m] — what [--jobs 1] prints, and so the
+      algebra that makes [--jobs N] byte-identical.
+
+    The reference campaigns at the sub-budget [m] (the sequential
+    Rand/PCT/SURW campaign for shard-merge; plain IPB and plain DFS for
+    the unreachable-bound axes check) come off the main campaign's
+    {!Sct_explore.Techniques.session}: the main campaign advances to [m],
+    keeps those statistics, then continues to [limit], so a reference
+    executes nothing. By the session law this equals a fresh run at [m].
+    IPB and DFS keep one only when neither [por] nor [prefix_batch] is set,
+    since only then are the main campaign's options the reference's; in
+    every other case the reference is a fresh run.
 
     The oracle is parametric in the per-technique runner so the test suite
     can inject a deliberately broken strategy and assert that the harness
@@ -101,4 +112,7 @@ val check :
 (** [check cfg ~seed program] returns every invariant violation observed
     (empty on a healthy build). [seed] seeds the randomised techniques and
     the race-detection phase. [wrap] (default: identity) intercepts the
-    technique runner — test-only, for fault injection. *)
+    technique runner — test-only, for fault injection. The sub-budget
+    references are kept by the runner beneath [wrap], so a fault [wrap]
+    injects into a main campaign never reaches them; a [wrap] that never
+    calls its runner leaves fresh runs as references. *)

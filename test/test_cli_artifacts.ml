@@ -166,6 +166,42 @@ let test_replay_missing_digest () =
   Alcotest.(check bool) "says which digest is missing" true
     (contains ~needle:"no artifact" out)
 
+(* Numeric flags are checked where they are parsed: an out-of-range value
+   is a command-line error (exit 124) naming the option, never an uncaught
+   exception (exit 125), a bogus report or a silent miscount. *)
+let test_numeric_flags_checked () =
+  let store = fresh_store () in
+  List.iter
+    (fun (args, option) ->
+      let code, out = run_cli args in
+      if code <> 124 then
+        Alcotest.failf "%s: expected exit 124, got %d:\n%s" args code out;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: the message names %s" args option)
+        true
+        (contains ~needle:(Printf.sprintf "option '%s'" option) out))
+    [
+      ("fuzz --count=-2", "--count");
+      ("corpus mine --count=-1", "--count");
+      (Printf.sprintf "campaign run --suite cs --slice 0 --store %s"
+         (Filename.quote store), "--slice");
+      (Printf.sprintf "campaign run --suite cs --slice=-5 --store %s"
+         (Filename.quote store), "--slice");
+      ("fuzz --count 3 --limit=-3", "--limit");
+      ("corpus mine --count 2 --limit=-5", "--limit");
+      ("run CS.reorder_3_bad -t dfs --limit=-1", "--limit");
+      ("run CS.reorder_3_bad -t dfs --jobs=-3", "--jobs");
+      ("corpus mine --count 2 --shrink-checks=-1", "--shrink-checks");
+      ("run CS.reorder_3_bad -t fair --fair-bound=-1", "--fair-bound");
+      ("run CS.reorder_3_bad -t length --length-bound=-1", "--length-bound");
+      ("fuzz --count 2 --max-steps 0", "--max-steps");
+    ];
+  Alcotest.(check bool) "no store was created" false (Sys.file_exists store);
+  let code, out = run_cli "fuzz --count 0" in
+  if code <> 0 then Alcotest.failf "fuzz --count 0: exit %d:\n%s" code out;
+  Alcotest.(check bool) "fuzz --count 0 checks nothing" true
+    (contains ~needle:"fuzz: 0 programs" out)
+
 let suites =
   [
     ( "cli-artifacts",
@@ -178,5 +214,7 @@ let suites =
           test_replay_tampered_file;
         Alcotest.test_case "replay: unknown digest exits 1" `Slow
           test_replay_missing_digest;
+        Alcotest.test_case "numeric flags: out of range exits 124" `Quick
+          test_numeric_flags_checked;
       ] );
   ]

@@ -74,6 +74,33 @@ let test_zero_delay_unique () =
   let r = dfs ~bound:(Sct_explore.Dfs.Delay 0) (two_seq 3 4) in
   Alcotest.(check int) "one zero-delay schedule" 1 r.Sct_explore.Dfs.counted
 
+let test_round_robin_run () =
+  (* the round-robin run is the zero-delay schedule, and PCT's probe is its
+     length *)
+  let program = two_seq 3 4 in
+  let r = Sct_explore.Replay.round_robin_run ~promote:promote_all program in
+  Alcotest.(check int) "no delay" 0 r.Runtime.r_dc;
+  Alcotest.(check int) "PCT's depth range" r.Runtime.r_steps
+    (Sct_explore.Pct.probe ~promote:promote_all program);
+  (* with no enabled thread the engine reports a deadlock instead of
+     calling the scheduler *)
+  let deadlock () =
+    let a = Sct.Mutex.create () and b = Sct.Mutex.create () in
+    let t =
+      Sct.spawn (fun () ->
+          Sct.Mutex.lock b;
+          Sct.yield ();
+          Sct.Mutex.lock a)
+    in
+    Sct.Mutex.lock a;
+    Sct.yield ();
+    Sct.Mutex.lock b;
+    Sct.join t
+  in
+  match (Sct_explore.Replay.round_robin_run deadlock).Runtime.r_outcome with
+  | Outcome.Bug { bug = Outcome.Deadlock _; _ } -> ()
+  | o -> Alcotest.failf "expected a deadlock, got %a" Outcome.pp o
+
 let test_limit_respected () =
   let r = dfs ~limit:7 (two_seq 4 4) in
   Alcotest.(check int) "counted stops at the limit" 7 r.Sct_explore.Dfs.counted;
@@ -360,6 +387,8 @@ let suites =
           test_delay_subset_preemption;
         Alcotest.test_case "unique zero-delay schedule" `Quick
           test_zero_delay_unique;
+        Alcotest.test_case "round-robin run: zero delays, deadlocks end it"
+          `Quick test_round_robin_run;
         Alcotest.test_case "schedule limit" `Quick test_limit_respected;
         Alcotest.test_case "nondeterminism detected" `Quick
           test_nondeterminism_detected;

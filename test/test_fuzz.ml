@@ -76,6 +76,110 @@ let test_campaign_clean () =
   Alcotest.(check int) "indexed reports agree with the sequential run" 0
     (List.length (Harness.summarize r).Harness.s_counterexamples)
 
+(* --- the oracle's execution count --------------------------------------- *)
+
+(* A program that counts its own invocations: one per execution. *)
+let counting program =
+  let calls = ref 0 in
+  ( (fun () ->
+      incr calls;
+      program ()),
+    calls )
+
+(* The oracle's run of one program, with the main campaigns it produced. *)
+let check_counted cfg ~seed program =
+  let counted, calls = counting program in
+  let mains = ref [] in
+  let wrap base t =
+    let s = base t in
+    mains := (t, s) :: !mains;
+    s
+  in
+  let violations = Oracle.check ~wrap cfg ~seed counted in
+  (match violations with
+  | [] -> ()
+  | v :: _ -> Alcotest.failf "unexpected violation: %a" Oracle.pp_violation v);
+  (!calls, List.rev !mains)
+
+(* What a main campaign costs: its executions, plus one witness replay. *)
+let main_cost (_, (s : Sct_explore.Stats.t)) =
+  s.Sct_explore.Stats.executions
+  + if s.Sct_explore.Stats.first_bug = None then 0 else 1
+
+(* The execution-count law: the oracle invokes the program once per
+   race-detection run, per main-campaign execution and per witness
+   replay, plus what its cross-checks run afresh, and nothing for the
+   reference campaigns at the sub-budget [m]: those come off the main
+   campaigns' sessions. For a seed-sharded technique the fresh runs are
+   the two half-range shards of shard-merge, [m] executions together, and
+   for PCT and SURW two uncounted round-robin probes (the main campaign's
+   and the sharding collector's). At limit 120 the sub-budget is the whole
+   budget. With IPB and Fair, only Fair at an unreachable bound and the
+   POR-composed IPB cross-check (plain and reduced) run afresh. *)
+let test_oracle_execution_count () =
+  let open Sct_explore in
+  let promote_all _ = true in
+  let sharded probes ~promote:_ (o_sub : Techniques.options) _ =
+    o_sub.Techniques.limit + probes
+  in
+  let ipb_fair ~promote o_sub program =
+    let executions ~promote o t =
+      (Techniques.run ~promote o t program).Stats.executions
+    in
+    executions ~promote
+      { o_sub with Techniques.fair_bound = max_int }
+      Techniques.Fair
+    + executions ~promote:promote_all o_sub Techniques.IPB
+    + executions ~promote:promote_all
+        { o_sub with Techniques.por = Some Por.Dpor_sleep }
+        Techniques.IPB
+  in
+  let cases =
+    List.concat_map
+      (fun limit ->
+        Techniques.
+          [
+            ([ Rand ], limit, sharded 0);
+            ([ PCT ], limit, sharded 2);
+            ([ SURW ], limit, sharded 2);
+          ])
+      [ 500; 120 ]
+    @ [ (Techniques.[ IPB; Fair ], 500, ipb_fair) ]
+  in
+  List.iter
+    (fun index ->
+      let seed = Gen.derive_seed ~campaign_seed:0 ~index in
+      let program = Compile.program (Gen.program ~seed) in
+      List.iter
+        (fun (techniques, limit, fresh) ->
+          let cfg = { Oracle.default_config with limit; techniques } in
+          let calls, mains = check_counted cfg ~seed program in
+          let o =
+            {
+              Techniques.default_options with
+              Techniques.limit;
+              seed;
+              max_steps = cfg.Oracle.max_steps;
+              race_runs = cfg.Oracle.race_runs;
+            }
+          in
+          let detection = Techniques.detect_races o program in
+          let expected =
+            detection.Sct_race.Promotion.runs
+            + List.fold_left (fun acc c -> acc + main_cost c) 0 mains
+            + fresh
+                ~promote:(Sct_race.Promotion.promote detection)
+                { o with Techniques.limit = min limit 200 }
+                program
+          in
+          Alcotest.(check int)
+            (Printf.sprintf "program %d, %s at limit %d" index
+               (String.concat "+" (List.map Techniques.name techniques))
+               limit)
+            expected calls)
+        cases)
+    [ 0; 1; 2 ]
+
 (* --- the shrinker ------------------------------------------------------- *)
 
 let has_incr p =
@@ -206,6 +310,8 @@ let suites =
           test_shrink_minimal;
         Alcotest.test_case "shrink candidates never grow" `Quick
           test_candidates_decrease;
+        Alcotest.test_case "oracle execution count: references are free"
+          `Quick test_oracle_execution_count;
         Alcotest.test_case "fixed-seed campaign: no violations" `Slow
           test_campaign_clean;
         Alcotest.test_case "injected inclusion-breaking IPB is caught" `Slow
