@@ -28,12 +28,35 @@ let seed_t =
   let doc = "Random seed for Rand/PCT/Maple and race detection." in
   Arg.(value & opt int 0 & info [ "seed" ] ~docv:"SEED" ~doc)
 
+let suite_names =
+  String.concat ", "
+    (List.map Sctbench.Bench.suite_name
+       Sctbench.Bench.[ CB; CHESS; CS; Inspect; Misc; Parsec; Radbench; Splash2; Yield; Corpus ])
+
+(* Suite names are matched as [Bench.suite_of_name] matches them, case
+   aside; an unknown one is a command-line error listing the valid ones. *)
+let suite_conv =
+  let parse s =
+    match Sctbench.Bench.suite_of_name s with
+    | Some suite -> Ok suite
+    | None ->
+        Error
+          (`Msg (Printf.sprintf "unknown suite %S, expected one of %s" s suite_names))
+  in
+  let print ppf suite =
+    Format.pp_print_string ppf (Sctbench.Bench.suite_name suite)
+  in
+  Arg.conv ~docv:"SUITE" (parse, print)
+
 let suite_t =
-  let doc = "Restrict to one suite (CB, chess, CS, inspect, misc, parsec, radbench, splash2, yield, corpus)." in
-  Arg.(value & opt (some string) None & info [ "suite" ] ~docv:"SUITE" ~doc)
+  let doc = Printf.sprintf "Restrict to one suite (%s)." suite_names in
+  Arg.(value & opt (some suite_conv) None & info [ "suite" ] ~docv:"SUITE" ~doc)
 
 let ids_t =
-  let doc = "Restrict to specific benchmark ids." in
+  let doc =
+    "Restrict to specific benchmark ids; an id that selects no benchmark of \
+     the selection is an error."
+  in
   Arg.(value & opt_all int [] & info [ "id" ] ~docv:"ID" ~doc)
 
 let techniques_t =
@@ -44,16 +67,29 @@ let techniques_t =
   in
   Arg.(value & opt_all string [] & info [ "technique"; "t" ] ~docv:"TECH" ~doc)
 
+(* A wall-clock budget is a positive finite number of seconds: a zero or
+   negative one would stop every campaign after one schedule, and nan would
+   never stop one. *)
+let positive_seconds =
+  let parse s =
+    match Arg.conv_parser Arg.float s with
+    | Ok f when Float.is_finite f && f > 0. -> Ok f
+    | Ok _ ->
+        Error (`Msg (Printf.sprintf "%s is not a positive finite number" s))
+    | Error _ as e -> e
+  in
+  Arg.conv ~docv:"SECONDS" (parse, Arg.conv_printer Arg.float)
+
 let time_limit_t =
   let doc =
-    "Wall-clock budget in seconds per technique campaign; the campaign \
-     stops at the first terminal schedule past the deadline (recorded as \
-     hit_deadline, distinct from the schedule-limit stop). Unset: no \
-     deadline, fully deterministic runs."
+    "Wall-clock budget in seconds per technique campaign, a positive finite \
+     number; the campaign stops at the first terminal schedule past the \
+     deadline (recorded as hit_deadline, distinct from the schedule-limit \
+     stop). Unset: no deadline, fully deterministic runs."
   in
   Arg.(
     value
-    & opt (some float) None
+    & opt (some positive_seconds) None
     & info [ "time-limit" ] ~docv:"SECONDS" ~doc)
 
 let jobs_t =
@@ -203,19 +239,39 @@ let load_corpus = function
           prerr_endline msg;
           exit 1)
 
-let select suite ids =
-  let all = Sctbench.Registry.full () in
-  let all =
-    match suite with
-    | None -> all
-    | Some s -> (
-        match Sctbench.Bench.suite_of_name s with
-        | Some suite -> List.filter (fun (b : Sctbench.Bench.t) -> b.Sctbench.Bench.suite = suite) all
-        | None -> failwith ("unknown suite: " ^ s))
+(* The benchmarks a study or campaign runs: the corpus is registered
+   first, then --suite and --id narrow the registry. An id that selects no
+   benchmark of the selection is a command-line error (exit 124), not an
+   empty study. *)
+let benches_t =
+  let select corpus suite ids =
+    load_corpus corpus;
+    let all =
+      List.filter
+        (fun (b : Sctbench.Bench.t) ->
+          match suite with None -> true | Some s -> b.Sctbench.Bench.suite = s)
+        (Sctbench.Registry.full ())
+    in
+    let selects id =
+      List.exists (fun (b : Sctbench.Bench.t) -> b.Sctbench.Bench.id = id) all
+    in
+    match List.find_opt (fun id -> not (selects id)) ids with
+    | Some id ->
+        `Error
+          ( true,
+            Printf.sprintf "option '--id': no benchmark%s has id %d"
+              (match suite with
+              | None -> ""
+              | Some s -> " of suite " ^ Sctbench.Bench.suite_name s)
+              id )
+    | None when ids = [] -> `Ok all
+    | None ->
+        `Ok
+          (List.filter
+             (fun (b : Sctbench.Bench.t) -> List.mem b.Sctbench.Bench.id ids)
+             all)
   in
-  match ids with
-  | [] -> all
-  | ids -> List.filter (fun (b : Sctbench.Bench.t) -> List.mem b.Sctbench.Bench.id ids) all
+  Term.(ret (const select $ corpus_t $ suite_t $ ids_t))
 
 let progress (b : Sctbench.Bench.t) =
   Printf.eprintf "[%2d] %s...\n%!" b.Sctbench.Bench.id b.Sctbench.Bench.name
@@ -485,10 +541,8 @@ let por_cmd =
     Term.(const run $ limit_t $ name_t $ mode_t)
 
 (* the full study: tables and figures *)
-let study what limit seed jobs prefix_batch por time_limit bounds suite ids
-    techs store resume corpus =
-  load_corpus corpus;
-  let benches = select suite ids in
+let study what limit seed jobs prefix_batch por time_limit bounds benches
+    techs store resume =
   let o =
     options_of ~jobs ~prefix_batch ?por:(parse_por por) ?time_limit ~bounds
       limit seed
@@ -520,8 +574,8 @@ let study_cmd name what doc =
   Cmd.v (Cmd.info name ~doc)
     Term.(
       const (study what) $ limit_t $ seed_t $ jobs_t $ prefix_batch_t $ por_t
-      $ time_limit_t $ bounds_t $ suite_t $ ids_t $ techniques_t $ store_t
-      $ resume_t $ corpus_t)
+      $ time_limit_t $ bounds_t $ benches_t $ techniques_t $ store_t
+      $ resume_t)
 
 (* self-testing fuzz: generated programs under the differential oracle *)
 let fuzz_cmd =
@@ -957,9 +1011,7 @@ let parse_shard s =
       exit 1
 
 let run_campaign ~shard limit seed jobs prefix_batch por time_limit bounds
-    suite ids techs policy slice store corpus =
-  load_corpus corpus;
-  let benches = select suite ids in
+    benches techs policy slice store =
   let o =
     options_of ~jobs ~prefix_batch ?por:(parse_por por) ?time_limit ~bounds
       limit seed
@@ -994,8 +1046,8 @@ let campaign_cmd =
   let grid_args run =
     Term.(
       const run $ limit_t $ seed_t $ jobs_t $ prefix_batch_t $ por_t
-      $ time_limit_t $ bounds_t $ suite_t $ ids_t $ techniques_t $ policy_t
-      $ slice_t $ campaign_store_t $ corpus_t)
+      $ time_limit_t $ bounds_t $ benches_t $ techniques_t $ policy_t
+      $ slice_t $ campaign_store_t)
   in
   let run_cmd =
     Cmd.v
@@ -1017,11 +1069,10 @@ let campaign_cmd =
       Arg.(
         required & opt (some string) None & info [ "shard" ] ~docv:"K/N" ~doc)
     in
-    let run shard limit seed jobs prefix_batch por time_limit bounds suite ids
-        techs policy slice store corpus =
+    let run shard limit seed jobs prefix_batch por time_limit bounds benches
+        techs policy slice store =
       run_campaign ~shard:(Some (parse_shard shard)) limit seed jobs
-        prefix_batch por time_limit bounds suite ids techs policy slice store
-        corpus
+        prefix_batch por time_limit bounds benches techs policy slice store
     in
     Cmd.v
       (Cmd.info "worker"
@@ -1031,8 +1082,8 @@ let campaign_cmd =
             $(b,store merge)).")
       Term.(
         const run $ shard_t $ limit_t $ seed_t $ jobs_t $ prefix_batch_t
-        $ por_t $ time_limit_t $ bounds_t $ suite_t $ ids_t $ techniques_t
-        $ policy_t $ slice_t $ campaign_store_t $ corpus_t)
+        $ por_t $ time_limit_t $ bounds_t $ benches_t $ techniques_t
+        $ policy_t $ slice_t $ campaign_store_t)
   in
   let status_cmd =
     let run store =

@@ -77,6 +77,8 @@ type ctx = {
   mutable c_step : int;  (** 0-based decision index *)
   mutable c_last : Tid.t option;  (** previously scheduled thread *)
   mutable c_enabled : Tid.t list;  (** sorted by thread id; never empty *)
+  mutable c_n_enabled : int;
+      (** [List.length c_enabled], which the engine counts anyway *)
   mutable c_enabled_fp : int;
       (** {!fingerprint} of [c_enabled], maintained incrementally *)
   mutable c_n_threads : int;
@@ -91,6 +93,14 @@ type ctx = {
 
 type scheduler = ctx -> Tid.t
 (** Must return a member of [c_enabled]. *)
+
+val uniform_pick : Random.State.t -> ctx -> Tid.t
+(** A uniformly random member of [c_enabled]: one
+    [Random.State.int rng c_n_enabled] draw, made on a single enabled
+    thread too so that the stream of draws does not depend on the set's
+    size, then a walk to that index. Allocates nothing.
+    @raise Invalid_argument if [c_n_enabled] exceeds the list's length,
+    which the engine never lets happen. *)
 
 exception Cut
 (** Raised by a scheduler to abandon the current execution when every

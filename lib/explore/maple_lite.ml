@@ -92,15 +92,7 @@ let observe_run_pairs p (ev : Event.t) =
    preemptions; we model that as round-robin with sparse random
    deviations. *)
 let profile_choose rng (ctx : Runtime.ctx) =
-  if Random.State.int rng 16 = 0 then
-    match ctx.c_enabled with
-    | [ t ] ->
-        (* still draw, keeping the RNG stream identical *)
-        ignore (Random.State.int rng 1 : int);
-        t
-    | enabled ->
-        let enabled = Array.of_list enabled in
-        enabled.(Random.State.int rng (Array.length enabled))
+  if Random.State.int rng 16 = 0 then Runtime.uniform_pick rng ctx
   else Replay.round_robin ctx
 
 (* Candidates = unobserved reversals on promoted locations, in the

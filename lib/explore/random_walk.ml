@@ -4,20 +4,6 @@ open Sct_core
    re-seeded per run, so any contiguous sharding of the run range replays
    the sequential campaign exactly (lib/parallel relies on this). *)
 
-(* One uniform draw per scheduling point. On a singleton enabled set the
-   draw is still performed, so the RNG stream matches the general case
-   exactly. *)
-let uniform_choose rng (ctx : Runtime.ctx) =
-  match ctx.c_enabled with
-  | [ t ] ->
-      ignore (Random.State.int rng 1 : int);
-      t
-  | enabled ->
-      (* one O(n) conversion, then O(1) indexing — [List.nth] here cost a
-         second traversal of the enabled list at every decision *)
-      let enabled = Array.of_list enabled in
-      enabled.(Random.State.int rng (Array.length enabled))
-
 let strategy ?(seed = 0) ?(lo = 0) () : Strategy.t =
   (module struct
     let technique = "Rand"
@@ -46,7 +32,7 @@ let strategy ?(seed = 0) ?(lo = 0) () : Strategy.t =
       st.i <- st.i + 1
 
     let listener _ = None
-    let choose st ctx = uniform_choose st.rng ctx
+    let choose st ctx = Runtime.uniform_pick st.rng ctx
     let on_terminal _ _ =
       { Strategy.v_counts = true; v_phase_over = false; v_cut = false }
   end)

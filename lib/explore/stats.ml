@@ -18,18 +18,22 @@ module Sched_set = struct
     else if tid < escape then 1
     else 9
 
+  let add_tid buf tid =
+    if width tid = 1 then Buffer.add_char buf (Char.unsafe_chr tid)
+    else begin
+      Buffer.add_char buf '\255';
+      Buffer.add_int64_be buf (Int64.of_int tid)
+    end
+
+  let key_of_buffer buf =
+    let k = Buffer.contents buf in
+    Buffer.clear buf;
+    k
+
   let key_of_map buf f l =
     Buffer.clear buf;
-    List.iter
-      (fun x ->
-        let tid = f x in
-        if width tid = 1 then Buffer.add_char buf (Char.unsafe_chr tid)
-        else begin
-          Buffer.add_char buf '\255';
-          Buffer.add_int64_be buf (Int64.of_int tid)
-        end)
-      l;
-    Buffer.contents buf
+    List.iter (fun x -> add_tid buf (f x)) l;
+    key_of_buffer buf
 
   (* [Driver] packs every counted schedule, so this path writes the bytes
      in place rather than through a [Buffer]. *)
@@ -62,6 +66,15 @@ module Sched_set = struct
       x :: map_from f k (pos + width tid)
 
   let map_key f k = map_from f k 0
+
+  let rec iter_from f k pos =
+    if pos < String.length k then begin
+      let tid = tid_at k pos in
+      f tid;
+      iter_from f k (pos + width tid)
+    end
+
+  let iter_key f k = iter_from f k 0
 
   let empty = S.empty
   let add l t = S.add (key_of_list l) t

@@ -30,8 +30,9 @@ module Sched_set : sig
 
   (** {2 Packed keys}
 
-      The store codec writes and reads a set key by key, so that no
-      schedule is ever held as a list of thread ids. *)
+      The store codec writes and reads a set key by key, and a key thread
+      id by thread id, so that no schedule is ever held as a list of
+      thread ids. *)
 
   type key = private string
   (** One packed schedule. [String.compare] on keys is [Stdlib.compare] on
@@ -46,10 +47,23 @@ module Sched_set : sig
   (** [map_key f k] lists [f tid] for the thread ids [tid] of [k], in
       order, without building a list of the ids. *)
 
+  val iter_key : (Sct_core.Tid.t -> unit) -> key -> unit
+  (** [iter_key f k] applies [f] to the thread ids of [k] in order; it
+      allocates nothing. *)
+
+  val add_tid : Buffer.t -> Sct_core.Tid.t -> unit
+  (** [add_tid buf tid] appends the packing of [tid] to [buf], which must
+      hold nothing but packings appended since it was last cleared.
+      @raise Invalid_argument on a negative thread id. *)
+
+  val key_of_buffer : Buffer.t -> key
+  (** The key of the thread ids appended to [buf] by {!add_tid}, in order.
+      [buf] is cleared, so the caller may reuse it from key to key. *)
+
   val key_of_map : Buffer.t -> ('a -> Sct_core.Tid.t) -> 'a list -> key
   (** [key_of_map buf f l] packs the thread ids [f x] of the elements [x]
-      of [l], in order. [buf] is cleared first and holds nothing the key
-      needs afterwards, so the caller may reuse it from key to key.
+      of [l], in order: {!add_tid} on each, then {!key_of_buffer}. [buf]
+      is cleared first.
       @raise Invalid_argument on a negative thread id. *)
 end
 

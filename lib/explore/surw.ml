@@ -60,13 +60,7 @@ let surw_choose rs (ctx : Runtime.ctx) =
   let chosen =
     if total = 0 then
       (* all budgets spent: the estimate was short, fall back to uniform *)
-      match ctx.c_enabled with
-      | [ t ] ->
-          ignore (Random.State.int rs.rng 1 : int);
-          t
-      | enabled ->
-          let enabled = Array.of_list enabled in
-          enabled.(Random.State.int rs.rng (Array.length enabled))
+      Runtime.uniform_pick rs.rng ctx
     else begin
       (* one draw per point, weighted by events left *)
       let x = ref (Random.State.int rs.rng total) in

@@ -7,21 +7,9 @@ let detect_batch ~runs ~seed ~max_steps ~promote d program =
   for i = 0 to runs - 1 do
     Detector.reset_execution d;
     let rng = Random.State.make [| seed; i |] in
-    let scheduler (ctx : Runtime.ctx) =
-      match ctx.c_enabled with
-      | [ t ] ->
-          (* still draw, keeping the RNG stream identical *)
-          ignore (Random.State.int rng 1 : int);
-          t
-      | enabled ->
-          (* one O(n) conversion, then O(1) indexing (same RNG draw
-             sequence) *)
-          let enabled = Array.of_list enabled in
-          enabled.(Random.State.int rng (Array.length enabled))
-    in
     let result =
       Runtime.exec ~promote ~listener:(Detector.listener d) ~max_steps
-        ~record_decisions:false ~scheduler program
+        ~record_decisions:false ~scheduler:(Runtime.uniform_pick rng) program
     in
     ignore result.Runtime.r_outcome
   done

@@ -14,6 +14,7 @@ type t = {
   t_dir : string;
   journal : string;
   mutable chan : out_channel option;
+  line : Buffer.t;  (** every journal line is printed here, then output *)
   tbl : (string, entry) Hashtbl.t;
   mutable order : string list;  (** reverse insertion order of distinct keys *)
   mutable needs_newline : bool;
@@ -72,44 +73,71 @@ let fingerprint ~bench ~technique (o : Techniques.options) =
 (* The "progress" field is emitted only on campaign records, so cells
    written by the one-shot study runner keep the version-1 wire format
    byte-for-byte. *)
+let add_entry buf key e =
+  Json.add_member buf '{' "v";
+  Json.add_int buf Codec.version;
+  Json.add_member buf ',' "key";
+  Json.add_string buf key;
+  Json.add_member buf ',' "bench";
+  Json.add_string buf e.e_bench;
+  Json.add_member buf ',' "technique";
+  Json.add_string buf e.e_technique;
+  Json.add_member buf ',' "racy";
+  Json.add_int buf e.e_racy;
+  Json.add_member buf ',' "stats";
+  Codec.add_stats buf e.e_stats;
+  Json.add_member buf ',' "witness";
+  (match e.e_witness with
+  | None -> Buffer.add_string buf "null"
+  | Some d -> Json.add_string buf d);
+  (match e.e_progress with
+  | None -> ()
+  | Some p ->
+      Json.add_member buf ',' "progress";
+      Json.add buf (Codec.progress_to_json p));
+  Buffer.add_char buf '}'
+
 let entry_to_line key e =
-  Json.to_string
-    (Json.Obj
-       ([
-          ("v", Json.Int Codec.version);
-          ("key", Json.Str key);
-          ("bench", Json.Str e.e_bench);
-          ("technique", Json.Str e.e_technique);
-          ("racy", Json.Int e.e_racy);
-          ("stats", Codec.stats_to_json e.e_stats);
-          ( "witness",
-            match e.e_witness with None -> Json.Null | Some d -> Json.Str d );
-        ]
-       @
-       match e.e_progress with
-       | None -> []
-       | Some p -> [ ("progress", Codec.progress_to_json p) ]))
+  let buf = Buffer.create 256 in
+  add_entry buf key e;
+  Buffer.contents buf
+
+(* One record and its newline into the store's buffer, so that writing a
+   journal line allocates no string. *)
+let print_line t key e =
+  Buffer.clear t.line;
+  add_entry t.line key e;
+  Buffer.add_char t.line '\n'
 
 (* [None] on any malformed line: the only way a record can be malformed is a
    write torn by a crash (or a foreign line), and resuming past it merely
    re-executes that cell. *)
 let entry_of_line line =
-  match Json.of_string line with
-  | exception Json.Parse_error _ -> None
-  | j -> (
-      try
-        Codec.check_version j;
-        Some
-          ( Codec.get_string (Codec.field j "key"),
-            {
-              e_bench = Codec.get_string (Codec.field j "bench");
-              e_technique = Codec.get_string (Codec.field j "technique");
-              e_racy = Codec.get_int (Codec.field j "racy");
-              e_stats = Codec.stats_of_json (Codec.field j "stats");
-              e_witness = Codec.opt_field j "witness" Codec.get_string;
-              e_progress = Codec.opt_field j "progress" Codec.progress_of_json;
-            } )
-      with Codec.Error _ -> None)
+  let stats = ref None in
+  match
+    let r = Json.reader line in
+    let j =
+      Codec.read_object r
+        [ ("stats", fun r -> stats := Some (Codec.read_stats r)) ]
+    in
+    Json.finish r;
+    Codec.check_version j;
+    ( Codec.get_string (Codec.field j "key"),
+      {
+        e_bench = Codec.get_string (Codec.field j "bench");
+        e_technique = Codec.get_string (Codec.field j "technique");
+        e_racy = Codec.get_int (Codec.field j "racy");
+        e_stats = Codec.streamed j "stats" !stats;
+        e_witness = Codec.opt_field j "witness" Codec.get_string;
+        e_progress = Codec.opt_field j "progress" Codec.progress_of_json;
+      } )
+  with
+  | entry -> Some entry
+  | exception (Json.Parse_error _ | Codec.Error _) -> None
+
+let remember t key e =
+  if not (Hashtbl.mem t.tbl key) then t.order <- key :: t.order;
+  Hashtbl.replace t.tbl key e
 
 let rec mkdir_p dir =
   if not (Sys.file_exists dir) then begin
@@ -119,38 +147,47 @@ let rec mkdir_p dir =
     with Sys_error _ when Sys.file_exists dir -> ()
   end
 
+(* Line by line, so that neither the whole journal nor a split copy of it
+   is ever held. *)
+let read_journal t ic =
+  let len = in_channel_length ic in
+  if len > 0 then begin
+    seek_in ic (len - 1);
+    t.needs_newline <- input_char ic <> '\n';
+    seek_in ic 0
+  end;
+  let rec loop () =
+    match input_line ic with
+    | exception End_of_file -> ()
+    | line ->
+        (if String.trim line <> "" then
+           match entry_of_line line with
+           | Some (key, e) -> remember t key e
+           | None -> ());
+        loop ()
+  in
+  loop ()
+
 let open_ ~dir =
   mkdir_p dir;
   let journal = journal_file dir in
-  let tbl = Hashtbl.create 64 in
-  let order = ref [] in
-  let needs_newline = ref false in
+  let t =
+    {
+      t_dir = dir;
+      journal;
+      chan = None;
+      line = Buffer.create 4096;
+      tbl = Hashtbl.create 64;
+      order = [];
+      needs_newline = false;
+    }
+  in
   if Sys.file_exists journal then begin
     let ic = open_in_bin journal in
-    let content =
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    let len = String.length content in
-    needs_newline := len > 0 && content.[len - 1] <> '\n';
-    String.split_on_char '\n' content
-    |> List.iter (fun line ->
-           if String.trim line <> "" then
-             match entry_of_line line with
-             | Some (key, e) ->
-                 if not (Hashtbl.mem tbl key) then order := key :: !order;
-                 Hashtbl.replace tbl key e
-             | None -> ())
+    Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () ->
+        read_journal t ic)
   end;
-  {
-    t_dir = dir;
-    journal;
-    chan = None;
-    tbl;
-    order = !order;
-    needs_newline = !needs_newline;
-  }
+  t
 
 let channel t =
   match t.chan with
@@ -170,11 +207,10 @@ let channel t =
 
 let add t ~key entry =
   let oc = channel t in
-  output_string oc (entry_to_line key entry);
-  output_char oc '\n';
+  print_line t key entry;
+  Buffer.output_buffer oc t.line;
   flush oc;
-  if not (Hashtbl.mem t.tbl key) then t.order <- key :: t.order;
-  Hashtbl.replace t.tbl key entry
+  remember t key entry
 
 let record ?progress t ~key ~bench ~technique ~racy ~options (stats : Stats.t)
     =
@@ -277,8 +313,8 @@ let compact t =
   (try
      List.iter
        (fun (key, e) ->
-         output_string oc (entry_to_line key e);
-         output_char oc '\n')
+         print_line t key e;
+         Buffer.output_buffer oc t.line)
        (entries_any t);
      close_out oc
    with exn ->

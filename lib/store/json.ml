@@ -11,10 +11,12 @@ exception Parse_error of { pos : int; msg : string }
 let parse_error pos msg = raise (Parse_error { pos; msg })
 
 (* Journals store every distinct schedule as an integer array, so the
-   printer and the scanner below run over megabytes of small integers on
+   printer and the reader below run over megabytes of small integers on
    each campaign slice and resume. Both allocate nothing per byte: the
-   printer only grows its output buffer, and the scanner only builds the
-   tree it returns (with a buffer for a string that holds escapes). *)
+   printer only grows its output buffer, and the reader builds only what
+   its caller asks for (a tree from [read_value], nothing from
+   [iter_array] and [read_int]), plus a buffer for a string that holds
+   escapes. *)
 
 (* --- printing --- *)
 
@@ -62,7 +64,7 @@ let add_int buf i =
   end
   else add_digits buf (-i)
 
-let rec write buf = function
+let rec add buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Int i -> add_int buf i
@@ -70,44 +72,50 @@ let rec write buf = function
   | Arr [] -> Buffer.add_string buf "[]"
   | Arr (v :: l) ->
       Buffer.add_char buf '[';
-      write buf v;
-      write_items buf l;
+      add buf v;
+      add_items buf l;
       Buffer.add_char buf ']'
   | Obj [] -> Buffer.add_string buf "{}"
   | Obj (f :: l) ->
       Buffer.add_char buf '{';
-      write_field buf f;
-      write_fields buf l;
+      add_field buf f;
+      add_fields buf l;
       Buffer.add_char buf '}'
 
-and write_items buf = function
+and add_items buf = function
   | [] -> ()
   | v :: l ->
       Buffer.add_char buf ',';
-      write buf v;
-      write_items buf l
+      add buf v;
+      add_items buf l
 
-and write_field buf (k, v) =
+and add_field buf (k, v) =
   add_string buf k;
   Buffer.add_char buf ':';
-  write buf v
+  add buf v
 
-and write_fields buf = function
+and add_fields buf = function
   | [] -> ()
   | f :: l ->
       Buffer.add_char buf ',';
-      write_field buf f;
-      write_fields buf l
+      add_field buf f;
+      add_fields buf l
+
+let add_member buf sep name =
+  Buffer.add_char buf sep;
+  add_string buf name;
+  Buffer.add_char buf ':'
 
 let to_string v =
   let buf = Buffer.create 256 in
-  write buf v;
+  add buf v;
   Buffer.contents buf
 
-(* --- parsing --- *)
+(* --- reading --- *)
 
-type scanner = { s : string; n : int; mutable pos : int }
+type reader = { s : string; n : int; mutable pos : int }
 
+let reader s = { s; n = String.length s; pos = 0 }
 let looking_at st c = st.pos < st.n && String.unsafe_get st.s st.pos = c
 
 let skip_ws st =
@@ -198,6 +206,7 @@ let rec escaped_string st buf =
         st.pos <- st.pos + 1;
         escaped_string st buf
 
+(* A string at the cursor, after any whitespace the caller skipped. *)
 let parse_string st =
   expect st '"';
   let start = st.pos in
@@ -239,74 +248,124 @@ let parse_int st =
      | _ -> ());
   let digits = !i - first in
   if digits = 0 then parse_error start "bad number"
-  else if digits <= 18 then Int (if first > start then - !acc else !acc)
+  else if digits <= 18 then if first > start then - !acc else !acc
   else
     match int_of_string_opt (String.sub st.s start (!i - start)) with
-    | Some v -> Int v
+    | Some v -> v
     | None -> parse_error start "bad number"
 
-let rec parse_value st =
+let read_int st =
+  skip_ws st;
+  parse_int st
+
+(* Arrays and objects share their punctuation: [nonempty] runs just past
+   the opening bracket, [more] just after an element. *)
+let nonempty st close =
+  skip_ws st;
+  if looking_at st close then begin
+    st.pos <- st.pos + 1;
+    false
+  end
+  else true
+
+let more st close msg =
+  skip_ws st;
+  if looking_at st ',' then begin
+    st.pos <- st.pos + 1;
+    true
+  end
+  else if looking_at st close then begin
+    st.pos <- st.pos + 1;
+    false
+  end
+  else parse_error st.pos msg
+
+let more_items st = more st ']' "expected ',' or ']'"
+let more_fields st = more st '}' "expected ',' or '}'"
+
+let member_name st =
+  skip_ws st;
+  let k = parse_string st in
+  skip_ws st;
+  expect st ':';
+  k
+
+let iter_array st f =
+  skip_ws st;
+  expect st '[';
+  if nonempty st ']' then begin
+    f st;
+    while more_items st do
+      f st
+    done
+  end
+
+let iter_object st f =
+  skip_ws st;
+  expect st '{';
+  if nonempty st '}' then begin
+    let continue = ref true in
+    while !continue do
+      f (member_name st) st;
+      continue := more_fields st
+    done
+  end
+
+(* The first byte of a value decides its kind; [read_value] and
+   [skip_value] take the same branches, so they accept and refuse the same
+   inputs. *)
+let value_start st =
   skip_ws st;
   if st.pos >= st.n then parse_error st.pos "unexpected end of input";
-  match String.unsafe_get st.s st.pos with
+  String.unsafe_get st.s st.pos
+
+let unexpected st c = parse_error st.pos (Printf.sprintf "unexpected %C" c)
+
+let rec read_value st =
+  match value_start st with
   | 'n' -> literal st "null" Null
   | 't' -> literal st "true" (Bool true)
   | 'f' -> literal st "false" (Bool false)
   | '"' -> Str (parse_string st)
   | '[' ->
       st.pos <- st.pos + 1;
-      skip_ws st;
-      if looking_at st ']' then begin
-        st.pos <- st.pos + 1;
-        Arr []
-      end
-      else Arr (parse_items st)
+      if nonempty st ']' then Arr (read_items st) else Arr []
   | '{' ->
       st.pos <- st.pos + 1;
-      skip_ws st;
-      if looking_at st '}' then begin
-        st.pos <- st.pos + 1;
-        Obj []
-      end
-      else Obj (parse_fields st)
-  | '-' | '0' .. '9' -> parse_int st
-  | c -> parse_error st.pos (Printf.sprintf "unexpected %C" c)
+      if nonempty st '}' then Obj (read_fields st) else Obj []
+  | '-' | '0' .. '9' -> Int (parse_int st)
+  | c -> unexpected st c
 
-and[@tail_mod_cons] parse_items st =
-  let v = parse_value st in
-  skip_ws st;
-  if looking_at st ',' then begin
-    st.pos <- st.pos + 1;
-    v :: parse_items st
-  end
-  else if looking_at st ']' then begin
-    st.pos <- st.pos + 1;
-    [ v ]
-  end
-  else (parse_error [@tailcall false]) st.pos "expected ',' or ']'"
+and[@tail_mod_cons] read_items st =
+  let v = read_value st in
+  if more_items st then v :: read_items st else [ v ]
 
-and[@tail_mod_cons] parse_fields st =
+and[@tail_mod_cons] read_fields st =
+  let k = member_name st in
+  let v = read_value st in
+  if more_fields st then (k, v) :: read_fields st else [ (k, v) ]
+
+let rec skip_value st =
+  match value_start st with
+  | 'n' -> literal st "null" ()
+  | 't' -> literal st "true" ()
+  | 'f' -> literal st "false" ()
+  | '"' -> ignore (parse_string st : string)
+  | '[' -> iter_array st skip_value
+  | '{' -> iter_object st skip_member
+  | '-' | '0' .. '9' -> ignore (parse_int st : int)
+  | c -> unexpected st c
+
+and skip_member _ st = skip_value st
+
+let finish st =
   skip_ws st;
-  let k = parse_string st in
-  skip_ws st;
-  expect st ':';
-  let v = parse_value st in
-  skip_ws st;
-  if looking_at st ',' then begin
-    st.pos <- st.pos + 1;
-    (k, v) :: parse_fields st
-  end
-  else if looking_at st '}' then begin
-    st.pos <- st.pos + 1;
-    [ (k, v) ]
-  end
-  else (parse_error [@tailcall false]) st.pos "expected ',' or '}'"
+  if st.pos <> st.n then parse_error st.pos "trailing garbage"
 
 let of_string s =
-  let st = { s; n = String.length s; pos = 0 } in
-  let v = parse_value st in
-  skip_ws st;
-  if st.pos <> st.n then parse_error st.pos "trailing garbage";
+  let st = reader s in
+  let v = read_value st in
+  finish st;
   v
 
 let member k = function Obj l -> List.assoc_opt k l | _ -> None

@@ -166,9 +166,11 @@ let test_replay_missing_digest () =
   Alcotest.(check bool) "says which digest is missing" true
     (contains ~needle:"no artifact" out)
 
-(* Numeric flags are checked where they are parsed: an out-of-range value
+(* Numeric and selection flags are checked where they are parsed: an
+   out-of-range value, an unknown suite or an id that selects no benchmark
    is a command-line error (exit 124) naming the option, never an uncaught
-   exception (exit 125), a bogus report or a silent miscount. *)
+   exception (exit 125), a bogus report, an empty table or a silent
+   miscount. *)
 let test_numeric_flags_checked () =
   let store = fresh_store () in
   List.iter
@@ -195,12 +197,27 @@ let test_numeric_flags_checked () =
       ("run CS.reorder_3_bad -t fair --fair-bound=-1", "--fair-bound");
       ("run CS.reorder_3_bad -t length --length-bound=-1", "--length-bound");
       ("fuzz --count 2 --max-steps 0", "--max-steps");
+      ("table3 --suite nope", "--suite");
+      ("table3 --suite cs --id=-1 --limit 10", "--id");
+      ("table3 --suite parsec --id 0 --limit 10", "--id");
+      (Printf.sprintf "campaign run --store %s --id 999" (Filename.quote store),
+       "--id");
+      ("run CS.reorder_3_bad -t dfs --time-limit=-1 --limit 100", "--time-limit");
+      ("run CS.reorder_3_bad -t dfs --time-limit 0 --limit 100", "--time-limit");
+      ("run CS.reorder_3_bad -t dfs --time-limit=nan --limit 100", "--time-limit");
+      ("run CS.reorder_3_bad -t dfs --time-limit=inf --limit 100", "--time-limit");
     ];
   Alcotest.(check bool) "no store was created" false (Sys.file_exists store);
   let code, out = run_cli "fuzz --count 0" in
   if code <> 0 then Alcotest.failf "fuzz --count 0: exit %d:\n%s" code out;
   Alcotest.(check bool) "fuzz --count 0 checks nothing" true
-    (contains ~needle:"fuzz: 0 programs" out)
+    (contains ~needle:"fuzz: 0 programs" out);
+  let code, out =
+    run_cli "run CS.reorder_3_bad -t dfs --time-limit 0.5 --limit 100"
+  in
+  if code <> 0 then Alcotest.failf "--time-limit 0.5: exit %d:\n%s" code out;
+  Alcotest.(check bool) "a positive time limit still runs" true
+    (contains ~needle:"total=100" out)
 
 let suites =
   [

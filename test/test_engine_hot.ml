@@ -120,8 +120,10 @@ let build { threads } () =
 
 let tids l = String.concat "," (List.map string_of_int l)
 
-(* A random scheduler that cross-checks the incremental enabled set (and
-   its fingerprint) against the from-scratch reference at every decision.
+(* A random scheduler that cross-checks the incremental enabled set (its
+   fingerprint and its size [c_n_enabled]) against the from-scratch
+   reference at every decision, and [Runtime.uniform_pick] against the
+   array-indexing pick it replaced.
    The enabled list is reused across decisions until a bit flips, so the
    set check also pins the reuse's invalidation. It also checks the
    bound-cost kernel: every enabled thread's preemption and delay cost must
@@ -137,6 +139,27 @@ let checking_scheduler rng (ctx : Runtime.ctx) =
     failwith
       (Printf.sprintf "fingerprint divergence at step %d on [%s]" ctx.c_step
          (tids ctx.c_enabled));
+  if ctx.c_n_enabled <> List.length ctx.c_enabled then
+    failwith
+      (Printf.sprintf "c_n_enabled = %d at step %d on [%s]" ctx.c_n_enabled
+         ctx.c_step (tids ctx.c_enabled));
+  (* the one uniform pick makes the draw the random schedulers always made:
+     [int rng 1] on a single thread, else an index into the array *)
+  let copy = Random.State.copy rng in
+  let reference =
+    match ctx.c_enabled with
+    | [ t ] ->
+        ignore (Random.State.int copy 1 : int);
+        t
+    | enabled ->
+        let enabled = Array.of_list enabled in
+        enabled.(Random.State.int copy (Array.length enabled))
+  in
+  let ours = Random.State.copy rng in
+  if
+    Runtime.uniform_pick ours ctx <> reference
+    || Random.State.bits ours <> Random.State.bits copy
+  then failwith (Printf.sprintf "uniform_pick diverges at step %d" ctx.c_step);
   let last = ctx.c_last and n = ctx.c_n_threads in
   List.iter
     (fun t ->

@@ -43,7 +43,14 @@ let with_dir f =
 let gen_raw_string =
   QCheck2.Gen.(string_size ~gen:(char_range '\000' '\255') (int_bound 12))
 
-let gen_schedule = QCheck2.Gen.(list_size (int_bound 12) (int_bound 6))
+(* Thread ids on both sides of the packed keys' one-byte limit (255) and
+   far beyond it. *)
+let gen_tid =
+  QCheck2.Gen.(
+    frequency
+      [ (6, int_bound 6); (1, int_range 253 257); (1, oneofl [ 65535; max_int ]) ])
+
+let gen_schedule = QCheck2.Gen.(list_size (int_bound 12) gen_tid)
 
 let gen_bug =
   QCheck2.Gen.(
@@ -55,13 +62,14 @@ let gen_bug =
         Outcome.Memory_error msg;
         Outcome.Uncaught_exn msg;
         Outcome.Deadlock [ 1; 2; 3 ];
+        Outcome.Deadlock [ 0; 300 ];
         Outcome.Deadlock [];
       ])
 
 let gen_witness =
   QCheck2.Gen.(
     let* w_bug = gen_bug in
-    let* w_by = int_bound 6 in
+    let* w_by = gen_tid in
     let* sched = gen_schedule in
     let* w_pc = int_bound 5 in
     let* w_dc = int_bound 8 in
@@ -108,6 +116,10 @@ let gen_options =
         length_bound;
       })
 
+(* Zero often enough that the members emitted only when nonzero are both
+   emitted and left out. *)
+let gen_count bound = QCheck2.Gen.(frequency [ (1, return 0); (3, int_bound bound) ])
+
 let gen_stats =
   QCheck2.Gen.(
     let* technique = oneofl [ "IPB"; "IDB"; "DFS"; "Rand"; "MapleAlg" ] in
@@ -125,9 +137,10 @@ let gen_stats =
     let* max_enabled = int_bound 8 in
     let* max_sched_points = int_bound 100 in
     let* executions = int_bound 10_000 in
-    let* steps_executed = int_bound 500_000 in
-    let* steps_saved = int_bound 500_000 in
-    let* por_pruned = int_bound 10_000 in
+    let* steps_executed = gen_count 500_000 in
+    let* steps_saved = gen_count 500_000 in
+    let* por_pruned = gen_count 10_000 in
+    let* cut_runs = gen_count 100 in
     let* distinct = option (list_size (int_bound 6) gen_schedule) in
     return
       {
@@ -149,6 +162,7 @@ let gen_stats =
         steps_executed;
         steps_saved;
         por_pruned;
+        cut_runs;
         distinct_schedules = Option.map Stats.Sched_set.of_list distinct;
       })
 
@@ -732,13 +746,7 @@ let list_distinct_to_json set =
        (fun sched -> Json.Arr (List.map (fun t -> Json.Int t) sched))
        (List_set.elements set))
 
-(* Thread ids on both sides of the one-byte limit and far beyond it. *)
-let gen_wide_schedule =
-  QCheck2.Gen.(
-    list_size (int_bound 8)
-      (oneof [ int_bound 6; int_range 253 257; oneofl [ 65535; max_int ] ]))
-
-let gen_wide_schedules = QCheck2.Gen.(list_size (int_bound 8) gen_wide_schedule)
+let gen_wide_schedules = QCheck2.Gen.(list_size (int_bound 8) gen_schedule)
 
 let pack =
   let buf = Buffer.create 16 in
@@ -840,9 +848,10 @@ let test_noncanonical_distinct_rejected () =
         (Db.find_any db k = None);
       Db.close db)
 
-(* The gates below fail on a set of [Tid.t list]s (3.00 words per step) and
-   on a codec that goes through such lists (2.50 and 3.99 minor words per
-   byte). *)
+(* The gates below fail on a set of [Tid.t list]s (3.00 words per step), on
+   a codec that goes through such lists (2.50 and 3.99 minor words per
+   byte) and on one that builds a tree node per thread id (1.50 and
+   2.50). *)
 let test_distinct_size () =
   let stats = Lazy.force streamcluster2_rand in
   let set = Option.get stats.Stats.distinct_schedules in
@@ -860,14 +869,150 @@ let test_distinct_size () =
   let s = Codec.encode_stats stats in
   let encode = words_per_byte (fun () -> Codec.encode_stats stats) s in
   let decode = words_per_byte (fun () -> Codec.decode_stats s) s in
-  if encode > 1.75 then
-    Alcotest.failf "encoding allocates %.2f minor words per byte (limit 1.75)"
+  if encode > 0.05 then
+    Alcotest.failf "encoding allocates %.3f minor words per byte (limit 0.05)"
       encode;
-  if decode > 3.0 then
-    Alcotest.failf "decoding allocates %.2f minor words per byte (limit 3.0)"
+  if decode > 0.1 then
+    Alcotest.failf "decoding allocates %.3f minor words per byte (limit 0.1)"
       decode;
   Alcotest.(check bool) "the record round-trips" true
     (Stats.equal stats (Codec.decode_stats s))
+
+(* --- the streaming codec against the tree codec it replaced ---
+   [Codec_reference] is the codec before statistics were streamed, kept
+   verbatim. The streaming codec must print its bytes, and decode to an
+   equal value or refuse exactly when it does: on its encodings, on
+   re-printings with other whitespace, member orders, repeated and unknown
+   members, and on truncated and byte-mutated forms of all of them. *)
+
+let prop_encode_matches_reference =
+  QCheck2.Test.make ~name:"Codec: stats, witnesses and schedules print the \
+                           reference's bytes"
+    ~count:1000 gen_stats (fun s ->
+      Codec.encode_stats s = Codec_reference.encode_stats s
+      &&
+      match s.Stats.first_bug with
+      | None -> true
+      | Some w ->
+          Codec.encode_witness w = Codec_reference.encode_witness w
+          && Codec.encode_schedule w.Stats.w_schedule
+             = Codec_reference.encode_schedule w.Stats.w_schedule)
+
+let shuffle rng l =
+  List.map (fun x -> (Random.State.bits rng, x)) l
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  |> List.map snd
+
+let insert_at rng x l =
+  let i = Random.State.int rng (List.length l + 1) in
+  List.filteri (fun j _ -> j < i) l @ (x :: List.filteri (fun j _ -> j >= i) l)
+
+(* Values a repeated or unknown member may carry: a copy of the original,
+   or something ill-typed, negative or out of order. *)
+let stray_value rng v =
+  match Random.State.int rng 5 with
+  | 0 -> v
+  | 1 -> Json.Null
+  | 2 -> Json.Int (-1)
+  | 3 -> Json.Str "x"
+  | _ -> Json.Arr [ Json.Arr [ Json.Int 1 ]; Json.Arr [ Json.Int 0 ] ]
+
+(* [v] with members shuffled, repeated and added at every depth. *)
+let rec vary rng = function
+  | Json.Obj l ->
+      let l = List.map (fun (k, v) -> (k, vary rng v)) l in
+      let l = if Random.State.bool rng then shuffle rng l else l in
+      let l =
+        if l <> [] && Random.State.int rng 3 = 0 then
+          let k, v = List.nth l (Random.State.int rng (List.length l)) in
+          insert_at rng (k, stray_value rng v) l
+        else l
+      in
+      let l =
+        if Random.State.int rng 4 = 0 then
+          insert_at rng ("unknown", stray_value rng (Json.Arr [])) l
+        else l
+      in
+      Json.Obj l
+  | Json.Arr l -> Json.Arr (List.map (vary rng) l)
+  | v -> v
+
+(* [v] printed with random whitespace around every token. *)
+let print_spaced rng v =
+  let buf = Buffer.create 256 in
+  let ws () =
+    for _ = 1 to Random.State.int rng 3 do
+      Buffer.add_char buf [| ' '; '\n'; '\t'; '\r' |].(Random.State.int rng 4)
+    done
+  in
+  let rec go v =
+    ws ();
+    (match v with
+    | Json.Arr l ->
+        Buffer.add_char buf '[';
+        List.iteri
+          (fun i x ->
+            if i > 0 then Buffer.add_char buf ',';
+            go x)
+          l;
+        ws ();
+        Buffer.add_char buf ']'
+    | Json.Obj l ->
+        Buffer.add_char buf '{';
+        List.iteri
+          (fun i (k, x) ->
+            if i > 0 then Buffer.add_char buf ',';
+            ws ();
+            Buffer.add_string buf (Json.to_string (Json.Str k));
+            ws ();
+            Buffer.add_char buf ':';
+            go x)
+          l;
+        ws ();
+        Buffer.add_char buf '}'
+    | v -> Buffer.add_string buf (Json.to_string v));
+    ws ()
+  in
+  go v;
+  Buffer.contents buf
+
+(* What may follow a record: whitespace, or garbage. *)
+let tails = [| " \r"; "x"; "}"; ","; "{}" |]
+
+let gen_variant encoded =
+  QCheck2.Gen.(
+    let* s = encoded in
+    let* seed = int in
+    let rng = Random.State.make [| seed |] in
+    let v = vary rng (Json.of_string s) in
+    oneofl
+      [
+        Json.to_string v;
+        print_spaced rng v;
+        s ^ tails.(Random.State.int rng (Array.length tails));
+      ])
+
+let gen_stats_inputs =
+  QCheck2.Gen.(
+    let encodings = map Codec.encode_stats gen_stats in
+    let variants = gen_variant encodings in
+    oneof [ encodings; variants; gen_mutated encodings; gen_mutated variants ])
+
+let decoded f s =
+  match f s with
+  | v -> Ok v
+  | exception (Codec.Error msg | Codec_reference.Error msg) -> Error msg
+
+let prop_decode_matches_reference =
+  QCheck2.Test.make
+    ~name:"Codec: stats decode to the reference's value or are refused"
+    ~count:3000 ~print:String.escaped gen_stats_inputs (fun s ->
+      match
+        (decoded Codec.decode_stats s, decoded Codec_reference.decode_stats s)
+      with
+      | Ok ours, Ok reference -> Stats.equal ours reference
+      | Error _, Error _ -> true
+      | _ -> false)
 
 (* --- artifacts --- *)
 
@@ -1255,6 +1400,94 @@ let prop_mutated_journal_opens =
           Db.close db;
           sound))
 
+(* A journal as [Db.open_] read it before statistics were streamed: the
+   whole file split on newlines, each line parsed as a tree and decoded by
+   the reference codec, the latest record of a key kept at its first
+   position. *)
+let reference_open content =
+  let module R = Codec_reference in
+  let decode line =
+    match Json.of_string line with
+    | exception Json.Parse_error _ -> None
+    | j -> (
+        try
+          R.check_version j;
+          Some
+            ( R.get_string (R.field j "key"),
+              ( R.get_string (R.field j "bench"),
+                R.get_string (R.field j "technique"),
+                R.get_int (R.field j "racy"),
+                R.stats_of_json (R.field j "stats"),
+                R.opt_field j "witness" R.get_string,
+                R.opt_field j "progress" (fun j ->
+                    let p = R.progress_of_json j in
+                    (p.R.p_consumed, p.R.p_slices, p.R.p_done)) ) )
+        with R.Error _ -> None)
+  in
+  let order = ref [] and tbl = Hashtbl.create 8 in
+  List.iter
+    (fun line ->
+      if String.trim line <> "" then
+        match decode line with
+        | Some (k, e) ->
+            if not (Hashtbl.mem tbl k) then order := k :: !order;
+            Hashtbl.replace tbl k e
+        | None -> ())
+    (String.split_on_char '\n' content);
+  List.rev_map (fun k -> (k, Hashtbl.find tbl k)) !order
+
+let gen_journal_text =
+  QCheck2.Gen.(
+    let* journal = gen_journal in
+    let* seed = int in
+    let* ms = list_size (int_bound 3) gen_mutation in
+    let text =
+      with_dir (fun dir ->
+          Db.close (build_store dir journal);
+          let file = Filename.concat dir "journal.jsonl" in
+          if Sys.file_exists file then read_file file else "")
+    in
+    let rng = Random.State.make [| seed |] in
+    let vary_line line =
+      if line = "" then line
+      else
+        match Random.State.int rng 4 with
+        | 0 -> line
+        | 1 -> line ^ tails.(Random.State.int rng (Array.length tails))
+        | _ ->
+            let v = vary rng (Json.of_string line) in
+            if Random.State.bool rng then Json.to_string v
+            else print_spaced rng v
+    in
+    let text =
+      String.concat "\n" (List.map vary_line (String.split_on_char '\n' text))
+    in
+    return (List.fold_left mutate text ms))
+
+let prop_journal_reads_like_reference =
+  QCheck2.Test.make
+    ~name:"Db.open_: a journal reads as the tree-based reader read it"
+    ~count:150 ~print:String.escaped gen_journal_text (fun text ->
+      with_dir (fun dir ->
+          write_file (Filename.concat dir "journal.jsonl") text;
+          let db = Db.open_ ~dir in
+          let ours = Db.entries_any db in
+          Db.close db;
+          let same (k, (e : Db.entry)) (k', (b, t, r, s, w, p)) =
+            k = k' && e.Db.e_bench = b && e.Db.e_technique = t
+            && e.Db.e_racy = r
+            && Stats.equal e.Db.e_stats s
+            && e.Db.e_witness = w
+            && Option.map
+                 (fun (p : Codec.progress) ->
+                   (p.Codec.p_consumed, p.Codec.p_slices, p.Codec.p_done))
+                 e.Db.e_progress
+               = p
+          in
+          let reference = reference_open text in
+          List.length ours = List.length reference
+          && List.for_all2 same ours reference))
+
 let test_merge_prefers_advanced () =
   let o = Techniques.default_options in
   let stats n = { (entry_stats "Rand" None) with Stats.total = n } in
@@ -1485,6 +1718,8 @@ let suites =
         Alcotest.test_case "negative counts, bounds and tids are refused"
           `Quick test_negative_stats_rejected;
         QCheck_alcotest.to_alcotest prop_mutated_stats_nonnegative;
+        QCheck_alcotest.to_alcotest prop_encode_matches_reference;
+        QCheck_alcotest.to_alcotest prop_decode_matches_reference;
       ] );
     ( "store.json",
       [
@@ -1527,6 +1762,7 @@ let suites =
         Alcotest.test_case "a record with a negative counter is re-executed"
           `Quick test_db_negative_record_skipped;
         QCheck_alcotest.to_alcotest prop_mutated_journal_opens;
+        QCheck_alcotest.to_alcotest prop_journal_reads_like_reference;
       ] );
     ( "store.merge",
       [
