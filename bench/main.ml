@@ -126,6 +126,14 @@ let bench_program name =
 
 let promote_all _ = true
 
+(* A campaign of one technique's registered strategy at the default
+   options, every location promoted. *)
+let campaign t ~limit program =
+  Sct_explore.Driver.explore ~promote:promote_all ~limit
+    (Sct_explore.Techniques.strategy Sct_explore.Techniques.default_options t
+       program)
+    program
+
 let perf_tests () =
   let small = bench_program "CS.twostage_bad" in
   let wsq = bench_program "chess.WSQ" in
@@ -155,9 +163,7 @@ let perf_tests () =
         Test.make ~name:"idb-campaign/twostage-100"
           (Staged.stage (fun () ->
                Sys.opaque_identity
-                 (Sct_explore.Bounded.explore ~promote:promote_all
-                    ~kind:Sct_explore.Bounded.Delay_bounding ~limit:25
-                    twostage_100)));
+                 (campaign Sct_explore.Techniques.IDB ~limit:25 twostage_100)));
       ]
   in
   let yield_loops =
@@ -170,13 +176,11 @@ let perf_tests () =
         Test.make ~name:"fair-bounding/spinwait"
           (Staged.stage (fun () ->
                Sys.opaque_identity
-                 (Sct_explore.Driver.explore ~promote:promote_all ~limit:300
-                    (Sct_explore.Axes.fair ()) spin)));
+                 (campaign Sct_explore.Techniques.Fair ~limit:300 spin)));
         Test.make ~name:"length-bounding/cas-yield"
           (Staged.stage (fun () ->
                Sys.opaque_identity
-                 (Sct_explore.Driver.explore ~promote:promote_all ~limit:300
-                    (Sct_explore.Axes.length ()) cas)));
+                 (campaign Sct_explore.Techniques.Length ~limit:300 cas)));
       ]
   in
   let techniques =
@@ -192,14 +196,11 @@ let perf_tests () =
         Test.make ~name:"ipb"
           (Staged.stage (fun () ->
                Sys.opaque_identity
-                 (Sct_explore.Bounded.explore ~promote:promote_all
-                    ~kind:Sct_explore.Bounded.Preemption_bounding ~limit:25
-                    small)));
+                 (campaign Sct_explore.Techniques.IPB ~limit:25 small)));
         Test.make ~name:"idb"
           (Staged.stage (fun () ->
                Sys.opaque_identity
-                 (Sct_explore.Bounded.explore ~promote:promote_all
-                    ~kind:Sct_explore.Bounded.Delay_bounding ~limit:25 small)));
+                 (campaign Sct_explore.Techniques.IDB ~limit:25 small)));
         Test.make ~name:"rand"
           (Staged.stage (fun () ->
                Sys.opaque_identity
@@ -335,11 +336,11 @@ let run_por () =
            else string_of_int r.Sct_explore.Dfs.counted)
           (if r.Sct_explore.Dfs.to_first_bug <> None then "*" else "")
       in
-      let show_p (r : Sct_explore.Por.result) =
+      let show_p (s : Sct_explore.Stats.t) =
         Printf.sprintf "%s%s"
-          (if r.Sct_explore.Por.hit_limit then "L"
-           else string_of_int r.Sct_explore.Por.counted)
-          (if r.Sct_explore.Por.to_first_bug <> None then "*" else "")
+          (if s.Sct_explore.Stats.hit_limit then "L"
+           else string_of_int s.Sct_explore.Stats.total)
+          (if s.Sct_explore.Stats.to_first_bug <> None then "*" else "")
       in
       let d =
         Sct_explore.Dfs.explore ~promote:promote_all

@@ -59,13 +59,33 @@ let ids_t =
   in
   Arg.(value & opt_all int [] & info [ "id" ] ~docv:"ID" ~doc)
 
-let techniques_t =
+(* -t is parsed once, here, for every command: an unknown name or a flag
+   that names nothing is a command-line error listing the valid names. *)
+let techniques_term ~default ~default_doc =
   let doc =
     "Techniques to run (ipb, idb, dfs, rand, pct, maple, surw, fair, \
      length, ivb, itb); repeatable and/or comma-separated, e.g. $(b,-t \
-     ipb,rand); default: the paper's five."
+     ipb,rand); default: " ^ default_doc ^ "."
   in
-  Arg.(value & opt_all string [] & info [ "technique"; "t" ] ~docv:"TECH" ~doc)
+  let parse specs =
+    match Sct_explore.Techniques.parse_list ~default specs with
+    | Ok ts -> `Ok ts
+    | Error msg -> `Error (true, "option '--technique': " ^ msg)
+  in
+  Term.(
+    ret
+      (const parse
+      $ Arg.(
+          value & opt_all string []
+          & info [ "technique"; "t" ] ~docv:"TECH" ~doc)))
+
+let techniques_t =
+  techniques_term ~default:Sct_explore.Techniques.all_paper
+    ~default_doc:"the paper's five"
+
+let all_techniques_t =
+  techniques_term ~default:Sct_explore.Techniques.all
+    ~default_doc:"all eleven"
 
 (* A wall-clock budget is a positive finite number of seconds: a zero or
    negative one would stop every campaign after one schedule, and nan would
@@ -111,6 +131,13 @@ let prefix_batch_t =
   in
   Arg.(value & flag & info [ "prefix-batch" ] ~doc)
 
+let por_mode_conv =
+  let parse s =
+    Result.map_error (fun m -> `Msg m) (Sct_explore.Por.parse_mode s)
+  in
+  let print ppf m = Format.pp_print_string ppf (Sct_explore.Por.mode_name m) in
+  Arg.conv ~docv:"MODE" (parse, print)
+
 let por_t =
   let doc =
     "Compose DFS/IPB/IDB with bounded partial-order reduction: $(docv) is \
@@ -119,16 +146,8 @@ let por_t =
      por_pruned); POR cells always run unbatched. Other techniques are \
      unaffected."
   in
-  Arg.(value & opt (some string) None & info [ "por" ] ~docv:"MODE" ~doc)
-
-let parse_por = function
-  | None -> None
-  | Some s -> (
-      match Sct_explore.Por.parse_mode s with
-      | Ok m -> Some m
-      | Error msg ->
-          prerr_endline msg;
-          exit 1)
+  Arg.(
+    value & opt (some por_mode_conv) None & info [ "por" ] ~docv:"MODE" ~doc)
 
 let fair_bound_t =
   let doc =
@@ -139,7 +158,7 @@ let fair_bound_t =
   in
   Arg.(
     value
-    & opt non_negative Sct_explore.Axes.default_fair_bound
+    & opt non_negative Sct_explore.Techniques.default_options.fair_bound
     & info [ "fair-bound" ] ~docv:"N" ~doc)
 
 let length_bound_t =
@@ -150,10 +169,10 @@ let length_bound_t =
   in
   Arg.(
     value
-    & opt non_negative Sct_explore.Axes.default_length_bound
+    & opt non_negative Sct_explore.Techniques.default_options.length_bound
     & info [ "length-bound" ] ~docv:"N" ~doc)
 
-(* The two Axes bounds travel together through [options_of]. *)
+(* The fair and length bounds travel together through [options_of]. *)
 let bounds_t = Term.(const (fun f l -> (f, l)) $ fair_bound_t $ length_bound_t)
 
 let store_t =
@@ -198,8 +217,8 @@ let resolve_jobs jobs =
 
 let options_of ?(jobs = 1) ?(prefix_batch = false) ?por ?time_limit
     ?(bounds =
-      ( Sct_explore.Axes.default_fair_bound,
-        Sct_explore.Axes.default_length_bound )) limit seed =
+      Sct_explore.Techniques.(default_options.fair_bound,
+                              default_options.length_bound)) limit seed =
   let fair_bound, length_bound = bounds in
   {
     Sct_explore.Techniques.default_options with
@@ -212,13 +231,6 @@ let options_of ?(jobs = 1) ?(prefix_batch = false) ?por ?time_limit
     fair_bound;
     length_bound;
   }
-
-let parse_techniques names =
-  match Sct_explore.Techniques.parse_list names with
-  | Ok ts -> ts
-  | Error msg ->
-      prerr_endline msg;
-      exit 1
 
 let corpus_t =
   let doc =
@@ -311,16 +323,14 @@ let detect_cmd =
 
 (* run one benchmark *)
 let run_cmd =
-  let run limit seed jobs prefix_batch por time_limit bounds techs store
-      resume name =
+  let run limit seed jobs prefix_batch por time_limit bounds techniques
+      store resume name =
     match Sctbench.Registry.by_name name with
     | None -> prerr_endline ("unknown benchmark: " ^ name); exit 1
     | Some b ->
         let o =
-          options_of ~jobs ~prefix_batch ?por:(parse_por por) ?time_limit
-            ~bounds limit seed
+          options_of ~jobs ~prefix_batch ?por ?time_limit ~bounds limit seed
         in
-        let techniques = parse_techniques techs in
         let store = open_store ~resume store in
         let row =
           Sct_parallel.Pool.with_pool ~jobs:o.Sct_explore.Techniques.jobs
@@ -505,32 +515,26 @@ let minimize_cmd =
 let por_cmd =
   let run limit name mode =
     with_bench name (fun b ->
-        let mode =
-          match Sct_explore.Por.parse_mode mode with
-          | Ok m -> m
-          | Error msg ->
-              prerr_endline msg;
-              exit 1
-        in
         (* POR needs full dependence information: promote everything *)
-        let r =
+        let s =
           Sct_explore.Por.explore ~promote:(fun _ -> true) ~mode ~limit
             b.Sctbench.Bench.program
         in
         Printf.printf
           "%s: %d schedules (%d sleep-pruned, %d executions), %d buggy, \
            complete=%b%s\n"
-          b.Sctbench.Bench.name r.Sct_explore.Por.counted
-          r.Sct_explore.Por.pruned_sleep r.Sct_explore.Por.executions
-          r.Sct_explore.Por.buggy r.Sct_explore.Por.complete
-          (match r.Sct_explore.Por.to_first_bug with
+          b.Sctbench.Bench.name s.Sct_explore.Stats.total
+          s.Sct_explore.Stats.por_pruned s.Sct_explore.Stats.executions
+          s.Sct_explore.Stats.buggy s.Sct_explore.Stats.complete
+          (match s.Sct_explore.Stats.to_first_bug with
           | Some i -> Printf.sprintf ", first bug at %d" i
           | None -> ""))
   in
   let name_t = Arg.(required & pos 0 (some string) None & info [] ~docv:"NAME") in
   let mode_t =
     Arg.(
-      value & opt string "both"
+      value
+      & opt por_mode_conv Sct_explore.Por.Dpor_sleep
       & info [ "mode" ] ~docv:"MODE" ~doc:"sleep, dpor, or dpor+sleep (alias: both).")
   in
   Cmd.v
@@ -542,15 +546,13 @@ let por_cmd =
 
 (* the full study: tables and figures *)
 let study what limit seed jobs prefix_batch por time_limit bounds benches
-    techs store resume =
+    techniques store resume =
   let o =
-    options_of ~jobs ~prefix_batch ?por:(parse_por por) ?time_limit ~bounds
-      limit seed
+    options_of ~jobs ~prefix_batch ?por ?time_limit ~bounds limit seed
   in
   match what with
   | `Table1 -> Sct_report.Table1.print benches
   | (`Table2 | `Table3 | `Fig2 | `Fig3 | `Fig4 | `Agreement | `Csv) as what ->
-      let techniques = parse_techniques techs in
       let store = open_store ~resume store in
       let rows =
         Sct_parallel.Pool.with_pool ~jobs:o.Sct_explore.Techniques.jobs
@@ -576,6 +578,19 @@ let study_cmd name what doc =
       const (study what) $ limit_t $ seed_t $ jobs_t $ prefix_batch_t $ por_t
       $ time_limit_t $ bounds_t $ benches_t $ techniques_t $ store_t
       $ resume_t)
+
+let vocab_conv =
+  let parse s =
+    match Sct_fuzz.Gen.vocab_of_name s with
+    | Some v -> Ok v
+    | None ->
+        Error
+          (`Msg
+             (Printf.sprintf "unknown vocabulary %S, expected one of classic, \
+                              async, full" s))
+  in
+  let print ppf v = Format.pp_print_string ppf (Sct_fuzz.Gen.vocab_name v) in
+  Arg.conv ~docv:"VOCAB" (parse, print)
 
 (* self-testing fuzz: generated programs under the differential oracle *)
 let fuzz_cmd =
@@ -606,30 +621,16 @@ let fuzz_cmd =
        statements), $(b,async) (biased toward futures, bounded channels \
        and the work-queue idiom) or $(b,full) (both, evenly mixed)."
     in
-    Arg.(value & opt string "classic" & info [ "vocab" ] ~docv:"VOCAB" ~doc)
+    Arg.(
+      value
+      & opt vocab_conv Sct_fuzz.Gen.Classic
+      & info [ "vocab" ] ~docv:"VOCAB" ~doc)
   in
-  let run seed count limit max_steps jobs prefix_batch por store techs vocab =
-    let techniques =
-      match
-        Sct_explore.Techniques.parse_list ~default:Sct_explore.Techniques.all
-          techs
-      with
-      | Ok ts -> ts
-      | Error msg ->
-          prerr_endline msg;
-          exit 1
-    in
-    let vocab =
-      match Sct_fuzz.Gen.vocab_of_name vocab with
-      | Some v -> v
-      | None ->
-          Printf.eprintf
-            "unknown vocabulary %s (expected classic, async or full)\n" vocab;
-          exit 1
-    in
+  let run seed count limit max_steps jobs prefix_batch por store techniques
+      vocab =
     let cfg =
-      { Sct_fuzz.Oracle.limit; max_steps; race_runs = 5; prefix_batch;
-        por = parse_por por; techniques }
+      { Sct_fuzz.Oracle.limit; max_steps; race_runs = 5; prefix_batch; por;
+        techniques }
     in
     (* program i is a pure function of (seed, i): shard across the pool,
        reassemble in index order — output is identical for every --jobs *)
@@ -669,7 +670,7 @@ let fuzz_cmd =
           minimal counterexamples.")
     Term.(
       const run $ seed_t $ count_t $ fuzz_limit_t $ max_steps_t $ jobs_t
-      $ prefix_batch_t $ por_t $ fuzz_store_t $ techniques_t $ vocab_t)
+      $ prefix_batch_t $ por_t $ fuzz_store_t $ all_techniques_t $ vocab_t)
 
 (* the corpus factory: mine, promote, stats, run *)
 let corpus_cmd =
@@ -700,7 +701,7 @@ let corpus_cmd =
     let doc = "Generator vocabulary: classic, async or full." in
     Arg.(
       value
-      & opt string (Sct_fuzz.Gen.vocab_name Mine.default_config.Mine.vocab)
+      & opt vocab_conv Mine.default_config.Mine.vocab
       & info [ "vocab" ] ~docv:"VOCAB" ~doc)
   in
   let shrink_checks_t =
@@ -714,25 +715,7 @@ let corpus_cmd =
     let doc = "The corpus directory." in
     Arg.(required & opt (some string) None & info [ "dir" ] ~docv:"DIR" ~doc)
   in
-  let mine_config seed count vocab limit max_steps techs shrink_checks =
-    let techniques =
-      match
-        Sct_explore.Techniques.parse_list ~default:Sct_explore.Techniques.all
-          techs
-      with
-      | Ok ts -> ts
-      | Error msg ->
-          prerr_endline msg;
-          exit 1
-    in
-    let vocab =
-      match Sct_fuzz.Gen.vocab_of_name vocab with
-      | Some v -> v
-      | None ->
-          Printf.eprintf
-            "unknown vocabulary %s (expected classic, async or full)\n" vocab;
-          exit 1
-    in
+  let mine_config seed count vocab limit max_steps techniques shrink_checks =
     {
       Mine.default_config with
       Mine.campaign_seed = seed;
@@ -871,7 +854,7 @@ let corpus_cmd =
             $(b,--store).")
       Term.(
         const run $ seed_t $ count_t $ vocab_t $ mine_limit_t $ max_steps_t
-        $ techniques_t $ shrink_checks_t $ jobs_t $ store_t $ resume_t)
+        $ all_techniques_t $ shrink_checks_t $ jobs_t $ store_t $ resume_t)
   in
   let promote_cmd =
     let run seed count vocab limit max_steps techs shrink_checks jobs store
@@ -895,7 +878,8 @@ let corpus_cmd =
             same mine is byte-identical.")
       Term.(
         const run $ seed_t $ count_t $ vocab_t $ mine_limit_t $ max_steps_t
-        $ techniques_t $ shrink_checks_t $ jobs_t $ store_t $ resume_t $ dir_t)
+        $ all_techniques_t $ shrink_checks_t $ jobs_t $ store_t $ resume_t
+        $ dir_t)
   in
   let stats_cmd =
     let run dir =
@@ -919,8 +903,8 @@ let corpus_cmd =
       Term.(const run $ dir_t)
   in
   let run_cmd =
-    let run dir limit seed jobs prefix_batch por time_limit bounds techs store
-        resume =
+    let run dir limit seed jobs prefix_batch por time_limit bounds techniques
+        store resume =
       load_corpus (Some dir);
       let benches = Sctbench.Registry.of_suite Sctbench.Bench.Corpus in
       if benches = [] then begin
@@ -928,10 +912,8 @@ let corpus_cmd =
         exit 1
       end;
       let o =
-        options_of ~jobs ~prefix_batch ?por:(parse_por por) ?time_limit
-          ~bounds limit seed
+        options_of ~jobs ~prefix_batch ?por ?time_limit ~bounds limit seed
       in
-      let techniques = parse_techniques techs in
       let store = open_store ~resume store in
       let rows =
         Sct_parallel.Pool.with_pool ~jobs:o.Sct_explore.Techniques.jobs
@@ -973,51 +955,32 @@ let campaign_store_t =
   in
   Arg.(required & opt (some string) None & info [ "store" ] ~docv:"DIR" ~doc)
 
-let policy_t =
-  let doc =
-    "Budget-allocation policy: $(b,uniform) (round-robin; completed \
-     campaigns reproduce the one-shot runner's outputs byte-for-byte) or \
-     $(b,bandit) (adaptive: budget flows to cells whose distinct-schedule \
-     coverage still grows and whose bound is still low)."
-  in
-  Arg.(value & opt string "uniform" & info [ "policy" ] ~docv:"POLICY" ~doc)
-
 let slice_t =
   let doc =
     "Budget slice (schedules) leased to a cell at a time; at least 1."
   in
   Arg.(value & opt positive 500 & info [ "slice" ] ~docv:"N" ~doc)
 
-let parse_policy s =
-  match Sct_campaign.Scheduler.policy_of_name s with
-  | Some p -> p
-  | None ->
-      Printf.eprintf "unknown policy %s (expected one of: %s)\n" s
-        (String.concat ", " Sct_campaign.Scheduler.policy_names);
-      exit 1
-
-let parse_shard s =
-  match String.index_opt s '/' with
-  | Some i -> (
-      let k = String.sub s 0 i
-      and n = String.sub s (i + 1) (String.length s - i - 1) in
-      match (int_of_string_opt k, int_of_string_opt n) with
-      | Some k, Some n when n >= 1 && k >= 0 && k < n -> (k, n)
-      | _ ->
-          Printf.eprintf "invalid shard %s (expected K/N with 0 <= K < N)\n" s;
-          exit 1)
-  | None ->
-      Printf.eprintf "invalid shard %s (expected K/N, e.g. 0/3)\n" s;
-      exit 1
+let shard_conv =
+  let parse s =
+    let error expected =
+      Error (`Msg (Printf.sprintf "invalid shard %S, expected %s" s expected))
+    in
+    match String.split_on_char '/' s with
+    | [ k; n ] -> (
+        match (int_of_string_opt k, int_of_string_opt n) with
+        | Some k, Some n when n >= 1 && k >= 0 && k < n -> Ok (k, n)
+        | _ -> error "K/N with 0 <= K < N")
+    | _ -> error "K/N, e.g. 0/3"
+  in
+  let print ppf (k, n) = Format.fprintf ppf "%d/%d" k n in
+  Arg.conv ~docv:"K/N" (parse, print)
 
 let run_campaign ~shard limit seed jobs prefix_batch por time_limit bounds
-    benches techs policy slice store =
+    benches techniques slice store =
   let o =
-    options_of ~jobs ~prefix_batch ?por:(parse_por por) ?time_limit ~bounds
-      limit seed
+    options_of ~jobs ~prefix_batch ?por ?time_limit ~bounds limit seed
   in
-  let techniques = parse_techniques techs in
-  let policy = parse_policy policy in
   let cells = Sct_campaign.Cell.grid ~techniques o benches in
   let cells =
     match shard with
@@ -1028,7 +991,7 @@ let run_campaign ~shard limit seed jobs prefix_batch por time_limit bounds
   let outcome =
     Sct_parallel.Pool.with_pool ~jobs:o.Sct_explore.Techniques.jobs
       (fun pool ->
-        Sct_campaign.Orchestrator.run ~policy ~slice
+        Sct_campaign.Orchestrator.run ~slice
           ~on_slice:(fun c p ->
             Printf.eprintf "%-40s slice %d: %d schedules banked%s\n%!"
               (Sct_campaign.Cell.name c)
@@ -1046,8 +1009,8 @@ let campaign_cmd =
   let grid_args run =
     Term.(
       const run $ limit_t $ seed_t $ jobs_t $ prefix_batch_t $ por_t
-      $ time_limit_t $ bounds_t $ benches_t $ techniques_t $ policy_t
-      $ slice_t $ campaign_store_t)
+      $ time_limit_t $ bounds_t $ benches_t $ techniques_t $ slice_t
+      $ campaign_store_t)
   in
   let run_cmd =
     Cmd.v
@@ -1067,13 +1030,11 @@ let campaign_cmd =
          its own store; fold them with $(b,store merge)."
       in
       Arg.(
-        required & opt (some string) None & info [ "shard" ] ~docv:"K/N" ~doc)
+        required
+        & opt (some shard_conv) None
+        & info [ "shard" ] ~docv:"K/N" ~doc)
     in
-    let run shard limit seed jobs prefix_batch por time_limit bounds benches
-        techs policy slice store =
-      run_campaign ~shard:(Some (parse_shard shard)) limit seed jobs
-        prefix_batch por time_limit bounds benches techs policy slice store
-    in
+    let run shard = run_campaign ~shard:(Some shard) in
     Cmd.v
       (Cmd.info "worker"
          ~doc:
@@ -1083,7 +1044,7 @@ let campaign_cmd =
       Term.(
         const run $ shard_t $ limit_t $ seed_t $ jobs_t $ prefix_batch_t
         $ por_t $ time_limit_t $ bounds_t $ benches_t $ techniques_t
-        $ policy_t $ slice_t $ campaign_store_t)
+        $ slice_t $ campaign_store_t)
   in
   let status_cmd =
     let run store =
@@ -1102,7 +1063,7 @@ let campaign_cmd =
     (Cmd.info "campaign"
        ~doc:
          "Fleet-scale campaign orchestration: restartable budget-sliced \
-          runs, multi-process sharding, adaptive allocation.")
+          runs, round-robin allocation, multi-process sharding.")
     [ run_cmd; worker_cmd; status_cmd ]
 
 (* store maintenance *)

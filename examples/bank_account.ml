@@ -49,8 +49,8 @@ let explore name program =
     (String.concat "; " detection.Sct_race.Promotion.racy);
   let promote = Sct_race.Promotion.promote detection in
   let idb =
-    Sct_explore.Bounded.explore ~promote
-      ~kind:Sct_explore.Bounded.Delay_bounding ~limit:100_000 program
+    Sct_explore.Techniques.(
+      run ~promote { default_options with limit = 100_000 } IDB program)
   in
   Format.printf "IDB: %a@." Sct_explore.Stats.pp idb;
   match idb.Sct_explore.Stats.first_bug with

@@ -34,10 +34,10 @@ let () =
     (String.concat ", " detection.Sct_race.Promotion.racy);
   let promote = Sct_race.Promotion.promote detection in
 
-  (* Phase 2: iterative delay bounding. *)
+  (* Phase 2: iterative delay bounding, one of the study's techniques. *)
   let idb =
-    Sct_explore.Bounded.explore ~promote ~kind:Sct_explore.Bounded.Delay_bounding
-      ~limit:10_000 figure1
+    Sct_explore.Techniques.(
+      run ~promote { default_options with limit = 10_000 } IDB figure1)
   in
   Format.printf "IDB: %a@." Sct_explore.Stats.pp idb;
   (match idb.Sct_explore.Stats.first_bug with

@@ -51,15 +51,15 @@ let () =
     dfs.Sct_explore.Dfs.complete;
   List.iter
     (fun (name, mode) ->
-      let r =
+      let s =
         Sct_explore.Por.explore ~promote:promote_all ~mode ~limit:1_000_000
           program
       in
       Printf.printf
         "%-10s: %6d schedules (+%d pruned), %d buggy, complete=%b%s\n" name
-        r.Sct_explore.Por.counted r.Sct_explore.Por.pruned_sleep
-        r.Sct_explore.Por.buggy r.Sct_explore.Por.complete
-        (match r.Sct_explore.Por.to_first_bug with
+        s.Sct_explore.Stats.total s.Sct_explore.Stats.por_pruned
+        s.Sct_explore.Stats.buggy s.Sct_explore.Stats.complete
+        (match s.Sct_explore.Stats.to_first_bug with
         | Some i -> Printf.sprintf " (first bug at schedule %d)" i
         | None -> ""))
     [

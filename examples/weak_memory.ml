@@ -26,12 +26,12 @@ let collect mk =
     let r = mk () in
     outcomes := Outcomes.add r !outcomes
   in
-  let r =
+  let s =
     Sct_explore.Por.explore ~promote:promote_all
       ~mode:Sct_explore.Por.Dpor_sleep ~limit:500_000 program
   in
-  assert r.Sct_explore.Por.complete;
-  (!outcomes, r.Sct_explore.Por.counted)
+  assert s.Sct_explore.Stats.complete;
+  (!outcomes, s.Sct_explore.Stats.total)
 
 let show (outcomes, n) =
   Printf.sprintf "{%s} (%d schedules explored)"

@@ -17,8 +17,7 @@ let check_distinct cells =
       | None -> Hashtbl.replace seen c.Cell.key c)
     cells
 
-let run ?(policy = Scheduler.Uniform) ?(slice = 500)
-    ?(on_slice = fun _ _ -> ()) ~pool ~db cells =
+let run ?(slice = 500) ?(on_slice = fun _ _ -> ()) ~pool ~db cells =
   if slice < 1 then
     invalid_arg "Sct_campaign.Orchestrator.run: slice must be at least 1";
   check_distinct cells;
@@ -47,7 +46,7 @@ let run ?(policy = Scheduler.Uniform) ?(slice = 500)
   let sessions = Runner.sessions () in
   let granted = ref 0 in
   let rec loop () =
-    match Scheduler.pick ~policy states with
+    match Scheduler.pick states with
     | None -> ()
     | Some i ->
         let c = cells.(i) in

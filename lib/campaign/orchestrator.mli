@@ -8,7 +8,7 @@
     journals the cumulative snapshot. The loop's only durable state is
     the store: restarting after any crash — including SIGKILL mid-write —
     resumes the exact schedule, and a finished campaign's tables are
-    byte-identical to the one-shot study runner's under either policy.
+    byte-identical to the one-shot study runner's.
 
     Each call also owns a {!Runner.sessions} table, so a tree cell's walk
     stays alive between its slices and each slice continues it. The table
@@ -23,7 +23,6 @@ type outcome = {
 }
 
 val run :
-  ?policy:Scheduler.policy ->
   ?slice:int ->
   ?on_slice:(Cell.t -> Sct_store.Codec.progress -> unit) ->
   pool:Sct_parallel.Pool.t ->
@@ -31,8 +30,8 @@ val run :
   Cell.t list ->
   outcome
 (** Run the campaign over [cells] to completion, resuming from whatever
-    the store already holds. [policy] defaults to [Uniform], [slice] (the
-    per-lease budget in schedules) to 500. [on_slice] is called after each
-    slice's record is journalled — a progress hook for the CLI and the
-    test suite's interruption harness.
+    the store already holds. [slice] (the per-lease budget in schedules)
+    defaults to 500. [on_slice] is called after each slice's record is
+    journalled — a progress hook for the CLI and the test suite's
+    interruption harness.
     @raise Invalid_argument if [slice < 1] or two cells share a key. *)

@@ -2,17 +2,6 @@ module Stats = Sct_explore.Stats
 module Db = Sct_store.Db
 module Codec = Sct_store.Codec
 
-type policy = Uniform | Bandit
-
-let policy_name = function Uniform -> "uniform" | Bandit -> "bandit"
-
-let policy_of_name = function
-  | "uniform" -> Some Uniform
-  | "bandit" -> Some Bandit
-  | _ -> None
-
-let policy_names = [ "uniform"; "bandit" ]
-
 type state = {
   s_consumed : int;
   s_slices : int;
@@ -35,61 +24,19 @@ let state_of_entry (e : Db.entry) =
     s_finished = Db.finished e;
   }
 
-let score ~total_slices st =
-  let rate = float_of_int st.s_coverage /. float_of_int (max 1 st.s_consumed) in
-  let bound_bonus =
-    match st.s_bound with
-    | Some b -> 1.0 /. float_of_int (1 + b)
-    | None -> 0.0
-  in
-  let explore =
-    0.5
-    *. sqrt
-         (log (float_of_int (1 + total_slices))
-         /. float_of_int (1 + st.s_slices))
-  in
-  rate +. bound_bonus +. explore
-
-(* Fold [f] over the unfinished arms, carrying the best (acc, index). *)
-let best_arm states f =
+(* Fewest slices first; [iteri] order makes ties resolve to the lowest
+   grid index, so the first pass is the study runner's order. *)
+let pick states =
   let best = ref None in
   Array.iteri
     (fun i st ->
       match st with
       | Some s when s.s_finished -> ()
       | _ ->
-          let v = f st in
+          let slices = match st with None -> 0 | Some s -> s.s_slices in
           let better =
-            match !best with None -> true | Some (v', _) -> v > v'
+            match !best with None -> true | Some (v, _) -> slices < v
           in
-          if better then best := Some (v, i))
+          if better then best := Some (slices, i))
     states;
   Option.map snd !best
-
-let pick ~policy states =
-  match policy with
-  | Uniform ->
-      (* fewest slices first; [iteri] order makes ties resolve to the
-         lowest grid index, so the first pass is the study runner's order *)
-      best_arm states (fun st ->
-          let slices = match st with None -> 0 | Some s -> s.s_slices in
-          -slices)
-  | Bandit -> (
-      (* optimism under ignorance: every arm gets one slice before any
-         scoring happens, in grid order *)
-      let untried = ref None in
-      Array.iteri
-        (fun i st -> if st = None && !untried = None then untried := Some i)
-        states;
-      match !untried with
-      | Some i -> Some i
-      | None ->
-          let total_slices =
-            Array.fold_left
-              (fun acc st ->
-                match st with None -> acc | Some s -> acc + s.s_slices)
-              0 states
-          in
-          best_arm states (function
-            | None -> infinity
-            | Some st -> score ~total_slices st))

@@ -1,35 +1,17 @@
-(** Adaptive budget allocation across the campaign's cells.
+(** Budget allocation across the campaign's cells.
 
-    The scheduler treats cells as bandit arms and decides which one gets
-    the next budget slice. Its entire state is a pure function of the
-    store's journal records ({!state_of_entry}) — nothing lives only in
-    memory — so a campaign killed at any instant (even SIGKILL mid-write,
-    which at worst tears the final journal line) resumes into exactly the
-    scheduling state it died in.
+    The scheduler decides which cell gets the next budget slice. Its
+    entire state is a pure function of the store's journal records
+    ({!state_of_entry}) — nothing lives only in memory — so a campaign
+    killed at any instant (even SIGKILL mid-write, which at worst tears
+    the final journal line) resumes into exactly the scheduling state it
+    died in.
 
-    Both policies are deterministic. Since each cell's exploration is
-    itself deterministic and slice-resumable (see {!Runner}), the final
-    per-cell statistics of a completed campaign are {e policy-independent}:
-    the policy only chooses the interleaving of slices, never their
-    content. *)
-
-type policy =
-  | Uniform
-      (** round-robin: every unfinished cell gets a slice before any cell
-          gets its next one; ties broken by grid index, so the first pass
-          runs cells in the one-shot study runner's order *)
-  | Bandit
-      (** explore/exploit: untried cells first, then the cell with the
-          best {!score} — favouring cells whose distinct-schedule coverage
-          still grows fast per unit of budget and whose bound is still
-          low, with a UCB-style term that keeps starving cells alive *)
-
-val policy_name : policy -> string
-val policy_of_name : string -> policy option
-
-val policy_names : string list
-(** Canonical names accepted by {!policy_of_name} (["uniform"; "bandit"]),
-    for CLI error messages. *)
+    The pick is a deterministic round-robin. Since each cell's exploration
+    is itself deterministic and slice-resumable (see {!Runner}), the final
+    per-cell statistics of a completed campaign do not depend on the order
+    of its slices: the scheduler only chooses their interleaving, never
+    their content. *)
 
 type state = {
   s_consumed : int;  (** budget banked by previous slices *)
@@ -44,17 +26,10 @@ val state_of_entry : Sct_store.Db.entry -> state
     by the one-shot study runner (no progress field) reads as one finished
     slice that consumed the whole run. *)
 
-val score : total_slices:int -> state -> float
-(** The bandit priority of an unfinished arm:
-    [coverage/consumed + 1/(1+bound) + 0.5·sqrt(ln(1+T)/(1+slices))]
-    where [T] is the campaign-wide slice count. The first term is the
-    cell's distinct-schedule growth rate per schedule of budget, the
-    second prefers cells still exploring low bounds (where schedules are
-    cheap and bugs are shallow — the paper's core observation), and the
-    third is the usual exploration bonus. *)
-
-val pick : policy:policy -> state option array -> int option
-(** The index of the cell to run next ([None] = campaign finished). The
-    array is indexed by grid position; [None] elements are cells never
-    journalled. Deterministic: equal priorities resolve to the lowest
-    index. *)
+val pick : state option array -> int option
+(** The index of the cell to run next ([None] = campaign finished): an
+    unfinished cell with the fewest slices, ties broken by grid index, so
+    every unfinished cell gets a slice before any cell gets its next one
+    and the first pass runs cells in the one-shot study runner's order.
+    The array is indexed by grid position; [None] elements are cells never
+    journalled. *)

@@ -9,5 +9,5 @@
 val render : Format.formatter -> Sct_store.Db.t -> unit
 (** One row per journalled cell: state, banked budget, slices taken,
     distinct-schedule coverage, current bound, and the coverage-growth
-    rate ([distinct/slice]) the bandit policy allocates budget by. A
-    summary header counts cells, finished cells, slices and bugs. *)
+    rate ([distinct/slice]). A summary header counts cells, finished
+    cells, slices and bugs. *)

@@ -3,7 +3,7 @@
     Iterative preemption and delay bounding charge every scheduling
     decision a cost, and a walk may only take the children whose cost
     keeps the schedule within the level bound. Every walk that expands
-    decisions under a bound — {!Dfs.Walk}, {!Por.Walk} and the fork server
+    decisions under a bound — {!Dfs.walk}, {!Por.walk} and the fork server
     of {!Prefix_exec} — asks this module which children fit and what the
     chosen one costs.
 

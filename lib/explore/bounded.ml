@@ -1,58 +1,28 @@
 open Sct_core
 
-type kind =
-  | Preemption_bounding
-  | Delay_bounding
-  | Variable_bounding
-  | Thread_bounding
+type axis = Preemptions | Delays | Variables | Threads
 
-let technique_name = function
-  | Preemption_bounding -> "IPB"
-  | Delay_bounding -> "IDB"
-  | Variable_bounding -> "IVB"
-  | Thread_bounding -> "ITB"
-
-let bound_of kind c =
-  match kind with
-  | Preemption_bounding -> Dfs.Preemption c
-  | Delay_bounding -> Dfs.Delay c
-  | Variable_bounding -> Dfs.Variable c
-  | Thread_bounding -> Dfs.Threads c
-
-(* One bound level's walk, plain or reduced: the level strategy below is
-   generic over which core enumerates the level's tree. *)
-type level_walk = {
-  lw_begin_run : unit -> unit;
-  lw_choose : Sct_core.Runtime.ctx -> Sct_core.Tid.t;
-  lw_on_terminal : Sct_core.Runtime.result -> Strategy.verdict;
-  lw_pruned : unit -> bool;
-  lw_aux_pruned : unit -> bool;
-      (** the level lost executions to an execution-level filter (fair
-          bounding): exhausting an unpruned level no longer proves the
-          whole space explored *)
+type t = {
+  name : string;
+  axis : axis option;
+  fair : int option;
+  length : int option;
 }
 
-let plain_walk ?fair c ~kind =
-  let w = Dfs.Walk.make ~count_exact:c ?fair ~bound:(bound_of kind c) () in
-  {
-    lw_begin_run = (fun () -> Dfs.Walk.begin_run w);
-    lw_choose = Dfs.Walk.choose w;
-    lw_on_terminal = Dfs.Walk.on_terminal w;
-    lw_pruned = (fun () -> Dfs.Walk.pruned w);
-    lw_aux_pruned = (fun () -> Dfs.Walk.aux_pruned w);
-  }
+let bound_at axis c =
+  match axis with
+  | Preemptions -> Dfs.Preemption c
+  | Delays -> Dfs.Delay c
+  | Variables -> Dfs.Variable c
+  | Threads -> Dfs.Threads c
 
-let por_walk c ~kind ~mode ~on_prune =
-  let w =
-    Por.Walk.make ~on_prune ~count_exact:c ~mode ~bound:(bound_of kind c) ()
-  in
-  {
-    lw_begin_run = (fun () -> Por.Walk.begin_run w);
-    lw_choose = Por.Walk.choose w;
-    lw_on_terminal = Por.Walk.on_terminal w;
-    lw_pruned = (fun () -> Por.Walk.pruned w);
-    lw_aux_pruned = (fun () -> false);
-  }
+(* Por.walk and Prefix_exec restructure the tree, which the fair and
+   length filters do not survive; both refuse footprint bounds themselves. *)
+let refuse_filters who b =
+  if b.fair <> None || b.length <> None then
+    invalid_arg
+      (Printf.sprintf "Sct_explore.Bounded.%s: %s has a fair or length filter"
+         who b.name)
 
 (* The iterative-bounding campaign as a STRATEGY: one phase per bound
    level, each phase a fresh count-exact walk of the whole tree. The level
@@ -61,40 +31,32 @@ let por_walk c ~kind ~mode ~on_prune =
    - a bug among the level's counted schedules finishes the campaign once
      the level is exhausted (the paper completes the level for worst-case
      analysis; [bound_complete] is true in that case);
-   - a level that exhausts without pruning anything has explored the whole
-     schedule space ([complete]);
+   - a level that exhausts without the bound cutting anything has
+     explored the whole schedule space ([complete]), unless a filter cut
+     executions, which no bound level would restore;
    - otherwise the next level starts, up to [max_levels].
 
-   With [por], each level runs the BPOR reduction walk instead of the
-   plain count-exact walk: the level progression is unchanged, because
-   [Por.Walk.pruned] reports bound cut-offs exactly like the plain walk
-   (including backtrack points deferred to the next level) and never
-   reports sleep-set pruning, which is covered within the level. *)
-let strategy ?(max_levels = 64) ?por ?fair ?technique
-    ?(on_prune = fun () -> ()) ~kind () : Strategy.t =
+   A reduced walk's [bound_cut] reports bound cut-offs exactly like the
+   plain walk (including backtrack points deferred to the next level) and
+   never reports sleep-set pruning, which is covered within the level, so
+   the progression is the same for both. *)
+let levels ~max_levels ~technique (walk_at : int -> Strategy.walk) :
+    Strategy.t =
   (module struct
-    let technique =
-      match technique with Some t -> t | None -> technique_name kind
-
+    let technique = technique
     let tracks_distinct = false
     let respects_limit = true
 
     type state = {
       mutable c : int;
-      mutable walk : level_walk;
+      mutable walk : Strategy.walk;
       mutable found : bool;  (** bug among this level's counted schedules *)
-      mutable any_aux : bool;
-          (** some level lost executions to the fair filter *)
+      mutable filtered : bool;  (** some level lost executions to a filter *)
       mutable started : bool;
     }
 
-    let walk_at c =
-      match por with
-      | None -> plain_walk ?fair c ~kind
-      | Some mode -> por_walk c ~kind ~mode ~on_prune
-
     let init () =
-      { c = 0; walk = walk_at 0; found = false; any_aux = false;
+      { c = 0; walk = walk_at 0; found = false; filtered = false;
         started = false }
 
     let phase c =
@@ -106,53 +68,41 @@ let strategy ?(max_levels = 64) ?por ?fair ?technique
         phase 0
       end
       else begin
-      if st.walk.lw_aux_pruned () then st.any_aux <- true;
-      if st.found then
-        (* the level is exhausted here (the driver consults us only on a
-           phase-over verdict), hence bound_complete *)
-        Strategy.Finished
-          {
-            f_complete = false;
-            f_bound = Some st.c;
-            f_bound_complete = true;
-            f_new_at_bound = true;
-          }
-      else if not (st.walk.lw_pruned ()) then
-        (* nothing was cut off by the structural bound: the whole schedule
-           space has been explored — unless the fair filter cut some
-           executions, which no structural bound level would restore *)
-        Strategy.Finished
-          {
-            f_complete = not st.any_aux;
-            f_bound = Some st.c;
-            f_bound_complete = true;
-            f_new_at_bound = true;
-          }
-      else begin
-        let c = st.c + 1 in
-        if c > max_levels then
+        if st.walk.filter_cut () then st.filtered <- true;
+        if st.found || not (st.walk.bound_cut ()) then
+          (* the level is exhausted here (the driver consults us only on a
+             phase-over verdict), hence bound_complete *)
           Strategy.Finished
             {
-              f_complete = false;
-              f_bound = Some c;
-              f_bound_complete = false;
-              f_new_at_bound = false;
+              f_complete = (not st.found) && not st.filtered;
+              f_bound = Some st.c;
+              f_bound_complete = true;
+              f_new_at_bound = true;
             }
         else begin
-          st.c <- c;
-          st.walk <- walk_at c;
-          st.found <- false;
-          phase c
+          let c = st.c + 1 in
+          if c > max_levels then
+            Strategy.Finished
+              {
+                f_complete = false;
+                f_bound = Some c;
+                f_bound_complete = false;
+                f_new_at_bound = false;
+              }
+          else begin
+            st.c <- c;
+            st.walk <- walk_at c;
+            phase c
+          end
         end
       end
-      end
 
-    let begin_run st = st.walk.lw_begin_run ()
+    let begin_run st = st.walk.begin_run ()
     let listener _ = None
-    let choose st ctx = st.walk.lw_choose ctx
+    let choose st ctx = st.walk.choose ctx
 
     let on_terminal st res =
-      let v = st.walk.lw_on_terminal res in
+      let v = st.walk.on_terminal res in
       (if v.Strategy.v_counts then
          match res.Runtime.r_outcome with
          | Outcome.Bug _ -> st.found <- true
@@ -160,11 +110,22 @@ let strategy ?(max_levels = 64) ?por ?fair ?technique
       v
   end)
 
-let explore ?promote ?max_steps ?max_levels ?fair ?technique ?deadline ~kind
-    ~limit program =
-  Driver.explore ?promote ?max_steps ?deadline ~limit
-    (strategy ?max_levels ?fair ?technique ~kind ())
-    program
+let strategy ?(max_levels = 64) ?por ?(on_prune = fun () -> ()) b =
+  let walk =
+    match por with
+    | None ->
+        fun ?count_exact bound ->
+          Dfs.walk ?count_exact ?fair:b.fair ?length:b.length ~bound ()
+    | Some mode ->
+        refuse_filters "strategy" b;
+        fun ?count_exact bound ->
+          Por.walk ~on_prune ?count_exact ~mode ~bound ()
+  in
+  match b.axis with
+  | None -> Strategy.of_walk ~technique:b.name (walk Dfs.Unbounded)
+  | Some axis ->
+      levels ~max_levels ~technique:b.name (fun c ->
+          walk ~count_exact:c (bound_at axis c))
 
 (* The same level progression over an abstract per-level walk, for the
    batched executor below: explore level [c] with the remaining budget,
@@ -238,12 +199,18 @@ let level_loop ?(max_levels = 64) ~technique
   in
   level 0 (Stats.base ~technique)
 
-(* The batched campaign: the same level progression, each level's
-   count-exact walk routed through the prefix-batching executor. *)
-let explore_batched ?promote ?max_steps ?max_levels ?fork ?deadline ~kind
-    ~limit program =
-  level_loop ?max_levels ~technique:(technique_name kind)
-    ~walk:(fun ~c ~limit ->
-      Prefix_exec.explore ?promote ?max_steps ?fork ?deadline ~count_exact:c
-        ~bound:(bound_of kind c) ~limit program)
-    ~limit ()
+(* The batched campaign: the same walks, each routed through the
+   prefix-batching executor. *)
+let explore_batched ?promote ?max_steps ?max_levels ?fork ?deadline b ~limit
+    program =
+  refuse_filters "explore_batched" b;
+  let walk ?count_exact bound ~limit =
+    Prefix_exec.explore ?promote ?max_steps ?fork ?deadline ?count_exact
+      ~bound ~limit program
+  in
+  match b.axis with
+  | None -> Dfs.stats_of ~technique:b.name (walk Dfs.Unbounded ~limit)
+  | Some axis ->
+      level_loop ?max_levels ~technique:b.name
+        ~walk:(fun ~c ~limit -> walk ~count_exact:c (bound_at axis c) ~limit)
+        ~limit ()

@@ -1,18 +1,24 @@
-(** Iterative schedule bounding (paper §2, §5).
+(** The one bounded runner: every tree technique of the study — DFS, IPB,
+    IDB and the extensions Fair, Length, IVB and ITB — is a {!t} record,
+    run by {!strategy}, as dejafu composes its bounds in one [Bounds]
+    record run by one [sctBound] (SNIPPETS.md §1).
 
-    All terminal schedules with zero preemptions (resp. delays) are explored
-    first, then those with one, etc., until a bug is found (the level is
-    still completed), the schedule limit is reached, or the whole space has
-    been explored. Each distinct terminal schedule is counted exactly once,
-    at the level equal to its exact preemption/delay count.
+    A record with an {!axis} is iterative schedule bounding (paper §2, §5):
+    all terminal schedules with zero preemptions (resp. delays, footprint
+    objects or threads) are explored first, then those with one, etc.,
+    until a bug is found (the level is still completed), the schedule
+    limit is reached, or the whole space has been explored. Each distinct
+    terminal schedule is counted exactly once, at the level equal to its
+    exact count. A record without an axis is one walk of the unbounded
+    tree (DFS, Length). The fair and length filters compose with either.
 
-    The campaign is a multi-phase {!Strategy.STRATEGY} (one phase per bound
-    level) run by {!Driver.explore}; {!explore_batched} runs the same level
+    The campaign is a {!Strategy.STRATEGY} (one phase per bound level) run
+    by {!Driver.explore}; {!explore_batched} runs the same level
     progression with every level walked by {!Prefix_exec}.
 
     {b Partial-order reduction (BPOR).} {!strategy} with [~por] runs each
-    level's count-exact walk on the {!Por.Walk} reduction core instead of
-    the plain {!Dfs.Walk}: sleep sets and DPOR backtracking prune
+    level's count-exact walk on the {!Por.walk} reduction core instead of
+    the plain {!Dfs.walk}: sleep sets and DPOR backtracking prune
     schedules that only commute independent operations, with the
     conservative backtracking points of BPOR at the prior context switch
     restoring soundness under the bound (plain DPOR is {e unsound} under
@@ -20,10 +26,10 @@
     alternative unreachable at the level even though an equivalent
     execution spending its budget earlier stays in bound; see por.mli for
     the full invariant and the sleep-set caveat). The level progression is
-    unchanged: [Por.Walk.pruned] reports bound cut-offs — including
-    backtrack points whose bound delta exceeds the level — exactly like
-    the plain walk, so a level that exhausts unpruned still proves the
-    whole space explored.
+    unchanged: the reduced walk's [bound_cut] reports bound cut-offs —
+    including backtrack points whose bound delta exceeds the level —
+    exactly like the plain walk, so a level that exhausts unpruned still
+    proves the whole space explored.
 
     {b Interaction contract.} POR campaigns are exclusive with prefix
     batching: {!explore_batched} / {!Prefix_exec} never run reduced walks
@@ -35,60 +41,49 @@
     domain ({!Strategy.Sequential}), so its statistics are byte-identical
     for every [--jobs] value. *)
 
-type kind =
-  | Preemption_bounding
-  | Delay_bounding
-  | Variable_bounding
-      (** iterative variable bounding: level [c] counts the schedules that
-          preempt around at most (exactly, for counting) [c] distinct
-          shared objects ({!Dfs.bound.Variable}) *)
-  | Thread_bounding
-      (** iterative thread bounding: level [c] counts the schedules that
-          preempt at most (exactly) [c] distinct threads
-          ({!Dfs.bound.Threads}) *)
+type axis =
+  | Preemptions
+  | Delays
+  | Variables
+      (** variable bounding: level [c] counts the schedules that preempt
+          around exactly [c] distinct shared objects ({!Dfs.bound.Variable}) *)
+  | Threads
+      (** thread bounding: level [c] counts the schedules that preempt
+          exactly [c] distinct threads ({!Dfs.bound.Threads}) *)
 
-val technique_name : kind -> string
-(** ["IPB"], ["IDB"], ["IVB"] or ["ITB"]. *)
+type t = {
+  name : string;  (** the technique name recorded in [Stats.technique] *)
+  axis : axis option;
+      (** [Some a]: the level progression along [a]; [None]: one walk of
+          the unbounded tree *)
+  fair : int option;
+      (** fair bounding: a thread may yield only while its per-run yield
+          count stays within this bound of the least-yielding live thread
+          (dejafu's [sctFairBound]) *)
+  length : int option;
+      (** length bounding: executions asking for more decisions are cut
+          (dejafu's [sctLengthBound]) *)
+}
+(** What a tree technique bounds. The filters cut whole executions
+    ([Stats.cut_runs]); a campaign that lost any to them is not
+    [Stats.complete], since no bound level restores them. *)
 
-val bound_of : kind -> int -> Dfs.bound
-(** The level-[c] walk bound of this kind. *)
+val bound_at : axis -> int -> Dfs.bound
+(** The level-[c] walk bound along an axis. *)
 
 val strategy :
   ?max_levels:int ->
   ?por:Por.mode ->
-  ?fair:int ->
-  ?technique:string ->
   ?on_prune:(unit -> unit) ->
-  kind:kind ->
-  unit ->
+  t ->
   Strategy.t
-(** The iterative-bounding strategy; [max_levels] (default 64) caps the
-    number of bound levels as a safety net. [por] runs each level on the
-    BPOR reduction walk (see the module preamble); [on_prune] fires once
-    per sleep-pruned run, feeding the [Stats.por_pruned] counter.
-
-    [fair] composes the fair filter of {!Dfs.Walk.make} with every level's
-    walk (the [Axes.fair] technique: iterative preemption bounding over
-    fairly-bounded executions, the composition of the dejafu default
-    bounds). Its [Stats.complete] additionally requires that no level cut
-    an execution on the fair filter. [technique] overrides the recorded
-    technique name. *)
-
-val explore :
-  ?promote:(string -> bool) ->
-  ?max_steps:int ->
-  ?max_levels:int ->
-  ?fair:int ->
-  ?technique:string ->
-  ?deadline:float ->
-  kind:kind ->
-  limit:int ->
-  (unit -> unit) ->
-  Stats.t
-(** [explore ~kind ~limit program] performs the full iterative search with a
-    total budget of [limit] counted terminal schedules —
-    {!Driver.explore} over {!strategy}. The reduced (BPOR) campaign, which
-    also budgets raw executions, is built by [Techniques.session]. *)
+(** The campaign of a bounds record; [max_levels] (default 64) caps the
+    number of bound levels as a safety net. [por] runs every walk on the
+    BPOR reduction (see the module preamble); [on_prune] fires once per
+    sleep-pruned run, feeding the [Stats.por_pruned] counter.
+    @raise Invalid_argument with [por] when the record has a fair or
+    length filter or a footprint axis ([Variables], [Threads]): the
+    reduction restructures the tree, which neither survives. *)
 
 val explore_batched :
   ?promote:(string -> bool) ->
@@ -96,10 +91,13 @@ val explore_batched :
   ?max_levels:int ->
   ?fork:bool ->
   ?deadline:float ->
-  kind:kind ->
+  t ->
   limit:int ->
   (unit -> unit) ->
   Stats.t
-(** {!explore} with every level walked by {!Prefix_exec.explore}: identical
-    statistics except that [steps_executed]/[steps_saved] carry the batched
-    step cost. [fork] overrides the executor's back-end selection. *)
+(** {!strategy}'s campaign with every walk run by {!Prefix_exec.explore}:
+    identical statistics except that [steps_executed]/[steps_saved] carry
+    the batched step cost. [fork] overrides the executor's back-end
+    selection.
+    @raise Invalid_argument when the record has a fair or length filter
+    or a footprint axis, which the executor does not support. *)

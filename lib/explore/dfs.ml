@@ -82,7 +82,6 @@ module Walk = struct
     mutable pruned : bool;
     mutable aux_pruned : bool;
     mutable cut_run : bool;
-    mutable exhausted : bool;
     (* per-run footprint of preemption keys (Variable/Threads bounds):
        [cur_count] is its cardinality *)
     mutable foot : int array;
@@ -106,7 +105,6 @@ module Walk = struct
       pruned = false;
       aux_pruned = false;
       cut_run = false;
-      exhausted = false;
       foot = Array.make 16 0;
       foot_len = 0;
       yields = Array.make 8 0;
@@ -313,50 +311,20 @@ module Walk = struct
     (match w.w_on_exec with None -> () | Some f -> f res);
     let cut = w.cut_run in
     let v_counts = (not cut) && counts w res in
-    w.exhausted <- not (backtrack w);
-    { Strategy.v_counts; v_phase_over = w.exhausted; v_cut = cut }
-
-  let pruned w = w.pruned
-  let aux_pruned w = w.aux_pruned
-  let exhausted w = w.exhausted
+    { Strategy.v_counts; v_phase_over = not (backtrack w); v_cut = cut }
 end
 
-(* --- the single-level STRATEGY instance --------------------------------- *)
+(* --- the walk interface and the front-end -------------------------------- *)
 
-let strategy_of_walk ?(technique = "DFS") (w : Walk.t) : Strategy.t =
-  (module struct
-    let technique = technique
-    let tracks_distinct = false
-    let respects_limit = true
-
-    type state = { w : Walk.t; mutable started : bool }
-
-    let init () = { w; started = false }
-
-    let next_phase st =
-      if st.started then
-        Strategy.Finished
-          {
-            f_complete = Walk.exhausted st.w && not (Walk.aux_pruned st.w);
-            f_bound = None;
-            f_bound_complete = false;
-            f_new_at_bound = false;
-          }
-      else begin
-        st.started <- true;
-        Strategy.Phase { ph_bound = None; ph_new_at_bound = false }
-      end
-
-    let begin_run st = Walk.begin_run st.w
-    let listener _ = None
-    let choose st ctx = Walk.choose st.w ctx
-    let on_terminal st res = Walk.on_terminal st.w res
-  end)
-
-let strategy ?count_exact ?fair ?length ~bound () =
-  strategy_of_walk (Walk.make ?count_exact ?fair ?length ~bound ())
-
-(* --- walk-result lifting and the compatibility front-end ---------------- *)
+let walk ?count_exact ?fair ?length ?on_exec ~bound () : Strategy.walk =
+  let w = Walk.make ?count_exact ?fair ?length ?on_exec ~bound () in
+  {
+    begin_run = (fun () -> Walk.begin_run w);
+    choose = (fun ctx -> Walk.choose w ctx);
+    on_terminal = (fun res -> Walk.on_terminal w res);
+    bound_cut = (fun () -> w.pruned);
+    filter_cut = (fun () -> w.aux_pruned);
+  }
 
 let level_result_of_stats ~pruned (s : Stats.t) =
   {
@@ -394,11 +362,13 @@ let stats_of ~technique (r : level_result) =
     steps_saved = r.steps_saved;
   }
 
-let explore ?promote ?max_steps ?count_exact ?fair ?length ?on_schedule
-    ?record_decisions ?on_exec ?deadline ~bound ~limit program =
-  let w = Walk.make ?count_exact ?fair ?length ?on_exec ~bound () in
+let explore ?promote ?max_steps ?count_exact ?on_schedule ?record_decisions
+    ?on_exec ?deadline ~bound ~limit program =
+  let w = walk ?count_exact ?on_exec ~bound () in
   let s =
     Driver.explore ?promote ?max_steps ?record_decisions ?on_schedule
-      ?deadline ~limit (strategy_of_walk w) program
+      ?deadline ~limit
+      (Strategy.of_walk ~technique:"DFS" w)
+      program
   in
-  level_result_of_stats ~pruned:(Walk.pruned w) s
+  level_result_of_stats ~pruned:(w.bound_cut ()) s

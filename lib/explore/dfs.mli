@@ -8,8 +8,8 @@
     so the first terminal schedule explored is the non-preemptive round-robin
     schedule — identical for IPB, IDB and DFS, as in the paper.
 
-    The campaign loop lives in {!Driver}; this module provides the walk as
-    a {!Strategy.STRATEGY} instance. *)
+    The campaign loop lives in {!Driver}; this module provides the walk
+    ({!walk}), which [Bounded.strategy] runs once or per bound level. *)
 
 type bound =
   | Unbounded
@@ -51,67 +51,39 @@ type level_result = Strategy.walk_result = {
   max_sched_points : int;
 }
 
-(** The reusable walk machinery: decision stack, prefix replay, bound
-    accounting and backtracking for one (bounded) level of the schedule
-    tree. {!Bounded} drives one walk per bound level through its own
-    strategy. *)
-module Walk : sig
-  type t
+val walk :
+  ?count_exact:int ->
+  ?fair:int ->
+  ?length:int ->
+  ?on_exec:(Sct_core.Runtime.result -> unit) ->
+  bound:bound ->
+  unit ->
+  Strategy.walk
+(** A fresh walk of the [bound]-restricted schedule tree: the decision
+    stack, prefix replay, bound accounting and backtracking. With
+    [count_exact = Some c], only terminal schedules whose exact preemption
+    (resp. delay, footprint) count equals [c] are counted — this is how
+    iterative bounding counts each distinct schedule exactly once across
+    levels (see DESIGN.md). [on_exec] is called on {e every} execution,
+    counted or not.
 
-  val make :
-    ?count_exact:int ->
-    ?fair:int ->
-    ?length:int ->
-    ?on_exec:(Sct_core.Runtime.result -> unit) ->
-    bound:bound ->
-    unit ->
-    t
-  (** [fair] composes fair bounding with the structural bound: a thread may
-      yield only while its per-run yield count stays within [fair] of the
-      least-yielding live thread; when every enabled candidate is an
-      over-bound yield the execution is abandoned ({!Sct_core.Runtime.Cut},
-      a [v_cut] verdict). [length] cuts executions asking for more than
-      [length] decisions (schedules of exactly [length] still count). Both
-      filters only remove whole runs, never restructure the tree, so the
-      walk order of surviving schedules is unchanged. *)
+    [fair] composes fair bounding with the structural bound: a thread may
+    yield only while its per-run yield count stays within [fair] of the
+    least-yielding live thread; when every enabled candidate is an
+    over-bound yield the execution is abandoned ({!Sct_core.Runtime.Cut},
+    a [v_cut] verdict). [length] cuts executions asking for more than
+    [length] decisions (schedules of exactly [length] still count). Both
+    filters only remove whole runs, never restructure the tree, so the
+    walk order of surviving schedules is unchanged; what they cut is
+    reported by [filter_cut], what the bound cuts by [bound_cut].
 
-  val begin_run : t -> unit
-  val choose : t -> Sct_core.Runtime.ctx -> Sct_core.Tid.t
-
-  val on_terminal : t -> Sct_core.Runtime.result -> Strategy.verdict
-  (** Report the execution to [on_exec], decide whether the schedule
-      counts ([count_exact]), and backtrack; the phase is over when the
-      tree is exhausted. *)
-
-  val counts : t -> Sct_core.Runtime.result -> bool
-  val pruned : t -> bool
-
-  val aux_pruned : t -> bool
-  (** Some execution was cut (or some candidate filtered) by the fair or
-      length filter: the walk is no longer complete for the underlying
-      structural bound, and no larger structural bound restores the cut
-      children (iterative bounding must not climb levels over it). *)
-
-  val exhausted : t -> bool
-end
-
-val strategy_of_walk : ?technique:string -> Walk.t -> Strategy.t
-(** The single-phase strategy driving the given walk; the caller keeps the
-    walk to read {!Walk.pruned} after the campaign. *)
-
-val strategy :
-  ?count_exact:int -> ?fair:int -> ?length:int -> bound:bound -> unit ->
-  Strategy.t
-(** A fresh single-level DFS strategy (the [--technique dfs] registration;
-    with [fair]/[length], the execution-level bounding axes of
-    {!Axes}). *)
+    @raise Failure from [choose] if the program is nondeterministic (the
+    enabled set at a replayed decision differs from the recorded one). *)
 
 val explore :
   ?promote:(string -> bool) ->
   ?max_steps:int ->
   ?count_exact:int ->
-  ?fair:int ->
-  ?length:int ->
   ?on_schedule:(Sct_core.Runtime.result -> unit) ->
   ?record_decisions:bool ->
   ?on_exec:(Sct_core.Runtime.result -> unit) ->
@@ -121,25 +93,18 @@ val explore :
   (unit -> unit) ->
   level_result
 (** [explore ~bound ~limit program] walks the schedule tree within [bound]
-    — {!Driver.explore} over {!strategy_of_walk}, lifted back to a
-    {!level_result}. With [count_exact = Some c], only terminal schedules
-    whose exact preemption (resp. delay) count equals [c] are counted —
-    this is how iterative bounding counts each distinct schedule exactly
-    once across levels (see DESIGN.md). Exploration never stops early on a
-    bug: the paper completes the current bound level to enable worst-case
-    analysis.
+    — {!Driver.explore} over {!Strategy.of_walk} of one {!walk}, lifted
+    back to a {!level_result} whose [pruned] is the walk's [bound_cut].
+    Exploration never stops early on a bug: the paper completes the
+    current bound level to enable worst-case analysis.
 
     [on_schedule] is called on every counted terminal schedule's execution
     result; pass [record_decisions:true] if the callback needs the decision
-    trace (off by default for speed).
+    trace (off by default for speed). [count_exact] and [on_exec] are
+    {!walk}'s (the prefix-batch fallback folds its step counters through
+    [on_exec]).
 
-    [on_exec] is called on {e every} execution, counted or not (the
-    prefix-batch fallback folds its step counters this way).
-
-    @raise Failure if the program is nondeterministic (the enabled set at a
-    replayed decision differs from the recorded one). *)
-
-val level_result_of_stats : pruned:bool -> Stats.t -> level_result
+    @raise Failure if the program is nondeterministic. *)
 
 val stats_of : technique:string -> level_result -> Stats.t
 (** Lift a walk result into the Table 3 statistics record. *)

@@ -24,17 +24,6 @@ let parse_mode s =
         (Printf.sprintf "unknown POR mode: %s (valid: %s)" s
            (String.concat ", " valid_mode_names))
 
-type result = {
-  counted : int;
-  pruned_sleep : int;
-  buggy : int;
-  to_first_bug : int option;
-  first_bug : Stats.bug_witness option;
-  complete : bool;
-  hit_limit : bool;
-  executions : int;
-}
-
 let op_of enabled t =
   match List.assoc_opt t enabled with
   | Some op -> op
@@ -108,7 +97,8 @@ module Walk = struct
   type t = {
     with_sleep : bool;
     with_dpor : bool;
-    w_bound : Dfs.bound;
+    w_exact : Runtime.result -> int;
+        (** the exact bound count a level counts by ([count_exact]) *)
     w_shape : Bound_cost.shape;
     w_bound_c : int;
     w_count_exact : int option;
@@ -122,8 +112,6 @@ module Walk = struct
         (** the current run crossed a node where every in-bound enabled
             thread slept: it does not count and records no frames *)
     mutable pruned : bool;  (** the bound cut off a reachable reordering *)
-    mutable pruned_runs : int;
-    mutable exhausted : bool;
     (* DPOR per-execution happens-before state. Accesses are kept per
        (object, thread) as a full history: keeping only the last access
        would shadow the lock-acquire races that make lock-handover
@@ -137,11 +125,15 @@ module Walk = struct
   }
 
   let make ?(on_prune = fun () -> ()) ?count_exact ~mode ~bound () =
-    (match bound with
-    | Dfs.Variable _ | Dfs.Threads _ ->
-        (* [Techniques.run] reduces only DFS, IPB and IDB *)
-        invalid_arg "Sct_explore.Por: footprint bounds are unsupported"
-    | Dfs.Unbounded | Dfs.Preemption _ | Dfs.Delay _ -> ());
+    let exact : Runtime.result -> int =
+      match bound with
+      | Dfs.Variable _ | Dfs.Threads _ ->
+          (* a footprint's cardinality depends on the path, which the
+             reduction restructures *)
+          invalid_arg "Sct_explore.Por: footprint bounds are unsupported"
+      | Dfs.Unbounded | Dfs.Preemption _ -> fun r -> r.r_pc
+      | Dfs.Delay _ -> fun r -> r.r_dc
+    in
     let bounded = bound <> Dfs.Unbounded in
     {
       (* Sleep sets alone cannot prune soundly under a finite bound (see
@@ -153,7 +145,7 @@ module Walk = struct
         | Dpor_sleep -> true
         | Sleep -> not bounded);
       with_dpor = (match mode with Sleep -> false | Dpor | Dpor_sleep -> true);
-      w_bound = bound;
+      w_exact = exact;
       w_shape = Dfs.cost_shape bound;
       w_bound_c = Dfs.bound_limit bound;
       w_count_exact = count_exact;
@@ -165,8 +157,6 @@ module Walk = struct
       cur_sleep = [];
       run_pruned = false;
       pruned = false;
-      pruned_runs = 0;
-      exhausted = false;
       clocks = Hashtbl.create 16;
       accesses = Hashtbl.create 64;
     }
@@ -439,81 +429,39 @@ module Walk = struct
     w.replay_len <- st.len;
     more
 
+  (* Sleep-pruned runs never count, whatever their exact bound count. *)
   let counts w (res : Runtime.result) =
-    if w.run_pruned then false
-    else
-      let exact =
-        match w.w_bound with
-        | Dfs.Unbounded | Dfs.Preemption _ -> res.Runtime.r_pc
-        | Dfs.Delay _ -> res.Runtime.r_dc
-        | Dfs.Variable _ | Dfs.Threads _ -> assert false (* rejected by [make] *)
-      in
-      match w.w_count_exact with None -> true | Some c -> exact = c
+    (not w.run_pruned)
+    &&
+    match w.w_count_exact with None -> true | Some c -> w.w_exact res = c
 
   let on_terminal w (res : Runtime.result) =
     let v_counts = counts w res in
-    if w.run_pruned then begin
-      w.pruned_runs <- w.pruned_runs + 1;
-      w.w_on_prune ()
-    end;
-    w.exhausted <- not (backtrack w);
-    { Strategy.v_counts; v_phase_over = w.exhausted; v_cut = false }
-
-  let pruned w = w.pruned
-  let pruned_runs w = w.pruned_runs
-  let exhausted w = w.exhausted
+    if w.run_pruned then w.w_on_prune ();
+    { Strategy.v_counts; v_phase_over = not (backtrack w); v_cut = false }
 end
 
-(* --- the single-level STRATEGY instance --------------------------------- *)
+(* --- the walk interface and the front-end -------------------------------- *)
 
-let strategy_of_walk ?(technique = "DFS") (w : Walk.t) : Strategy.t =
-  (module struct
-    let technique = technique
-    let tracks_distinct = false
-    let respects_limit = true
-
-    type state = { w : Walk.t; mutable started : bool }
-
-    let init () = { w; started = false }
-
-    let next_phase st =
-      if st.started then
-        Strategy.Finished
-          {
-            f_complete = Walk.exhausted st.w;
-            f_bound = None;
-            f_bound_complete = false;
-            f_new_at_bound = false;
-          }
-      else begin
-        st.started <- true;
-        Strategy.Phase { ph_bound = None; ph_new_at_bound = false }
-      end
-
-    let begin_run st = Walk.begin_run st.w
-    let listener _ = None
-    let choose st ctx = Walk.choose st.w ctx
-    let on_terminal st res = Walk.on_terminal st.w res
-  end)
-
-(* --- the compatibility front-end (unified driver underneath) ------------ *)
+let walk ?on_prune ?count_exact ~mode ~bound () : Strategy.walk =
+  let w = Walk.make ?on_prune ?count_exact ~mode ~bound () in
+  {
+    begin_run = (fun () -> Walk.begin_run w);
+    choose = (fun ctx -> Walk.choose w ctx);
+    on_terminal = (fun res -> Walk.on_terminal w res);
+    bound_cut = (fun () -> w.pruned);
+    filter_cut = (fun () -> false);
+  }
 
 let explore ?(promote = fun _ -> false) ?(max_steps = 100_000)
     ?(bound = Dfs.Unbounded) ~mode ~limit program =
-  let w = Walk.make ~mode ~bound () in
+  let pruned = ref 0 in
+  let w = walk ~on_prune:(fun () -> incr pruned) ~mode ~bound () in
   let s =
     (* the budget charges executions, counted or not: a reduced walk
        deliberately counts few schedules (see Driver.explore) *)
     Driver.explore ~promote ~max_steps ~max_executions:limit ~limit
-      (strategy_of_walk w) program
+      (Strategy.of_walk ~technique:"DFS" w)
+      program
   in
-  {
-    counted = s.Stats.total;
-    pruned_sleep = Walk.pruned_runs w;
-    buggy = s.Stats.buggy;
-    to_first_bug = s.Stats.to_first_bug;
-    first_bug = s.Stats.first_bug;
-    complete = s.Stats.complete;
-    hit_limit = s.Stats.hit_limit;
-    executions = s.Stats.executions;
-  }
+  { s with Stats.por_pruned = !pruned }

@@ -34,7 +34,7 @@
     thread's justification ("an equivalent interleaving is covered
     elsewhere") may point at executions the bound cut off. Points whose
     own bound delta exceeds the level bound are recorded as bound pruning
-    ([Walk.pruned]) so the iterative-bounding level loop re-explores them
+    ([bound_cut]) so the iterative-bounding level loop re-explores them
     at the next level, and every in-bound sibling at that frame becomes a
     conservative point: bound deltas depend on the decisions between the
     frame and the race (delay counting charges by round-robin position),
@@ -47,9 +47,9 @@
     A thread asleep at a node is justified by an already-explored
     equivalent execution, but under a bound that execution's continuation
     may have cost more preemptions/delays and been cut, while the pruned
-    branch was in bound. [Walk.make] with [mode = Sleep] and a finite
+    branch was in bound. {!walk} with [mode = Sleep] and a finite
     bound therefore disables sleep pruning and degenerates to the plain
-    bounded walk (counted schedules identical to {!Dfs.Walk}); bounded
+    bounded walk (counted schedules identical to {!Dfs.walk}); bounded
     reduction requires the DPOR machinery ([Dpor] or [Dpor_sleep]).
 
     {b Interaction contract with prefix batching.} A POR cell always runs
@@ -84,60 +84,27 @@ val parse_mode : string -> (mode, string) result
 (** Parse one [--por] mode name; the error message lists every valid mode,
     matching the {!Techniques.parse_list} convention. *)
 
-(** The reduction walk, mirroring {!Dfs.Walk}: a strategy/driver-shaped
-    core usable on its own ({!strategy_of_walk}) or one bound level at a
-    time inside the iterative-bounding campaign ([Bounded.strategy] with
-    [~por]). *)
-module Walk : sig
-  type t
-
-  val make :
-    ?on_prune:(unit -> unit) ->
-    ?count_exact:int ->
-    mode:mode ->
-    bound:Dfs.bound ->
-    unit ->
-    t
-  (** A fresh walk of the [bound]-restricted schedule tree. [count_exact]
-      is the iterative-bounding level filter (count only schedules whose
-      exact preemption/delay count equals the level). [on_prune] fires
-      once per sleep-pruned run — the [Stats.por_pruned] counter. *)
-
-  val begin_run : t -> unit
-  val choose : t -> Sct_core.Runtime.ctx -> Sct_core.Tid.t
-
-  val on_terminal : t -> Sct_core.Runtime.result -> Strategy.verdict
-  (** Sleep-pruned runs never count, whatever their exact bound count. *)
-
-  val counts : t -> Sct_core.Runtime.result -> bool
-
-  val pruned : t -> bool
-  (** The bound cut off a reachable reordering (an in-run child or a
-      backtrack point out of bound): the level is incomplete and the
-      iterative campaign must continue at the next bound. Sleep-set
-      pruning never sets this — those branches are covered elsewhere. *)
-
-  val pruned_runs : t -> int
-  (** Runs cut because every in-bound enabled thread was asleep. *)
-
-  val exhausted : t -> bool
-end
-
-val strategy_of_walk : ?technique:string -> Walk.t -> Strategy.t
-(** One walk as a single-phase strategy for {!Driver.explore}, mirroring
-    [Dfs.strategy_of_walk]. It is never batched (see the interaction
-    contract above). *)
-
-type result = {
-  counted : int;  (** terminal schedules explored *)
-  pruned_sleep : int;  (** branches cut because every enabled thread slept *)
-  buggy : int;
-  to_first_bug : int option;
-  first_bug : Stats.bug_witness option;
-  complete : bool;
-  hit_limit : bool;
-  executions : int;
-}
+val walk :
+  ?on_prune:(unit -> unit) ->
+  ?count_exact:int ->
+  mode:mode ->
+  bound:Dfs.bound ->
+  unit ->
+  Strategy.walk
+(** A fresh reduction walk of the [bound]-restricted schedule tree, the
+    same interface as {!Dfs.walk}: run once through {!Strategy.of_walk}
+    or one bound level at a time by [Bounded.strategy] with [~por].
+    [count_exact] is the iterative-bounding level filter (count only
+    schedules whose exact preemption/delay count equals the level); the
+    exact-count function is chosen here, once. Sleep-pruned runs never
+    count, and [on_prune] fires once per such run — the
+    [Stats.por_pruned] counter. [bound_cut] reports that the bound cut
+    off a reachable reordering (an in-run child or a backtrack point out
+    of bound): the level is incomplete and the iterative campaign must
+    continue at the next bound. Sleep-set pruning never sets it — those
+    branches are covered elsewhere — and [filter_cut] is always false.
+    @raise Invalid_argument on a footprint bound ([Variable], [Threads]),
+    whose cost the reduction's restructured tree does not preserve. *)
 
 val explore :
   ?promote:(string -> bool) ->
@@ -146,7 +113,9 @@ val explore :
   mode:mode ->
   limit:int ->
   (unit -> unit) ->
-  result
+  Stats.t
 (** One reduction walk (default [bound = Unbounded]) through the unified
-    {!Driver.explore} loop — the [por] CLI subcommand's engine.
-    [executions] counts every run, including the [pruned_sleep] ones. *)
+    {!Driver.explore} loop, budgeted by [limit] raw executions — the [por]
+    CLI subcommand's engine. [Stats.total] counts the terminal schedules
+    explored, [Stats.por_pruned] the sleep-pruned runs, and
+    [Stats.executions] every run, including the pruned ones. *)

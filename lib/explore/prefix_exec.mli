@@ -35,7 +35,7 @@
     {b Partial-order-reduced walks are never batched.} Forking one child
     per untried sibling at a branching decision assumes the sibling set is
     known when the decision is first reached. A reduction walk
-    ({!Por.Walk}) violates this twice over: DPOR adds backtrack points to
+    ({!Por.walk}) violates this twice over: DPOR adds backtrack points to
     a frame only {e after} deeper steps observe races, and the sleep set a
     sibling starts with contains the siblings explored {e before} it — the
     continuation state threads through siblings in walk order instead of

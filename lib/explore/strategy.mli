@@ -90,6 +90,31 @@ end
 
 type t = (module STRATEGY)
 
+(** {1 Schedule-tree walks}
+
+    What a strategy needs from one walk of a (bounded) schedule tree. The
+    plain walk ([Dfs.walk]) and the partial-order reduced walk
+    ([Por.walk]) both provide it; [Bounded.strategy] runs one walk per
+    bound level, or a single walk through {!of_walk}. *)
+
+type walk = {
+  begin_run : unit -> unit;  (** reset the per-run state *)
+  choose : Sct_core.Runtime.ctx -> Sct_core.Tid.t;
+  on_terminal : Sct_core.Runtime.result -> verdict;
+      (** count the schedule or not, and backtrack; the phase is over when
+          the tree is exhausted *)
+  bound_cut : unit -> bool;
+      (** the bound cut a child off: a larger bound level explores more *)
+  filter_cut : unit -> bool;
+      (** a fair or length filter cut an execution or a candidate: no bound
+          level restores it, so an exhausted walk is not complete *)
+}
+
+val of_walk : technique:string -> walk -> t
+(** The single-phase strategy over one walk: the campaign is complete when
+    the walk exhausts with nothing cut by a filter. The walk is made once,
+    by the caller, who may read it after the campaign. *)
+
 type walk_result = {
   counted : int;  (** terminal schedules counted by this walk *)
   buggy : int;

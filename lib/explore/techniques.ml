@@ -103,33 +103,50 @@ let default_options =
     time_limit = None;
     prefix_batch = false;
     por = None;
-    fair_bound = Axes.default_fair_bound;
-    length_bound = Axes.default_length_bound;
+    fair_bound = 5;
+    length_bound = 250;
   }
 
 let deadline_of o = Driver.deadline_of_time_limit o.time_limit
 
-(* Pure STRATEGY registration: which strategy value a technique name
-   denotes, under the campaign options. All exploration control flow lives
-   in Driver. *)
-let strategy ?(promote = fun _ -> false) o technique program =
+(* Pure STRATEGY registration: what a technique name denotes under the
+   campaign options. The seven tree techniques are presets of one bounds
+   record; the other four register their own strategies. All exploration
+   control flow lives in Driver. *)
+let registration o technique =
+  let tree ?axis ?fair ?length () =
+    `Tree { Bounded.name = name technique; axis; fair; length }
+  in
   match technique with
-  | IPB -> Bounded.strategy ~kind:Bounded.Preemption_bounding ()
-  | IDB -> Bounded.strategy ~kind:Bounded.Delay_bounding ()
-  | DFS -> Dfs.strategy ~bound:Dfs.Unbounded ()
-  | Rand -> Random_walk.strategy ~seed:o.seed ()
-  | PCT ->
+  | DFS -> tree ()
+  | IPB -> tree ~axis:Bounded.Preemptions ()
+  | IDB -> tree ~axis:Bounded.Delays ()
+  | Fair -> tree ~axis:Bounded.Preemptions ~fair:o.fair_bound ()
+  | Length -> tree ~length:o.length_bound ()
+  | IVB -> tree ~axis:Bounded.Variables ()
+  | ITB -> tree ~axis:Bounded.Threads ()
+  | Rand -> `Rand
+  | PCT -> `PCT
+  | Maple -> `Maple
+  | SURW -> `SURW
+
+let bounds o technique =
+  match registration o technique with
+  | `Tree b -> Some b
+  | `Rand | `PCT | `Maple | `SURW -> None
+
+let strategy ?(promote = fun _ -> false) o technique program =
+  match registration o technique with
+  | `Tree b -> Bounded.strategy b
+  | `Rand -> Random_walk.strategy ~seed:o.seed ()
+  | `PCT ->
       Pct.strategy ~promote ~max_steps:o.max_steps
         ~change_points:o.pct_change_points ~seed:o.seed program ()
-  | Maple ->
+  | `Maple ->
       Maple_lite.strategy ~promote ~profile_runs:o.maple_profile_runs
         ~seed:o.seed ()
-  | SURW ->
+  | `SURW ->
       Surw.strategy ~promote ~max_steps:o.max_steps ~seed:o.seed program ()
-  | Fair -> Axes.fair ~bound:o.fair_bound ()
-  | Length -> Axes.length ~bound:o.length_bound ()
-  | IVB -> Axes.variable ()
-  | ITB -> Axes.threads ()
 
 (* Declared parallel plan per technique, consumed by Sct_parallel.Drivers
    and the campaign runner. Again pure registration: the technique only
@@ -150,59 +167,55 @@ let sharding ?(promote = fun _ -> false) o technique program =
       Surw.sharding ~promote ~max_steps:o.max_steps ?deadline ~seed:o.seed
         program
 
-(* One match picks the walk. The partial-order reduction and the
-   prefix-batching executor exist for the tree walkers DFS, IPB and IDB
-   only; every other technique ignores both options. POR wins over
-   batching (see por.mli's interaction contract): a cell requesting both
-   runs reduced and unbatched, visible as [steps_saved = 0]. A reduced
-   walk threads its sleep-pruned-run counter out through [on_prune], and
-   the running count is patched into each advance's statistics. Every
-   advance takes [o.time_limit] afresh from its own start. *)
+(* The shape of the bounds picks the walk. The partial-order reduction and
+   the prefix-batching executor restructure the tree, so they take bounds
+   with no filter and no footprint axis, which are exactly DFS, IPB and
+   IDB; every other technique ignores both options. POR wins over batching
+   (see por.mli's interaction contract): a cell requesting both runs
+   reduced and unbatched, visible as [steps_saved = 0]. A reduced walk
+   threads its sleep-pruned-run counter out through [on_prune], and the
+   running count is patched into each advance's statistics. Every advance
+   takes [o.time_limit] afresh from its own start. *)
 let session ?(promote = fun _ -> false) o technique program =
   let max_steps = o.max_steps in
-  let driven strategy =
-    let s = Driver.start ~promote ~max_steps strategy program in
-    fun ~limit -> Driver.advance ?deadline:(deadline_of o) s ~limit
+  let restructurable =
+    match bounds o technique with
+    | Some
+        ({
+           Bounded.fair = None;
+           length = None;
+           axis = None | Some (Bounded.Preemptions | Bounded.Delays);
+           _;
+         } as b) ->
+        Some b
+    | Some _ | None -> None
   in
-  let reduced strategy =
-    let pruned = ref 0 in
-    let s =
-      Driver.start ~promote ~max_steps
-        (strategy (fun () -> incr pruned))
-        program
-    in
-    fun ~limit ->
-      (* reduced campaigns budget raw executions too (see Driver.explore) *)
-      let st =
-        Driver.advance ?deadline:(deadline_of o) ~max_executions:limit s ~limit
+  match (restructurable, o.por, o.prefix_batch) with
+  | Some b, Some mode, _ ->
+      let pruned = ref 0 in
+      let s =
+        Driver.start ~promote ~max_steps
+          (Bounded.strategy ~por:mode ~on_prune:(fun () -> incr pruned) b)
+          program
       in
-      { st with Stats.por_pruned = !pruned }
-  in
-  let bounded_por kind mode =
-    reduced (fun on_prune -> Bounded.strategy ~por:mode ~on_prune ~kind ())
-  in
-  (* the batched executor keeps no session: each advance re-runs *)
-  let bounded_batched kind ~limit =
-    Bounded.explore_batched ~promote ~max_steps ?deadline:(deadline_of o)
-      ~kind ~limit program
-  in
-  match (technique, o.por, o.prefix_batch) with
-  | DFS, Some mode, _ ->
-      reduced (fun on_prune ->
-          Por.strategy_of_walk
-            (Por.Walk.make ~on_prune ~mode ~bound:Dfs.Unbounded ()))
-  | IPB, Some mode, _ -> bounded_por Bounded.Preemption_bounding mode
-  | IDB, Some mode, _ -> bounded_por Bounded.Delay_bounding mode
-  | DFS, None, true ->
       fun ~limit ->
-        Dfs.stats_of ~technique:"DFS"
-          (Prefix_exec.explore ~promote ~max_steps ?deadline:(deadline_of o)
-             ~bound:Dfs.Unbounded ~limit program)
-  | IPB, None, true -> bounded_batched Bounded.Preemption_bounding
-  | IDB, None, true -> bounded_batched Bounded.Delay_bounding
-  | (DFS | IPB | IDB), None, false
-  | (Rand | PCT | Maple | SURW | Fair | Length | IVB | ITB), _, _ ->
-      driven (strategy ~promote o technique program)
+        (* reduced campaigns budget raw executions too (see Driver.explore) *)
+        let st =
+          Driver.advance ?deadline:(deadline_of o) ~max_executions:limit s
+            ~limit
+        in
+        { st with Stats.por_pruned = !pruned }
+  | Some b, None, true ->
+      (* the batched executor keeps no session: each advance re-runs *)
+      fun ~limit ->
+        Bounded.explore_batched ~promote ~max_steps ?deadline:(deadline_of o)
+          b ~limit program
+  | _ ->
+      let s =
+        Driver.start ~promote ~max_steps (strategy ~promote o technique program)
+          program
+      in
+      fun ~limit -> Driver.advance ?deadline:(deadline_of o) s ~limit
 
 let run ?promote o technique program =
   session ?promote o technique program ~limit:o.limit

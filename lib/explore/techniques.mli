@@ -2,11 +2,13 @@
     (paper §5): the race-detection phase followed by any of the IPB, IDB,
     DFS, Rand and MapleAlg phases, plus the PCT and SURW extensions.
 
-    Every technique is a {!Strategy.STRATEGY} value. {!session} drives the
-    registered strategy on a {!Driver} session, except that the tree
-    walkers DFS, IPB and IDB may run on the partial-order reduction or the
-    prefix-batching executor instead; one match on the technique and those
-    two options picks the walk. {!run} is one advance of a session. *)
+    Every technique is a {!Strategy.STRATEGY} value. The seven tree
+    techniques are presets of one {!Bounded.t} record ({!bounds}), run by
+    {!Bounded.strategy}. {!session} drives the registered strategy on a
+    {!Driver} session, except that bounds with no filter and no footprint
+    axis (DFS, IPB and IDB) may run on the partial-order reduction or the
+    prefix-batching executor instead. {!run} is one advance of a
+    session. *)
 
 type t =
   | IPB
@@ -16,15 +18,15 @@ type t =
   | PCT
   | Maple
   | SURW
-  | Fair  (** fair bounding over iterative preemption bounding ({!Axes}) *)
-  | Length  (** length bounding ({!Axes}) *)
-  | IVB  (** iterative variable bounding ({!Axes}) *)
-  | ITB  (** iterative thread bounding ({!Axes}) *)
+  | Fair  (** fair bounding over iterative preemption bounding *)
+  | Length  (** length bounding over DFS *)
+  | IVB  (** iterative variable bounding *)
+  | ITB  (** iterative thread bounding *)
 
 val all_paper : t list
 (** The five techniques of Table 3, in the paper's column order. PCT and
     SURW are study extensions, excluded from the paper tables by default;
-    so are the {!Axes} bounding axes (Fair, Length, IVB, ITB). *)
+    so are the bounding axes Fair, Length, IVB and ITB. *)
 
 val all : t list
 (** Every technique, paper order first, then the extensions. *)
@@ -69,18 +71,17 @@ type options = {
           prefix_exec.mli). Other techniques are unaffected *)
   por : Por.mode option;
       (** compose the systematic tree walkers (DFS, IPB, IDB) with the
-          bounded partial-order reduction of {!Por.Walk}: sleep sets /
+          bounded partial-order reduction of {!Por.walk}: sleep sets /
           DPOR with BPOR's conservative backtracking points under IPB/IDB
           bounds. Exclusive with [prefix_batch] — a POR cell always runs
           unbatched (visible as [Stats.steps_saved = 0]); other techniques
           are unaffected *)
   fair_bound : int;
       (** the Fair technique's yield-difference bound ([--fair-bound],
-          default {!Axes.default_fair_bound}); other techniques ignore it *)
+          default 5, dejafu's); other techniques ignore it *)
   length_bound : int;
       (** the Length technique's schedule-length bound ([--length-bound],
-          default {!Axes.default_length_bound}); other techniques ignore
-          it *)
+          default 250, dejafu's); other techniques ignore it *)
 }
 
 val default_options : options
@@ -93,10 +94,17 @@ val deadline_of : options -> float option
 (** The absolute deadline for a campaign starting now, from
     [options.time_limit]. *)
 
+val bounds : options -> t -> Bounded.t option
+(** The bounds preset of a tree technique: DFS has no axis; IPB, IDB, IVB
+    and ITB iterate their axes; Fair is IPB plus the fair filter at
+    [fair_bound], and Length is DFS plus the length filter at
+    [length_bound]. [None] for Rand, PCT, MapleAlg and SURW. *)
+
 val strategy :
   ?promote:(string -> bool) -> options -> t -> (unit -> unit) -> Strategy.t
 (** The registered strategy of a technique under the given options — pure
-    registration; all control flow lives in {!Driver}. *)
+    registration; all control flow lives in {!Driver}. A tree technique is
+    {!Bounded.strategy} of its {!bounds}. *)
 
 val sharding :
   ?promote:(string -> bool) ->
@@ -124,12 +132,14 @@ val session :
     statistics so far. Through non-decreasing limits, each call returns
     exactly what {!run} with [{o with limit}] returns (the session law of
     {!Driver.advance}); [options.time_limit] budgets every call afresh
-    from its start. The walk is chosen by one match:
-    + with [options.por], DFS, IPB and IDB run the {!Por.Walk} reduction:
+    from its start. The shape of the {!bounds} picks the walk: the two
+    options below restructure the tree, so they apply to bounds with no
+    fair or length filter and no footprint axis — DFS, IPB and IDB:
+    + with [options.por], such bounds run the {!Por.walk} reduction:
       fewer executions to the same bugs, [Stats.por_pruned] counting the
       sleep-pruned runs. POR takes precedence over [prefix_batch] (see
       por.mli's interaction contract);
-    + otherwise, with [options.prefix_batch], DFS, IPB and IDB run through
+    + otherwise, with [options.prefix_batch], they run through
       {!Prefix_exec}: same statistics, plus the step counters. This
       executor keeps no walk between calls, so each call re-runs the
       campaign from the root;

@@ -319,20 +319,20 @@ let check ?(wrap = fun r -> r) cfg ~seed program =
           Por.explore ~promote:promote_all ~max_steps:cfg.max_steps ~mode
             ~limit:m program
         in
-        require "por" por.Por.complete
+        require "por" por.Stats.complete
           "POR(%s) did not complete on a space full DFS exhausted (%d \
            schedules)"
           mode_name dfs_all.Dfs.counted;
         require "por"
-          (por.Por.buggy > 0 = (dfs_all.Dfs.buggy > 0))
+          (por.Stats.buggy > 0 = (dfs_all.Dfs.buggy > 0))
           "POR(%s) and full DFS disagree on bug-freedom (POR buggy=%d, DFS \
            buggy=%d)"
-          mode_name por.Por.buggy dfs_all.Dfs.buggy;
+          mode_name por.Stats.buggy dfs_all.Dfs.buggy;
         require "por"
-          (por.Por.counted <= dfs_all.Dfs.counted)
+          (por.Stats.total <= dfs_all.Dfs.counted)
           "POR(%s) counted %d terminal schedules, more than full DFS's %d"
-          mode_name por.Por.counted dfs_all.Dfs.counted;
-        require "por" (por.Por.counted >= 1)
+          mode_name por.Stats.total dfs_all.Dfs.counted;
+        require "por" (por.Stats.total >= 1)
           "POR(%s) counted no terminal schedule" mode_name)
       [ (Por.Sleep, "sleep"); (Por.Dpor, "dpor"); (Por.Dpor_sleep, "both") ]);
 
@@ -369,30 +369,30 @@ let check ?(wrap = fun r -> r) cfg ~seed program =
                     ~bound ~mode ~limit:m program
                 in
                 require "bpor"
-                  (bpor.Por.counted <= plain.Dfs.counted)
+                  (bpor.Stats.total <= plain.Dfs.counted)
                   "BPOR(%s) at %s counted %d schedules, more than the plain \
                    bounded walk's %d"
-                  mn bname bpor.Por.counted plain.Dfs.counted;
+                  mn bname bpor.Stats.total plain.Dfs.counted;
                 if plain.Dfs.complete && not plain.Dfs.hit_limit then begin
-                  require "bpor" bpor.Por.complete
+                  require "bpor" bpor.Stats.complete
                     "BPOR(%s) did not exhaust the %s tree the plain walk \
                      exhausted (%d schedules)"
                     mn bname plain.Dfs.counted;
                   require "bpor"
-                    (bpor.Por.buggy > 0 = (plain.Dfs.buggy > 0))
+                    (bpor.Stats.buggy > 0 = (plain.Dfs.buggy > 0))
                     "BPOR(%s) and the plain walk disagree on bug-freedom at \
                      %s (BPOR buggy=%d, plain buggy=%d)"
-                    mn bname bpor.Por.buggy plain.Dfs.buggy
+                    mn bname bpor.Stats.buggy plain.Dfs.buggy
                 end;
                 if mode = Por.Sleep then
                   require "bpor"
-                    (bpor.Por.counted = plain.Dfs.counted
-                    && bpor.Por.buggy = plain.Dfs.buggy
-                    && bpor.Por.pruned_sleep = 0)
+                    (bpor.Stats.total = plain.Dfs.counted
+                    && bpor.Stats.buggy = plain.Dfs.buggy
+                    && bpor.Stats.por_pruned = 0)
                     "sleep-mode at %s must degenerate to the plain bounded \
                      walk (counted %d vs %d, buggy %d vs %d, sleep-pruned %d)"
-                    bname bpor.Por.counted plain.Dfs.counted bpor.Por.buggy
-                    plain.Dfs.buggy bpor.Por.pruned_sleep)
+                    bname bpor.Stats.total plain.Dfs.counted bpor.Stats.buggy
+                    plain.Dfs.buggy bpor.Stats.por_pruned)
               [ Por.Sleep; Por.Dpor; Por.Dpor_sleep ])
           [ 0; 1; 2 ])
       [ (fun c -> Dfs.Preemption c); (fun c -> Dfs.Delay c) ];

@@ -26,8 +26,8 @@
     - {b Witness replayability} (paper §1): every reported bug witness must
       replay through {!Sct_explore.Replay} to the same bug, by the same
       thread, with the same preemption and delay counts.
-    - {b Axes agreement / no bug lost}: a Fair/Length/IVB/ITB campaign
-      reporting [complete] provably covered the whole schedule space, so
+    - {b Bounding-axis agreement / no bug lost}: a Fair/Length/IVB/ITB
+      campaign reporting [complete] provably covered the whole space, so
       it must agree with exhaustive DFS on bug-freedom (and, two plain
       walks of one tree, on the schedule count); Fair at an unreachable
       yield bound must be byte-identical to plain IPB, and Length at an

@@ -10,7 +10,7 @@ let axes_techniques =
 
 let print ?(out = Format.std_formatter) ~limit rows =
   let pr fmt = Format.fprintf out fmt in
-  (* the Axes bounding columns appear only when some row carries their
+  (* the bounding-axis columns appear only when some row carries their
      stats, so the paper-shaped table (and its goldens) is unchanged
      unless fair/length/ivb/itb were requested *)
   let axes =

@@ -3,11 +3,11 @@
     paper-vs-measured agreement summary. *)
 
 val print : ?out:Format.formatter -> limit:int -> Run_data.row list -> unit
-(** When any row carries stats for the {!Sct_explore.Axes} bounding
-    techniques (Fair, Length, IVB, ITB), one [b/first/tot/cut/bug] column
-    per present technique is appended after the paper's five — the paper's
-    layout (and committed goldens) is byte-identical whenever they were
-    not requested. *)
+(** When any row carries stats for the bounding-axis techniques (Fair,
+    Length, IVB, ITB), one [b/first/tot/cut/bug] column per present
+    technique is appended after the paper's five — the paper's layout (and
+    committed goldens) is byte-identical whenever they were not
+    requested. *)
 
 val print_agreement : ?out:Format.formatter -> Run_data.row list -> unit
 (** For each benchmark and technique, compare "bug found?" (and the bound,

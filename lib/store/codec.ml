@@ -203,14 +203,14 @@ let options_to_json (o : Techniques.options) =
     (match o.Techniques.por with
     | None -> []
     | Some m -> [ ("por", Json.Str (Sct_explore.Por.mode_name m)) ])
-    @ (* emitted only when non-default: cells that never touch the Axes
-         bounds keep the pre-axes encoding *)
-    (if o.Techniques.fair_bound <> Sct_explore.Axes.default_fair_bound then
+    @ (* emitted only when non-default: cells that never touch the fair
+         or length bound keep the pre-axes encoding *)
+    (if o.Techniques.fair_bound <> Techniques.default_options.fair_bound then
        [ ("fair_bound", Json.Int o.Techniques.fair_bound) ]
      else [])
     @
-    if o.Techniques.length_bound <> Sct_explore.Axes.default_length_bound then
-      [ ("length_bound", Json.Int o.Techniques.length_bound) ]
+    if o.Techniques.length_bound <> Techniques.default_options.length_bound
+    then [ ("length_bound", Json.Int o.Techniques.length_bound) ]
     else [])
 
 let options_of_json j =
@@ -239,11 +239,11 @@ let options_of_json j =
     fair_bound =
       (match opt_field j "fair_bound" get_int with
       | Some b -> b
-      | None -> Sct_explore.Axes.default_fair_bound);
+      | None -> Techniques.default_options.fair_bound);
     length_bound =
       (match opt_field j "length_bound" get_int with
       | Some b -> b
-      | None -> Sct_explore.Axes.default_length_bound);
+      | None -> Techniques.default_options.length_bound);
   }
 
 (* --- campaign slice progress --- *)

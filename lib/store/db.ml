@@ -58,14 +58,14 @@ let fingerprint ~bench ~technique (o : Techniques.options) =
       (match o.Techniques.por with
       | None -> []
       | Some m -> [ ("por", Json.Str (Sct_explore.Por.mode_name m)) ])
-      @ (* only-when-non-default, so pre-Axes fingerprints are unchanged;
+      @ (* only-when-non-default, so pre-axes fingerprints are unchanged;
            a Fair/Length cell at a different bound explores a different
            schedule set and must never alias *)
-      (if o.Techniques.fair_bound <> Sct_explore.Axes.default_fair_bound then
+      (if o.Techniques.fair_bound <> Techniques.default_options.fair_bound then
          [ ("fair_bound", Json.Int o.Techniques.fair_bound) ]
        else [])
       @
-      if o.Techniques.length_bound <> Sct_explore.Axes.default_length_bound
+      if o.Techniques.length_bound <> Techniques.default_options.length_bound
       then [ ("length_bound", Json.Int o.Techniques.length_bound) ]
       else []))
   |> Digest.string |> Digest.to_hex
@@ -102,12 +102,19 @@ let entry_to_line key e =
   add_entry buf key e;
   Buffer.contents buf
 
-(* One record and its newline into the store's buffer, so that writing a
-   journal line allocates no string. *)
-let print_line t key e =
+(* A record above this size gives the buffer's capacity back once it is
+   written: a paper-limit Rand record is tens of MB, and the store would
+   otherwise hold that much until it closes. *)
+let line_keep = 1 lsl 20
+
+(* One record and its newline, printed into the store's buffer and written
+   to [oc], so that writing a journal line allocates no string. *)
+let output_line t oc key e =
   Buffer.clear t.line;
   add_entry t.line key e;
-  Buffer.add_char t.line '\n'
+  Buffer.add_char t.line '\n';
+  Buffer.output_buffer oc t.line;
+  if Buffer.length t.line > line_keep then Buffer.reset t.line
 
 (* [None] on any malformed line: the only way a record can be malformed is a
    write torn by a crash (or a foreign line), and resuming past it merely
@@ -207,8 +214,7 @@ let channel t =
 
 let add t ~key entry =
   let oc = channel t in
-  print_line t key entry;
-  Buffer.output_buffer oc t.line;
+  output_line t oc key entry;
   flush oc;
   remember t key entry
 
@@ -312,9 +318,7 @@ let compact t =
   let oc = open_out_bin tmp in
   (try
      List.iter
-       (fun (key, e) ->
-         print_line t key e;
-         Buffer.output_buffer oc t.line)
+       (fun (key, e) -> output_line t oc key e)
        (entries_any t);
      close_out oc
    with exn ->

@@ -20,8 +20,9 @@
     Records go through {!Codec.add_stats} and {!Codec.read_stats}, so a
     distinct-schedule set is never held as a tree. Every line is printed
     into one buffer the store keeps, then written and flushed, so writing
-    a record allocates no string; {!open_} reads the journal line by line,
-    so it never holds more than one line of it.
+    a record allocates no string; after a record above 1 MiB the buffer
+    shrinks back to its initial 4 KiB. {!open_} reads the journal line by
+    line, so it never holds more than one line of it.
 
     Cells are keyed by {!fingerprint}, a digest of the benchmark name, the
     technique and the semantically relevant exploration options. [jobs] is

@@ -41,12 +41,16 @@ let sched_set strategy program =
   in
   (s, !set)
 
+(* one walk of the tree within [bound], through the filters *)
+let walk ?fair ?length bound =
+  Strategy.of_walk ~technique:"DFS" (Dfs.walk ?fair ?length ~bound ())
+
 let axes_of_bound =
   [
-    ("fair", fun k -> Dfs.strategy ~fair:k ~bound:Dfs.Unbounded ());
-    ("length", fun k -> Dfs.strategy ~length:k ~bound:Dfs.Unbounded ());
-    ("variable", fun k -> Dfs.strategy ~bound:(Dfs.Variable k) ());
-    ("thread", fun k -> Dfs.strategy ~bound:(Dfs.Threads k) ());
+    ("fair", fun k -> walk ~fair:k Dfs.Unbounded);
+    ("length", fun k -> walk ~length:k Dfs.Unbounded);
+    ("variable", fun k -> walk (Dfs.Variable k));
+    ("thread", fun k -> walk (Dfs.Threads k));
   ]
 
 let prop_inclusion =
@@ -114,9 +118,7 @@ let prop_length_at_longest_is_dfs =
               max !longest
                 (List.length
                    (Schedule.to_list res.Sct_core.Runtime.r_schedule)))
-          ~limit:o.Techniques.limit
-          (Dfs.strategy ~bound:Dfs.Unbounded ())
-          program
+          ~limit:o.Techniques.limit (walk Dfs.Unbounded) program
       in
       (* schedules of exactly [length_bound] decisions still count: the
          bound set to the longest observed schedule cuts nothing *)

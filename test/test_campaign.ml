@@ -1,6 +1,6 @@
 (* The fleet campaign orchestrator (lib/campaign): slice-resumable cells
-   must reproduce the one-shot runner's statistics exactly, under either
-   policy, any pool size, multi-process sharding with store merge, and
+   must reproduce the one-shot runner's statistics exactly, under any
+   pool size, multi-process sharding with store merge, and
    interruption at any slice boundary (plus a torn journal tail). Also:
    scheduler determinism unit tests and the status-report and journal
    golden files. *)
@@ -63,9 +63,9 @@ let slice = 15
 let benches () = [ pick "CS.lazy01_bad"; pick "CS.account_bad" ]
 let grid () = Cell.grid ~techniques options (benches ())
 
-let run_campaign ?policy ?on_slice ?(jobs = 1) ?(slice = slice) db cells =
+let run_campaign ?on_slice ?(jobs = 1) ?(slice = slice) db cells =
   Sct_parallel.Pool.with_pool ~jobs (fun pool ->
-      Orchestrator.run ?policy ~slice ?on_slice ~pool ~db cells)
+      Orchestrator.run ~slice ?on_slice ~pool ~db cells)
 
 let render_status db =
   let buf = Buffer.create 1024 in
@@ -224,22 +224,6 @@ let test_worker_shards_then_merge () =
         (render_status merged);
       Db.close merged)
 
-let test_bandit_same_results () =
-  let _, clean_cells, clean_status = Lazy.force clean_campaign in
-  with_dir (fun dir ->
-      let db = Db.open_ ~dir in
-      let outcome = run_campaign ~policy:Scheduler.Bandit db (grid ()) in
-      Alcotest.(check int)
-        "bandit finishes the whole grid" outcome.Orchestrator.cells
-        outcome.Orchestrator.finished;
-      (* the policy reorders slices but cannot change their content: the
-         finished cells — including per-cell slice counts — are identical *)
-      check_cells_equal "bandit = uniform" clean_cells (cells_of db);
-      Alcotest.(check string)
-        "bandit status byte-identical to uniform" clean_status
-        (render_status db);
-      Db.close db)
-
 let test_pool_same_results () =
   let _, clean_cells, _ = Lazy.force clean_campaign in
   with_dir (fun dir ->
@@ -334,18 +318,18 @@ let test_tree_cells_walk_once () =
 
 (* --- scheduler determinism (pure unit tests) --- *)
 
-let arm ?(slices = 1) ?(coverage = 0) ?bound ?(finished = false) consumed =
+let arm ?(slices = 1) ?(finished = false) consumed =
   Some
     {
       Scheduler.s_consumed = consumed;
       s_slices = slices;
-      s_coverage = coverage;
-      s_bound = bound;
+      s_coverage = 0;
+      s_bound = None;
       s_finished = finished;
     }
 
 let test_scheduler_uniform () =
-  let pick a = Scheduler.pick ~policy:Scheduler.Uniform a in
+  let pick = Scheduler.pick in
   Alcotest.(check (option int)) "empty grid" None (pick [||]);
   Alcotest.(check (option int))
     "untried cells first, lowest index" (Some 0)
@@ -362,27 +346,6 @@ let test_scheduler_uniform () =
   Alcotest.(check (option int))
     "all finished = campaign over" None
     (pick [| arm ~finished:true 40; arm ~finished:true 40 |])
-
-let test_scheduler_bandit () =
-  let pick a = Scheduler.pick ~policy:Scheduler.Bandit a in
-  Alcotest.(check (option int))
-    "optimism: untried before scored" (Some 1)
-    (pick [| arm ~slices:1 ~coverage:15 15; None |]);
-  Alcotest.(check (option int))
-    "higher coverage rate wins" (Some 1)
-    (pick
-       [| arm ~slices:3 ~coverage:5 45; arm ~slices:3 ~coverage:40 45 |]);
-  Alcotest.(check (option int))
-    "low bound beats high bound at equal rate" (Some 0)
-    (pick
-       [|
-         arm ~slices:3 ~coverage:30 ~bound:0 45;
-         arm ~slices:3 ~coverage:30 ~bound:4 45;
-       |]);
-  Alcotest.(check (option int))
-    "deterministic tie-break: lowest index" (Some 0)
-    (pick
-       [| arm ~slices:3 ~coverage:30 45; arm ~slices:3 ~coverage:30 45 |])
 
 let test_state_of_legacy_entry () =
   (* a record written by the one-shot study runner: finished, one slice *)
@@ -464,8 +427,6 @@ let suites =
       [
         Alcotest.test_case "uniform policy is a deterministic round-robin"
           `Quick test_scheduler_uniform;
-        Alcotest.test_case "bandit policy is deterministic and adaptive"
-          `Quick test_scheduler_bandit;
         Alcotest.test_case "study-runner records read as finished cells"
           `Quick test_state_of_legacy_entry;
       ] );
@@ -475,8 +436,6 @@ let suites =
           `Slow test_uniform_matches_oneshot;
         Alcotest.test_case "3-shard workers + merge equal single-process"
           `Slow test_worker_shards_then_merge;
-        Alcotest.test_case "bandit policy: same cells, same final records"
-          `Slow test_bandit_same_results;
         Alcotest.test_case "pool size does not change results" `Slow
           test_pool_same_results;
         Alcotest.test_case "interrupted campaign resumes exactly" `Slow

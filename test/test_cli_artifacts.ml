@@ -219,6 +219,50 @@ let test_numeric_flags_checked () =
   Alcotest.(check bool) "a positive time limit still runs" true
     (contains ~needle:"total=100" out)
 
+(* Named flags are parsed once, where they are read: an unknown value is
+   a command-line error (exit 124) that names the option and lists the
+   valid values, never an ad-hoc message and exit 1; a flag that no
+   longer exists is refused the same way. *)
+let test_named_flags_checked () =
+  let store = fresh_store () in
+  List.iter
+    (fun (args, option, valid) ->
+      let code, out = run_cli args in
+      if code <> 124 then
+        Alcotest.failf "%s: expected exit 124, got %d:\n%s" args code out;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: the message names %s" args option)
+        true
+        (contains ~needle:(Printf.sprintf "option '%s'" option) out);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: the message lists %S" args valid)
+        true (contains ~needle:valid out))
+    [
+      ("run CS.reorder_3_bad --limit 10 --por bogus", "--por", "valid: sleep");
+      ("run CS.reorder_3_bad --limit 10 -t bogus", "--technique", "itb");
+      ("run CS.reorder_3_bad --limit 10 -t ,", "--technique", "itb");
+      ("fuzz --count 1 -t bogus", "--technique", "itb");
+      ("corpus mine --count 1 -t ,", "--technique", "itb");
+      ("por CS.reorder_3_bad --mode bogus", "--mode", "valid: sleep");
+      ("fuzz --count 1 --vocab bogus", "--vocab", "classic");
+      ("corpus mine --count 1 --vocab bogus", "--vocab", "classic");
+      (Printf.sprintf "campaign worker --shard bogus --store %s"
+         (Filename.quote store), "--shard", "K/N");
+      (Printf.sprintf "campaign worker --shard 3/3 --store %s"
+         (Filename.quote store), "--shard", "K/N");
+      (Printf.sprintf "campaign run --suite cs --policy bogus --store %s"
+         (Filename.quote store), "--policy", "unknown option");
+    ];
+  Alcotest.(check bool) "no store was created" false (Sys.file_exists store);
+  let code, out = run_cli "run CS.reorder_3_bad --limit 10 -t ipb,,rand" in
+  if code <> 0 then Alcotest.failf "-t ipb,,rand: exit %d:\n%s" code out;
+  Alcotest.(check bool) "empty fragments are skipped" true
+    (contains ~needle:"IPB" out && contains ~needle:"Rand" out);
+  let code, out = run_cli "por CS.reorder_3_bad --limit 50 --mode both" in
+  if code <> 0 then Alcotest.failf "--mode both: exit %d:\n%s" code out;
+  Alcotest.(check bool) "both is dpor+sleep" true
+    (contains ~needle:"CS.reorder_3_bad: " out)
+
 let suites =
   [
     ( "cli-artifacts",
@@ -233,5 +277,7 @@ let suites =
           test_replay_missing_digest;
         Alcotest.test_case "numeric flags: out of range exits 124" `Quick
           test_numeric_flags_checked;
+        Alcotest.test_case "named flags: bad values exit 124" `Quick
+          test_named_flags_checked;
       ] );
   ]

@@ -231,7 +231,7 @@ let golden_limit = 200
 
 (* The rows are the expensive part (six benchmarks x nine techniques at
    --limit 200); both golden tables render from the same single run. The
-   paper's five are joined by the four Axes bounding techniques, so the
+   paper's five are joined by the four bounding-axis techniques, so the
    golden also pins their byte-determinism (and the conditional Table 3
    columns they trigger). *)
 let golden_rows =

@@ -5,6 +5,11 @@ open Sct_core
 
 let promote_all _ = true
 
+(* an iterative-bounding campaign, as the study runs it *)
+let bounded technique ~limit program =
+  Sct_explore.Techniques.(
+    run ~promote:promote_all { default_options with limit } technique program)
+
 (* main spawns one child doing [b] yields, then yields [a] times itself:
    the terminal schedules are exactly the interleavings of the two suffix
    sequences: C(a+b, a). *)
@@ -145,10 +150,7 @@ let figure1 () =
   ignore (t1, t2)
 
 let test_bounded_reports_min_bound () =
-  let ipb =
-    Sct_explore.Bounded.explore ~promote:promote_all
-      ~kind:Sct_explore.Bounded.Preemption_bounding ~limit:100_000 figure1
-  in
+  let ipb = bounded Sct_explore.Techniques.IPB ~limit:100_000 figure1 in
   Alcotest.(check (option int)) "min preemption bound" (Some 1)
     ipb.Sct_explore.Stats.bound;
   Alcotest.(check bool) "level completed" true
@@ -172,18 +174,12 @@ let test_bounded_complete_no_bug () =
     Sct.join t2;
     Sct.check (Sct.Var.read c = 2) "no lost update"
   in
-  let r =
-    Sct_explore.Bounded.explore ~promote:promote_all
-      ~kind:Sct_explore.Bounded.Delay_bounding ~limit:1_000_000 program
-  in
+  let r = bounded Sct_explore.Techniques.IDB ~limit:1_000_000 program in
   Alcotest.(check bool) "complete" true r.Sct_explore.Stats.complete;
   Alcotest.(check int) "no buggy schedule" 0 r.Sct_explore.Stats.buggy
 
 let test_bounded_first_bug_cumulative () =
-  let idb =
-    Sct_explore.Bounded.explore ~promote:promote_all
-      ~kind:Sct_explore.Bounded.Delay_bounding ~limit:100_000 figure1
-  in
+  let idb = bounded Sct_explore.Techniques.IDB ~limit:100_000 figure1 in
   (match idb.Sct_explore.Stats.to_first_bug with
   | Some i -> Alcotest.(check bool) "first bug index positive" true (i >= 1)
   | None -> Alcotest.fail "bug not found");

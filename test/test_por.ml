@@ -31,12 +31,12 @@ let test_sleep_collapses_independence () =
   let d = dfs (independent 4) in
   Alcotest.(check int) "plain DFS: C(8,4)" 70 d.Sct_explore.Dfs.counted;
   let s = por Sct_explore.Por.Sleep (independent 4) in
-  Alcotest.(check bool) "complete" true s.Sct_explore.Por.complete;
-  Alcotest.(check int) "sleep sets: one schedule" 1 s.Sct_explore.Por.counted
+  Alcotest.(check bool) "complete" true s.Sct_explore.Stats.complete;
+  Alcotest.(check int) "sleep sets: one schedule" 1 s.Sct_explore.Stats.total
 
 let test_dpor_collapses_independence () =
   let s = por Sct_explore.Por.Dpor_sleep (independent 4) in
-  Alcotest.(check int) "dpor+sleep: one schedule" 1 s.Sct_explore.Por.counted
+  Alcotest.(check int) "dpor+sleep: one schedule" 1 s.Sct_explore.Stats.total
 
 (* Dependent operations must still be permuted: two racing writers and an
    asserting reader — every POR mode must find the bug. *)
@@ -53,7 +53,7 @@ let test_por_finds_bugs () =
     (fun mode ->
       let r = por mode racy_program in
       Alcotest.(check bool) "bug found" true
-        (r.Sct_explore.Por.to_first_bug <> None))
+        (r.Sct_explore.Stats.to_first_bug <> None))
     Sct_explore.Por.[ Sleep; Dpor; Dpor_sleep ]
 
 let test_por_on_figure1 () =
@@ -77,9 +77,9 @@ let test_por_on_figure1 () =
     (fun mode ->
       let r = por mode figure1 in
       Alcotest.(check bool) "bug found" true
-        (r.Sct_explore.Por.to_first_bug <> None);
+        (r.Sct_explore.Stats.to_first_bug <> None);
       Alcotest.(check bool) "no more schedules than DFS" true
-        (r.Sct_explore.Por.counted <= d.Sct_explore.Dfs.counted))
+        (r.Sct_explore.Stats.total <= d.Sct_explore.Dfs.counted))
     Sct_explore.Por.[ Sleep; Dpor; Dpor_sleep ]
 
 (* Locked increments: the final state is schedule-independent, so POR may
@@ -139,9 +139,9 @@ let test_por_lock_handover () =
     (fun mode ->
       let r = por mode twostage in
       Alcotest.(check bool) "POR finds the handover bug" true
-        (r.Sct_explore.Por.to_first_bug <> None);
+        (r.Sct_explore.Stats.to_first_bug <> None);
       Alcotest.(check bool) "with fewer schedules" true
-        (r.Sct_explore.Por.counted <= d.Sct_explore.Dfs.counted))
+        (r.Sct_explore.Stats.total <= d.Sct_explore.Dfs.counted))
     Sct_explore.Por.[ Sleep; Dpor; Dpor_sleep ]
 
 let test_por_deadlock_found () =
@@ -169,7 +169,7 @@ let test_por_deadlock_found () =
   List.iter
     (fun mode ->
       let r = por mode program in
-      match r.Sct_explore.Por.first_bug with
+      match r.Sct_explore.Stats.first_bug with
       | Some { Sct_explore.Stats.w_bug = Outcome.Deadlock _; _ } -> ()
       | _ -> Alcotest.failf "deadlock missed by POR")
     Sct_explore.Por.[ Sleep; Dpor; Dpor_sleep ]
@@ -178,8 +178,8 @@ let test_por_correct_program () =
   List.iter
     (fun mode ->
       let r = por mode locked_counters in
-      Alcotest.(check bool) "complete" true r.Sct_explore.Por.complete;
-      Alcotest.(check int) "no bug" 0 r.Sct_explore.Por.buggy)
+      Alcotest.(check bool) "complete" true r.Sct_explore.Stats.complete;
+      Alcotest.(check int) "no bug" 0 r.Sct_explore.Stats.buggy)
     Sct_explore.Por.[ Sleep; Dpor; Dpor_sleep ]
 
 (* Soundness over the random program family: POR agrees with plain DFS on
@@ -194,9 +194,9 @@ let prop_por_sound =
       List.for_all
         (fun mode ->
           let r = por mode program in
-          r.Sct_explore.Por.complete
-          && r.Sct_explore.Por.counted <= d.Sct_explore.Dfs.counted
-          && r.Sct_explore.Por.buggy = 0 (* family is bug-free *)
+          r.Sct_explore.Stats.complete
+          && r.Sct_explore.Stats.total <= d.Sct_explore.Dfs.counted
+          && r.Sct_explore.Stats.buggy = 0 (* family is bug-free *)
           && d.Sct_explore.Dfs.buggy = 0)
         Sct_explore.Por.[ Sleep; Dpor; Dpor_sleep ])
 
@@ -228,7 +228,7 @@ let prop_por_finds_what_dfs_finds =
       List.for_all
         (fun mode ->
           let r = por mode program in
-          (r.Sct_explore.Por.to_first_bug <> None)
+          (r.Sct_explore.Stats.to_first_bug <> None)
           = (d.Sct_explore.Dfs.to_first_bug <> None))
         Sct_explore.Por.[ Sleep; Dpor; Dpor_sleep ])
 
@@ -260,11 +260,13 @@ let test_parse_mode () =
             (Astring_contains.contains e m))
         Sct_explore.Por.valid_mode_names
 
-(* --- which techniques --por reaches ------------------------------------- *)
+(* --- which techniques --por and --prefix-batch reach ---------------------- *)
 
-(* The reduction exists for the tree walkers only: on a benchmark with
-   commuting steps, [--por dpor+sleep] changes the statistics of exactly
-   DFS, IPB and IDB, and every other technique ignores the option. *)
+(* The reduction and the batched executor exist for bounds with no filter
+   and no footprint axis only: on a benchmark with commuting steps,
+   [--por dpor+sleep] changes the statistics of exactly DFS, IPB and IDB,
+   [--prefix-batch] changes exactly their step counters, and every other
+   technique ignores both options. *)
 let test_por_reaches_tree_walkers () =
   let program =
     (Option.get (Sctbench.Registry.by_name "CS.reorder_3_bad"))
@@ -280,6 +282,8 @@ let test_por_reaches_tree_walkers () =
   List.iter
     (fun t ->
       let run o = Sct_explore.Techniques.run ~promote o t program in
+      let name = Sct_explore.Techniques.name t in
+      let tree = List.mem t Sct_explore.Techniques.[ DFS; IPB; IDB ] in
       let plain = run o in
       let reduced =
         run
@@ -287,9 +291,44 @@ let test_por_reaches_tree_walkers () =
             Sct_explore.Techniques.por = Some Sct_explore.Por.Dpor_sleep }
       in
       Alcotest.(check bool)
-        (Sct_explore.Techniques.name t ^ ": --por changes the statistics")
-        (List.mem t Sct_explore.Techniques.[ DFS; IPB; IDB ])
-        (not (Sct_explore.Stats.equal plain reduced)))
+        (name ^ ": --por changes the statistics")
+        tree
+        (not (Sct_explore.Stats.equal plain reduced));
+      let batched =
+        run { o with Sct_explore.Techniques.prefix_batch = true }
+      in
+      Alcotest.(check bool)
+        (name ^ ": --prefix-batch saves steps")
+        tree
+        (batched.Sct_explore.Stats.steps_saved > 0);
+      Alcotest.(check bool)
+        (name ^ ": --prefix-batch changes the statistics")
+        tree
+        (not (Sct_explore.Stats.equal plain batched));
+      Alcotest.(check bool)
+        (name ^ ": --prefix-batch changes only the step counters")
+        true
+        (Sct_explore.Stats.equal plain
+           {
+             batched with
+             Sct_explore.Stats.steps_executed =
+               plain.Sct_explore.Stats.steps_executed;
+             steps_saved = plain.Sct_explore.Stats.steps_saved;
+           });
+      (* the bounds the session keeps plain, the reduced runner refuses *)
+      match Sct_explore.Techniques.bounds o t with
+      | Some b when not tree ->
+          Alcotest.(check bool)
+            (name ^ ": the reduced runner refuses its bounds")
+            true
+            (match
+               Sct_explore.Driver.explore ~promote ~limit:1
+                 (Sct_explore.Bounded.strategy ~por:Sct_explore.Por.Dpor b)
+                 program
+             with
+            | _ -> false
+            | exception Invalid_argument _ -> true)
+      | Some _ | None -> ())
     Sct_explore.Techniques.all
 
 (* --- BPOR: the bounded walks against the plain bounded walks ------------ *)
@@ -314,15 +353,15 @@ let test_bpor_bound_equivalence () =
                   ~limit:cap program
               in
               Alcotest.(check bool) "no more schedules than plain" true
-                (r.Sct_explore.Por.counted <= plain.Sct_explore.Dfs.counted);
+                (r.Sct_explore.Stats.total <= plain.Sct_explore.Dfs.counted);
               if
                 plain.Sct_explore.Dfs.complete
                 && not plain.Sct_explore.Dfs.hit_limit
               then begin
                 Alcotest.(check bool) "complete" true
-                  r.Sct_explore.Por.complete;
+                  r.Sct_explore.Stats.complete;
                 Alcotest.(check bool) "bug-freedom agreement" true
-                  (r.Sct_explore.Por.buggy > 0
+                  (r.Sct_explore.Stats.buggy > 0
                   = (plain.Sct_explore.Dfs.buggy > 0))
               end)
             Sct_explore.Por.[ Sleep; Dpor; Dpor_sleep ])
@@ -357,9 +396,13 @@ let prop_bpor_signature_subset =
     Test_programs_qcheck.gen_program_gen (fun gp ->
       let program = Test_programs_qcheck.build gp in
       List.for_all
-        (fun kind ->
+        (fun axis ->
+          let bounds =
+            { Sct_explore.Bounded.name = "bounded"; axis = Some axis;
+              fair = None; length = None }
+          in
           let plain, plain_sigs =
-            signatures_of (Sct_explore.Bounded.strategy ~kind ()) program
+            signatures_of (Sct_explore.Bounded.strategy bounds) program
           in
           QCheck2.assume
             (plain.Sct_explore.Stats.complete
@@ -368,7 +411,7 @@ let prop_bpor_signature_subset =
             (fun mode ->
               let bpor, bpor_sigs =
                 signatures_of
-                  (Sct_explore.Bounded.strategy ~por:mode ~kind ())
+                  (Sct_explore.Bounded.strategy ~por:mode bounds)
                   program
               in
               bpor.Sct_explore.Stats.complete
@@ -376,7 +419,7 @@ let prop_bpor_signature_subset =
                    (fun s -> List.mem s plain_sigs)
                    bpor_sigs)
             Sct_explore.Por.[ Dpor; Dpor_sleep ])
-        Sct_explore.Bounded.[ Preemption_bounding; Delay_bounding ])
+        Sct_explore.Bounded.[ Preemptions; Delays ])
 
 let suites =
   [

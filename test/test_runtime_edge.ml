@@ -11,8 +11,8 @@ let verify ?(limit = 400_000) program =
     Sct_explore.Por.explore ~promote:promote_all
       ~mode:Sct_explore.Por.Dpor_sleep ~limit program
   in
-  Alcotest.(check bool) "space exhausted" true r.Sct_explore.Por.complete;
-  Alcotest.(check int) "no bugs" 0 r.Sct_explore.Por.buggy
+  Alcotest.(check bool) "space exhausted" true r.Sct_explore.Stats.complete;
+  Alcotest.(check int) "no bugs" 0 r.Sct_explore.Stats.buggy
 
 let falsify ?(limit = 100_000) program =
   let r =

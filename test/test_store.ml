@@ -1699,6 +1699,38 @@ let test_witnesses_replay_as_buggy () =
         witnesses;
       Db.close db)
 
+(* The store's line buffer gives back the capacity of an oversize record:
+   after a multi-MiB Rand record and a small record under the same key,
+   the store holds about the small record, not the large one's buffer. *)
+let test_db_line_buffer_shrinks () =
+  with_dir (fun dir ->
+      let db = Db.open_ ~dir in
+      let record stats =
+        Db.record db ~key:"k" ~bench:"B" ~technique:"Rand" ~racy:0
+          ~options:Techniques.default_options stats
+      in
+      (* 4,096 distinct schedules of 512 steps: about 4 MiB of journal *)
+      let schedule i = List.init 512 (fun j -> (i lsr (j mod 12)) land 1) in
+      let big =
+        {
+          (Stats.base ~technique:"Rand") with
+          Stats.total = 4_096;
+          distinct_schedules =
+            Some (Stats.Sched_set.of_list (List.init 4_096 schedule));
+        }
+      in
+      record big;
+      let journal = Filename.concat dir "journal.jsonl" in
+      let big_bytes = (Unix.stat journal).Unix.st_size in
+      Alcotest.(check bool) "the big record is multi-MiB" true
+        (big_bytes > 2 * 1024 * 1024);
+      record { (Stats.base ~technique:"Rand") with Stats.total = 1 };
+      let words = Obj.reachable_words (Obj.repr db) in
+      Db.close db;
+      if words * (Sys.word_size / 8) > big_bytes / 16 then
+        Alcotest.failf "the store holds %d words after a %d-byte record" words
+          big_bytes)
+
 let suites =
   [
     ( "store.codec",
@@ -1761,6 +1793,8 @@ let suites =
           `Quick test_db_progress_records;
         Alcotest.test_case "a record with a negative counter is re-executed"
           `Quick test_db_negative_record_skipped;
+        Alcotest.test_case "an oversize record's buffer is given back" `Quick
+          test_db_line_buffer_shrinks;
         QCheck_alcotest.to_alcotest prop_mutated_journal_opens;
         QCheck_alcotest.to_alcotest prop_journal_reads_like_reference;
       ] );

@@ -358,6 +358,11 @@ let session_configs =
           t ))
       tree
 
+let preset t =
+  match Techniques.bounds Techniques.default_options t with
+  | Some b -> b
+  | None -> Alcotest.fail (Techniques.name t ^ " has no bounds preset")
+
 (* Driver sessions the dispatch match never builds: a level cap, whose
    finish does not report [new_at_bound] (so a paused level's count must
    not survive the resume), and [stop_on_bug], checked after the budget. *)
@@ -365,15 +370,13 @@ let driver_configs =
   [
     ( "IPB capped at level 1",
       false,
-      fun () ->
-        Bounded.strategy ~max_levels:1 ~kind:Bounded.Preemption_bounding () );
+      fun () -> Bounded.strategy ~max_levels:1 (preset Techniques.IPB) );
     ( "IDB capped at level 2",
       false,
-      fun () ->
-        Bounded.strategy ~max_levels:2 ~kind:Bounded.Delay_bounding () );
+      fun () -> Bounded.strategy ~max_levels:2 (preset Techniques.IDB) );
     ( "DFS stopping on the first bug",
       true,
-      fun () -> Sct_explore.Dfs.strategy ~bound:Sct_explore.Dfs.Unbounded () );
+      fun () -> Bounded.strategy (preset Techniques.DFS) );
   ]
 
 let session_benches =

@@ -5,6 +5,11 @@ open Sct_core
 
 let promote_all _ = true
 
+(* an iterative-bounding campaign, as the study runs it *)
+let bounded technique ~limit program =
+  Sct_explore.Techniques.(
+    run ~promote:promote_all { default_options with limit } technique program)
+
 let figure1 () =
   let x = Sct.Var.make ~name:"x" 0 and y = Sct.Var.make ~name:"y" 0 in
   let t1 =
@@ -24,10 +29,7 @@ let figure1 () =
 
 let test_replay_reproduces_bug () =
   (* find a witness with IDB, then replay it byte-for-byte *)
-  let idb =
-    Sct_explore.Bounded.explore ~promote:promote_all
-      ~kind:Sct_explore.Bounded.Delay_bounding ~limit:10_000 figure1
-  in
+  let idb = bounded Sct_explore.Techniques.IDB ~limit:10_000 figure1 in
   match idb.Sct_explore.Stats.first_bug with
   | None -> Alcotest.fail "no witness"
   | Some w -> (
@@ -294,18 +296,12 @@ let test_guarantee_bounded () =
     Sct.join t1;
     Sct.join t2
   in
-  let s =
-    Sct_explore.Bounded.explore ~promote:promote_all
-      ~kind:Sct_explore.Bounded.Delay_bounding ~limit:1_000_000 program
-  in
+  let s = bounded Sct_explore.Techniques.IDB ~limit:1_000_000 program in
   (match Sct_explore.Guarantee.of_stats s with
   | Sct_explore.Guarantee.Verified -> ()
   | g -> Alcotest.failf "expected Verified, got %s" (Sct_explore.Guarantee.to_string g));
   (* with a tiny limit the guarantee weakens to a bound or nothing *)
-  let s' =
-    Sct_explore.Bounded.explore ~promote:promote_all
-      ~kind:Sct_explore.Bounded.Preemption_bounding ~limit:2 program
-  in
+  let s' = bounded Sct_explore.Techniques.IPB ~limit:2 program in
   match Sct_explore.Guarantee.of_stats s' with
   | Sct_explore.Guarantee.Bounded { kind = `Preemptions; bound } ->
       Alcotest.(check bool) "bound >= 0" true (bound >= 0)
@@ -313,10 +309,7 @@ let test_guarantee_bounded () =
   | g -> Alcotest.failf "unexpected guarantee %s" (Sct_explore.Guarantee.to_string g)
 
 let test_guarantee_falsified () =
-  let s =
-    Sct_explore.Bounded.explore ~promote:promote_all
-      ~kind:Sct_explore.Bounded.Delay_bounding ~limit:10_000 figure1
-  in
+  let s = bounded Sct_explore.Techniques.IDB ~limit:10_000 figure1 in
   match Sct_explore.Guarantee.of_stats s with
   | Sct_explore.Guarantee.Falsified { bound = Some 1 } -> ()
   | g -> Alcotest.failf "expected Falsified(1), got %s" (Sct_explore.Guarantee.to_string g)

@@ -31,8 +31,8 @@ let collect mk =
     Sct_explore.Por.explore ~promote:promote_all
       ~mode:Sct_explore.Por.Dpor_sleep ~limit:500_000 program
   in
-  Alcotest.(check bool) "space exhausted" true lr.Sct_explore.Por.complete;
-  Alcotest.(check int) "no bugs" 0 lr.Sct_explore.Por.buggy;
+  Alcotest.(check bool) "space exhausted" true lr.Sct_explore.Stats.complete;
+  Alcotest.(check int) "no bugs" 0 lr.Sct_explore.Stats.buggy;
   !outcomes
 
 (* --- SB (store buffering): the TSO-vs-SC separating litmus --- *)
