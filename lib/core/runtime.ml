@@ -101,7 +101,7 @@ type t = {
      suspending thread is always [running], execution being serialised);
      the two [eff_*] cells carry the effect payload into the preallocated
      handler closures so that suspending allocates no closure. *)
-  mutable handler : (unit, unit) Effect.Deep.handler option;
+  mutable handler : (unit, unit) Effect.Deep.handler;
   mutable eff_op : Op.t;
   mutable eff_spawn : unit -> unit;
 }
@@ -376,27 +376,30 @@ let eval_enabled rt th =
       | Op.Access _ | Op.Yield ->
           true)
 
-(* Drain the dirty stack, updating the cached liveness/enabledness counters
-   and the enabled-set fingerprint. Finishing threads wake their joiners,
-   which may push further work — the loop runs until the stack is empty. *)
+(* Re-derive one thread's cached state: its liveness (a finishing thread
+   wakes its joiners, pushing them on the dirty stack), its enabledness, and
+   with them the counters, the enabled-set fingerprint and the cached list. *)
+let refresh rt th =
+  th.t_dirty <- false;
+  if th.t_live && is_finished th then begin
+    th.t_live <- false;
+    rt.n_live <- rt.n_live - 1;
+    touch_joiners rt th
+  end;
+  let now = eval_enabled rt th in
+  if now <> th.t_enabled then begin
+    th.t_enabled <- now;
+    rt.n_enabled <- rt.n_enabled + (if now then 1 else -1);
+    rt.enabled_fp <- rt.enabled_fp lxor fp_tid th.tid;
+    rt.enabled_cache <- []
+  end
+
+(* Drain the dirty stack. Refreshing a thread may push further work — the
+   loop runs until the stack is empty. *)
 let flush_dirty rt =
   while rt.n_dirty > 0 do
     rt.n_dirty <- rt.n_dirty - 1;
-    let tid = rt.dirty.(rt.n_dirty) in
-    let th = thread rt tid in
-    th.t_dirty <- false;
-    if th.t_live && is_finished th then begin
-      th.t_live <- false;
-      rt.n_live <- rt.n_live - 1;
-      touch_joiners rt th
-    end;
-    let now = eval_enabled rt th in
-    if now <> th.t_enabled then begin
-      th.t_enabled <- now;
-      rt.n_enabled <- rt.n_enabled + (if now then 1 else -1);
-      rt.enabled_fp <- rt.enabled_fp lxor fp_tid tid;
-      rt.enabled_cache <- []
-    end
+    refresh rt (thread rt rt.dirty.(rt.n_dirty))
   done
 
 let live_tids rt =
@@ -438,40 +441,51 @@ let preemption_cost rt t =
   | Some l when not (Tid.equal l t) -> if is_enabled rt l then 1 else 0
   | Some _ | None -> 0
 
+(* The enabled threads among the slots [lo, hi). *)
+let rec enabled_in rt lo hi acc =
+  if lo >= hi then acc
+  else
+    enabled_in rt (lo + 1) hi
+      (match rt.threads.(lo) with
+      | Some th when th.t_enabled -> acc + 1
+      | _ -> acc)
+
 let delay_cost rt t =
   match rt.last with
   | None -> 0
   | Some l ->
-      (* the enabled threads in the circular range [l, t) *)
-      let n = rt.count in
-      let stop = l + Tid.distance ~n l t in
-      let c = ref 0 in
-      for x = l to stop - 1 do
-        if is_enabled rt (if x < n then x else x - n) then incr c
-      done;
-      !c
+      (* the enabled threads in the circular range [l, t): one run of slots
+         when it does not wrap, else [l, count) and [0, t) *)
+      if t >= l then enabled_in rt l t 0
+      else enabled_in rt 0 t (enabled_in rt l rt.count 0)
 
-(* The unique enabled thread when [n_enabled = 1]. Run-to-block stretches
-   keep scheduling the same thread, so check [last] before scanning. *)
+(* The singleton of the first enabled thread from slot [i] on. Called only
+   when [n_enabled = 1], so some bit from slot 0 on is set: reaching the
+   end means the counter and the bits disagree. *)
+let rec first_enabled rt i =
+  if i >= rt.count then
+    invalid_arg
+      "Sct_core.Runtime.single_enabled: n_enabled = 1 but no enabled bit"
+  else
+    match rt.threads.(i) with
+    | Some th when th.t_enabled -> th.t_singleton
+    | _ -> first_enabled rt (i + 1)
+
+(* The enabled set when [n_enabled = 1], as the one enabled thread's
+   preallocated singleton. Run-to-block stretches keep scheduling the same
+   thread, so check [last] before scanning. *)
 let single_enabled rt =
-  let last_is_it =
-    match rt.last with
-    | Some l -> (
-        match rt.threads.(l) with Some th -> th.t_enabled | None -> false)
-    | None -> false
-  in
-  if last_is_it then thread rt (Option.get rt.last)
-  else begin
-    let found = ref None in
-    let i = ref 0 in
-    while !found = None do
-      (match rt.threads.(!i) with
-      | Some th when th.t_enabled -> found := Some th
-      | _ -> ());
-      incr i
-    done;
-    Option.get !found
-  end
+  match rt.last with
+  | Some l -> (
+      match rt.threads.(l) with
+      | Some th when th.t_enabled -> th.t_singleton
+      | _ -> first_enabled rt 0)
+  | None -> first_enabled rt 0
+
+(* Holds the handler's place in a runtime record until [exec] installs the
+   execution's own, before it starts any fibre. *)
+let no_handler : (unit, unit) Effect.Deep.handler =
+  { retc = Fun.id; exnc = raise; effc = (fun _ -> None) }
 
 (* The shared effect handler. The fibre that returns, raises or suspends is
    always the one [execute]/[add_thread] just resumed, i.e. [rt.running] —
@@ -517,9 +531,7 @@ let make_handler rt : (unit, unit) Effect.Deep.handler =
 
 (* Run or resume a fibre. Control returns here when the fibre suspends at
    its next visible operation, finishes, or raises. *)
-let start_fibre rt f =
-  Effect.Deep.match_with f ()
-    (match rt.handler with Some h -> h | None -> assert false)
+let start_fibre rt f = Effect.Deep.match_with f () rt.handler
 
 (* Create a thread and eagerly run its invisible prefix: a step is "a
    visible operation followed by invisible operations" (paper §2), so a
@@ -554,13 +566,7 @@ let add_thread rt f =
     th.t_live <- true;
     rt.n_live <- rt.n_live + 1
   end;
-  let en = eval_enabled rt th in
-  if en then begin
-    th.t_enabled <- true;
-    rt.n_enabled <- rt.n_enabled + 1;
-    rt.enabled_fp <- rt.enabled_fp lxor fp_tid tid;
-    rt.enabled_cache <- []
-  end;
+  refresh rt th;
   tid
 
 let wake_cond_waiter rt cid w mid =
@@ -578,7 +584,7 @@ let continue_unit k = Effect.Deep.continue k ()
 (* Execute the pending visible operation of thread [tid]; the caller
    guarantees the operation is enabled. Every mutation of object state that
    can flip another thread's enabledness is followed by a [touch]; the
-   executed thread itself is marked dirty by the scheduling loop. *)
+   scheduling loop re-evaluates the executed thread itself. *)
 let execute rt th =
   let tid = th.tid in
   rt.running <- tid;
@@ -852,12 +858,12 @@ let exec ?(promote = fun _ -> false) ?listener ?(max_steps = 100_000)
       enabled_cache = [];
       dirty = Array.make 8 0;
       n_dirty = 0;
-      handler = None;
+      handler = no_handler;
       eff_op = Op.Yield;
       eff_spawn = ignore;
     }
   in
-  rt.handler <- Some (make_handler rt);
+  rt.handler <- make_handler rt;
   let saved = Domain.DLS.get ambient_rt in
   Domain.DLS.set ambient_rt (Some rt);
   let restore () = Domain.DLS.set ambient_rt saved in
@@ -902,8 +908,7 @@ let exec ?(promote = fun _ -> false) ?listener ?(max_steps = 100_000)
             if n_enabled > rt.max_enabled then rt.max_enabled <- n_enabled;
             if n_enabled > 1 then rt.multi_points <- rt.multi_points + 1;
             let enabled =
-              if n_enabled = 1 then (single_enabled rt).t_singleton
-              else enabled_list rt
+              if n_enabled = 1 then single_enabled rt else enabled_list rt
             in
             ctx.c_step <- rt.steps;
             ctx.c_last <- rt.last;
@@ -935,8 +940,11 @@ let exec ?(promote = fun _ -> false) ?listener ?(max_steps = 100_000)
             | _ -> rt.last <- Some chosen);
             rt.steps <- rt.steps + 1;
             execute rt th;
-            mark_dirty rt chosen;
-            flush_dirty rt;
+            (* Re-evaluate the executed thread first, in place, unless its
+               own step put it on the dirty stack; then drain the stack, which
+               holds the threads the step woke or blocked, if it holds any. *)
+            if not th.t_dirty then refresh rt th;
+            if rt.n_dirty > 0 then flush_dirty rt;
             loop ()
           end
     in

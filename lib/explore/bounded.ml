@@ -99,7 +99,7 @@ let levels ~max_levels ~technique (walk_at : int -> Strategy.walk) :
 
     let begin_run st = st.walk.begin_run ()
     let listener _ = None
-    let choose st ctx = st.walk.choose ctx
+    let choose st = st.walk.choose
 
     let on_terminal st res =
       let v = st.walk.on_terminal res in

@@ -320,7 +320,7 @@ let walk ?count_exact ?fair ?length ?on_exec ~bound () : Strategy.walk =
   let w = Walk.make ?count_exact ?fair ?length ?on_exec ~bound () in
   {
     begin_run = (fun () -> Walk.begin_run w);
-    choose = (fun ctx -> Walk.choose w ctx);
+    choose = Walk.choose w;
     on_terminal = (fun res -> Walk.on_terminal w res);
     bound_cut = (fun () -> w.pruned);
     filter_cut = (fun () -> w.aux_pruned);

@@ -38,7 +38,6 @@ let start ?(promote = fun _ -> false) ?(max_steps = 100_000)
   let bound_complete = ref false in
   let new_at_bound = ref 0 in
   let seen = ref (if S.tracks_distinct then Some Stats.Sched_set.empty else None) in
-  let scheduler ctx = S.choose st ctx in
   (* Record the phase bookkeeping when the campaign stops inside a phase
      (budget, deadline, or stop_on_bug): the bound reached is the phase's,
      and the phase's counted schedules are the "new at bound" statistic
@@ -83,9 +82,11 @@ let start ?(promote = fun _ -> false) ?(max_steps = 100_000)
     if budget_spent () then pause ph (fun () -> opened ph) else runs ph
   and runs ph =
     S.begin_run st;
+    (* The strategy's scheduler for this run, taken once: a walk's own
+       [choose], so that each decision is one call. *)
     let res =
       Runtime.exec ~promote ?listener:(S.listener st) ~max_steps
-        ~record_decisions ~scheduler program
+        ~record_decisions ~scheduler:(S.choose st) program
     in
     incr executions;
     steps := !steps + res.Runtime.r_steps;

@@ -447,7 +447,7 @@ let walk ?on_prune ?count_exact ~mode ~bound () : Strategy.walk =
   let w = Walk.make ?on_prune ?count_exact ~mode ~bound () in
   {
     begin_run = (fun () -> Walk.begin_run w);
-    choose = (fun ctx -> Walk.choose w ctx);
+    choose = Walk.choose w;
     on_terminal = (fun res -> Walk.on_terminal w res);
     bound_cut = (fun () -> w.pruned);
     filter_cut = (fun () -> false);

@@ -72,7 +72,7 @@ let of_walk ~technique (w : walk) : t =
 
     let begin_run _ = w.begin_run ()
     let listener _ = None
-    let choose _ ctx = w.choose ctx
+    let choose _ = w.choose
     let on_terminal _ res = w.on_terminal res
   end)
 

@@ -81,7 +81,11 @@ module type STRATEGY = sig
       after {!begin_run}. *)
 
   val choose : state -> Sct_core.Runtime.ctx -> Sct_core.Tid.t
-  (** The scheduler: pick one of [ctx.c_enabled] at each scheduling point. *)
+  (** The scheduler: pick one of [ctx.c_enabled] at each scheduling point.
+      The driver applies [choose st] once per execution, after
+      {!begin_run}, and hands the result to the runtime, so a strategy may
+      return a scheduler it already holds (a walk's own [choose]) and make
+      each decision one call. *)
 
   val on_terminal : state -> Sct_core.Runtime.result -> verdict
   (** Observe the terminal state of the execution just run and advance the

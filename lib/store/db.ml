@@ -154,8 +154,76 @@ let rec mkdir_p dir =
     with Sys_error _ when Sys.file_exists dir -> ()
   end
 
-(* Line by line, so that neither the whole journal nor a split copy of it
-   is ever held. *)
+exception Key of string
+
+(* The key of a record this program wrote, read off its first two members
+   ([v], then [key]) without decoding the rest; [line] may be just the
+   record's first bytes. [None] for any other line, and where those bytes
+   end before the key does. Where it is [Some k], a line that decodes
+   decodes under [k]: the decoder reads the object's first [key] member. *)
+let key_of_line line =
+  let r = Json.reader line in
+  let n = ref 0 in
+  match
+    Json.iter_object r (fun name r ->
+        incr n;
+        match (!n, name) with
+        | 1, "v" -> Json.skip_value r
+        | 2, "key" -> (
+            match Json.read_value r with
+            | Json.Str k -> raise_notrace (Key k)
+            | _ -> raise_notrace Exit)
+        | _ -> raise_notrace Exit)
+  with
+  | () -> None
+  | exception Key k -> Some k
+  | exception (Exit | Json.Parse_error _) -> None
+
+(* Enough of a line to hold the [v] and [key] members this program writes
+   first; a key is a 32-digit digest. *)
+let head_max = 256
+
+(* The first newline of [chunk] in [p, n), or [n]. *)
+let rec newline chunk p n =
+  if p >= n || Bytes.unsafe_get chunk p = '\n' then p
+  else newline chunk (p + 1) n
+
+(* [f start stop head] for each line of [ic], read from its start, where
+   the line spans the offsets [start, stop) before its newline and [head]
+   is its first [head_max] bytes or fewer. The channel is read in chunks,
+   so that no longer line is ever held. *)
+let iter_heads ic f =
+  let chunk = Bytes.create 65536 and head = Buffer.create head_max in
+  (* the chunk's bytes [p, q) continue the current line *)
+  let take p q =
+    Buffer.add_subbytes head chunk p
+      (min (q - p) (head_max - Buffer.length head))
+  in
+  let rec read start base =
+    let n = input ic chunk 0 (Bytes.length chunk) in
+    let rec split start p =
+      let j = newline chunk p n in
+      take p j;
+      if j = n then start
+      else begin
+        f start (base + j) (Buffer.contents head);
+        Buffer.clear head;
+        split (base + j + 1) (j + 1)
+      end
+    in
+    if n > 0 then read (split start 0) (base + n)
+    else if start < base then f start base (Buffer.contents head)
+  in
+  read 0 0
+
+(* Each key reads as its latest record that decodes, placed at its first
+   record that decodes. A first pass reads where each line starts and
+   ends and, off its head, its key; a line whose head gives none is
+   decoded in full to learn it. Then each key's lines are decoded from the
+   latest back until one decodes, and from the first forward until one
+   decodes, so that the records between those two are never decoded.
+   Lines are read one at a time, so neither the whole journal nor a split
+   copy of it is ever held. *)
 let read_journal t ic =
   let len = in_channel_length ic in
   if len > 0 then begin
@@ -163,17 +231,48 @@ let read_journal t ic =
     t.needs_newline <- input_char ic <> '\n';
     seek_in ic 0
   end;
-  let rec loop () =
-    match input_line ic with
-    | exception End_of_file -> ()
-    | line ->
-        (if String.trim line <> "" then
-           match entry_of_line line with
-           | Some (key, e) -> remember t key e
-           | None -> ());
-        loop ()
+  let heads = ref [] in
+  iter_heads ic (fun start stop head ->
+      heads := (start, stop, key_of_line head) :: !heads);
+  let line_at start stop =
+    seek_in ic start;
+    entry_of_line (really_input_string ic (stop - start))
   in
-  loop ()
+  (* each key's lines, latest first, each with how to decode it *)
+  let lines = Hashtbl.create 64 in
+  let note key start decode =
+    let ls = Option.value (Hashtbl.find_opt lines key) ~default:[] in
+    Hashtbl.replace lines key ((start, decode) :: ls)
+  in
+  List.iter
+    (fun (start, stop, key) ->
+      match key with
+      | Some key ->
+          note key start (fun () -> Option.map snd (line_at start stop))
+      | None -> (
+          match line_at start stop with
+          | Some (key, e) -> note key start (fun () -> Some e)
+          | None -> ()))
+    (List.rev !heads);
+  let rec latest = function
+    | [] -> None
+    | (start, decode) :: older -> (
+        match decode () with Some e -> Some (start, e) | None -> latest older)
+  in
+  (* the first of the lines that decodes, at the latest the winner's [w] *)
+  let rec earliest w = function
+    | (start, decode) :: later when start < w ->
+        if Option.is_some (decode ()) then start else earliest w later
+    | _ -> w
+  in
+  Hashtbl.fold
+    (fun key ls placed ->
+      match latest ls with
+      | Some (w, e) -> (earliest w (List.rev ls), key, e) :: placed
+      | None -> placed)
+    lines []
+  |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b)
+  |> List.iter (fun (_, key, e) -> remember t key e)
 
 let open_ ~dir =
   mkdir_p dir;

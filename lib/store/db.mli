@@ -71,7 +71,10 @@ val fingerprint :
 (** The journal key of one cell. *)
 
 val open_ : dir:string -> t
-(** Open (creating if needed) the store at [dir] and recover the journal. *)
+(** Open (creating if needed) the store at [dir] and recover the journal.
+    Each key reads as its latest record that decodes, placed at its first
+    record that decodes; the records between those two are never
+    decoded. *)
 
 val dir : t -> string
 val artifacts_dir : t -> string

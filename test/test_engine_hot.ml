@@ -3,7 +3,9 @@
    1. The incremental enabled-set law: at every scheduling decision, the
       engine's incrementally maintained enabled set (and its fingerprint)
       must equal a naive recompute-from-scratch reference
-      ([Runtime.recomputed_enabled]). The program family stresses every
+      ([Runtime.recomputed_enabled]), and at every terminal the accumulated
+      preemption and delay counts must equal the reference counts over the
+      recorded decisions. The program family stresses every
       enabledness source: mutexes (lock, try_lock), condition variables,
       semaphores, barriers, rwlocks, joins — including deadlocking
       programs, so the n_enabled = 0 path is exercised too.
@@ -182,6 +184,26 @@ let checking_scheduler rng (ctx : Runtime.ctx) =
     naive;
   List.nth ctx.c_enabled (Random.State.int rng (List.length ctx.c_enabled))
 
+(* At a terminal, the engine's accumulated preemption and delay counts
+   equal the reference counts over the recorded decisions: the costs add up
+   only at decisions with more than one enabled thread, over both the
+   straight and the wrapping round-robin ranges. *)
+let check_pc_dc (r : Runtime.result) =
+  let steps =
+    List.map (fun d -> (d.Runtime.d_enabled, d.Runtime.d_chosen)) r.r_decisions
+  in
+  let ns =
+    Array.of_list (List.map (fun d -> d.Runtime.d_n_threads) r.r_decisions)
+  in
+  let pc = Preemption.count ~steps
+  and dc = Delay.count ~n_at:(Array.get ns) ~steps in
+  if r.r_pc <> pc || r.r_dc <> dc then
+    failwith
+      (Printf.sprintf
+         "accumulated counts after %d steps: engine PC %d DC %d, reference PC \
+          %d DC %d"
+         r.r_steps r.r_pc r.r_dc pc dc)
+
 let prop_incremental_matches_naive =
   QCheck2.Test.make
     ~name:"incremental enabled set == recompute-from-scratch, every step"
@@ -192,11 +214,12 @@ let prop_incremental_matches_naive =
         let r =
           Runtime.exec
             ~promote:(fun _ -> true)
-            ~max_steps:1_000 ~record_decisions:false
+            ~max_steps:1_000 ~record_decisions:true
             ~scheduler:(checking_scheduler rng) program
         in
-        (* any terminal outcome is fine; the law lives in the scheduler *)
-        ignore (r.Runtime.r_outcome : Outcome.t)
+        (* any terminal outcome is fine; the per-decision law lives in the
+           scheduler, and the accumulated counts are checked here *)
+        check_pc_dc r
       done;
       true)
 

@@ -1436,6 +1436,22 @@ let reference_open content =
     (String.split_on_char '\n' content);
   List.rev_map (fun k -> (k, Hashtbl.find tbl k)) !order
 
+(* [Db.entries_any] of a store equals [reference_open] of its journal. *)
+let reads_like_reference ours text =
+  let same (k, (e : Db.entry)) (k', (b, t, r, s, w, p)) =
+    k = k' && e.Db.e_bench = b && e.Db.e_technique = t
+    && e.Db.e_racy = r
+    && Stats.equal e.Db.e_stats s
+    && e.Db.e_witness = w
+    && Option.map
+         (fun (p : Codec.progress) ->
+           (p.Codec.p_consumed, p.Codec.p_slices, p.Codec.p_done))
+         e.Db.e_progress
+       = p
+  in
+  let reference = reference_open text in
+  List.length ours = List.length reference && List.for_all2 same ours reference
+
 let gen_journal_text =
   QCheck2.Gen.(
     let* journal = gen_journal in
@@ -1473,20 +1489,94 @@ let prop_journal_reads_like_reference =
           let db = Db.open_ ~dir in
           let ours = Db.entries_any db in
           Db.close db;
-          let same (k, (e : Db.entry)) (k', (b, t, r, s, w, p)) =
-            k = k' && e.Db.e_bench = b && e.Db.e_technique = t
-            && e.Db.e_racy = r
-            && Stats.equal e.Db.e_stats s
-            && e.Db.e_witness = w
-            && Option.map
-                 (fun (p : Codec.progress) ->
-                   (p.Codec.p_consumed, p.Codec.p_slices, p.Codec.p_done))
-                 e.Db.e_progress
-               = p
-          in
-          let reference = reference_open text in
-          List.length ours = List.length reference
-          && List.for_all2 same ours reference))
+          reads_like_reference ours text))
+
+(* The journal line the store writes for one record of [bench] under
+   [technique] with [total] schedules. *)
+let record_line bench technique total =
+  let o = Techniques.default_options in
+  with_dir (fun dir ->
+      let db = Db.open_ ~dir in
+      Db.record db
+        ~key:(Db.fingerprint ~bench ~technique o)
+        ~bench ~technique ~racy:0 ~options:o
+        { (entry_stats technique None) with Stats.total };
+      Db.close db;
+      String.trim (read_file (Filename.concat dir "journal.jsonl")))
+
+(* [Db.entries_any] of a store whose journal is [text]. *)
+let open_text text =
+  with_dir (fun dir ->
+      write_file (Filename.concat dir "journal.jsonl") text;
+      let db = Db.open_ ~dir in
+      let ours = Db.entries_any db in
+      Db.close db;
+      ours)
+
+(* [Db.open_] decodes only the records that survive. One key's first
+   record is torn and its last fails to decode, while other keys' records,
+   one written with its members reordered, interleave with it: the key
+   must keep the place of its first record that decodes, and its latest
+   record that decodes. *)
+let test_db_damaged_first_and_last () =
+  let torn l = String.sub l 0 (String.length l / 2) in
+  let reordered l =
+    match Json.of_string l with
+    | Json.Obj fields ->
+        Json.to_string (Json.Obj (List.rev fields))
+    | _ -> Alcotest.fail "a record is an object"
+  in
+  let k n = record_line "K" "IPB" n in
+  let lines =
+    [
+      record_line "A" "IPB" 1;
+      torn (k 1);
+      record_line "B" "Rand" 1;
+      k 2;
+      record_line "A" "IPB" 2;
+      reordered (record_line "C" "IPB" 1);
+      k 3;
+      with_field (k 4) "total" (Json.Int (-4));
+      record_line "B" "Rand" 2;
+    ]
+  in
+  let text = String.concat "\n" lines ^ "\n" in
+  let ours = open_text text in
+  Alcotest.(check (list string))
+    "keys in the order of their first record that decodes"
+    [ "A"; "B"; "K"; "C" ]
+    (List.map (fun (_, e) -> e.Db.e_bench) ours);
+  Alcotest.(check (list int))
+    "each key's latest record that decodes" [ 2; 2; 3; 1 ]
+    (List.map (fun (_, e) -> e.Db.e_stats.Stats.total) ours);
+  Alcotest.(check bool) "reads as a line-by-line reading" true
+    (reads_like_reference ours text)
+
+(* [Db.open_] reads the journal in chunks and keeps only each line's head.
+   Lines here cross chunk boundaries and some are longer than a chunk: a
+   record padded after its key, one padded before its [v] member so that
+   its head holds no key, a blank line, and a last record with no
+   newline. *)
+let test_db_lines_across_chunks () =
+  let pad = String.make 70_000 ' ' in
+  let keys = [| "A"; "B"; "C"; "D"; "E" |] in
+  let lines =
+    List.init 600 (fun i ->
+        let l = record_line keys.(i mod 5) "IPB" (i + 1) in
+        match i mod 150 with
+        | 7 -> l ^ pad
+        | 8 -> pad ^ l
+        | 9 -> pad
+        | _ -> l)
+  in
+  let text = String.concat "\n" lines ^ "\n" ^ record_line "F" "IPB" 1 in
+  let ours = open_text text in
+  Alcotest.(check (list string))
+    "every key, in the order of its first record"
+    [ "A"; "B"; "C"; "D"; "E"; "F" ]
+    (List.map (fun (_, e) -> e.Db.e_bench) ours);
+  Alcotest.(check bool) "reads as a line-by-line reading" true
+    (reads_like_reference ours text)
 
 let test_merge_prefers_advanced () =
   let o = Techniques.default_options in
@@ -1797,6 +1887,10 @@ let suites =
           test_db_line_buffer_shrinks;
         QCheck_alcotest.to_alcotest prop_mutated_journal_opens;
         QCheck_alcotest.to_alcotest prop_journal_reads_like_reference;
+        Alcotest.test_case "a key's damaged first and last records" `Quick
+          test_db_damaged_first_and_last;
+        Alcotest.test_case "lines across read chunks" `Quick
+          test_db_lines_across_chunks;
       ] );
     ( "store.merge",
       [
