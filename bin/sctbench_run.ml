@@ -114,8 +114,9 @@ let time_limit_t =
 
 let jobs_t =
   let doc =
-    "Worker domains for the parallel engine (0 = one per recommended \
-     domain; at least 0). Results are identical for every value."
+    "Domains that run the work, the calling one included (0 = one per \
+     recommended domain; at least 0). Results are identical for every \
+     value."
   in
   Arg.(value & opt non_negative 0 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 

@@ -5,7 +5,7 @@
     detection, promotion, then every configured technique through the real
     {!Sct_explore.Techniques.run} pipeline. [probe] is a pure function of
     [(config, index)], the same discipline as the fuzz harness: campaigns
-    shard by index across worker domains and reassemble in index order,
+    shard by index across a pool's domains and reassemble in index order,
     byte-identical for every [--jobs], and a per-index×technique cell
     journals into {!Sct_store.Db} for crash-safe resume (the caller owns
     the store and the pool; this module stays engine-agnostic).

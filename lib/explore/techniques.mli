@@ -55,10 +55,11 @@ type options = {
   pct_change_points : int;
   maple_profile_runs : int;
   jobs : int;
-      (** worker domains for the parallel engine (lib/parallel); [run] and
-          [run_all] below are always sequential — a value > 1 takes effect
-          through [Sct_parallel.Drivers] / [Sct_parallel.Suite], which
-          produce identical statistics for every [jobs] value *)
+      (** domains that run the work, the calling one included, in the
+          parallel engine (lib/parallel); [run] and [run_all] below are
+          always sequential — a value > 1 takes effect through
+          [Sct_parallel.Drivers] / [Sct_parallel.Suite], which produce
+          identical statistics for every [jobs] value *)
   time_limit : float option;
       (** wall-clock budget in seconds per campaign; [None] (the default)
           disables the deadline and keeps runs fully deterministic *)

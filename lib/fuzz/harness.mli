@@ -2,7 +2,7 @@
 
     Program [i] of a campaign is a pure function of [(campaign seed, i)]
     — {!one_program} touches no shared mutable state, so campaigns can be
-    sharded by index across worker domains and the reports reassembled in
+    sharded by index across a pool's domains and the reports reassembled in
     index order, producing output byte-identical to the sequential run
     for every [--jobs] value. *)
 

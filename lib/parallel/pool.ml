@@ -5,12 +5,12 @@ type t = {
   queue : (unit -> unit) Queue.t;  (* each task closes over its own future *)
   mutable closed : bool;
   mutable domains : unit Domain.t array;
-  inline : bool;
-      (* a one-job pool spawns no worker domain at all: tasks run on the
-         submitting domain at [submit] time. Task order is the FIFO order a
-         single worker would use, and — crucially — the process stays
-         single-domain, so {!Sct_explore.Prefix_exec.fork_available}
-         remains true and sequential runs keep the fork server. *)
+      (* the [jobs - 1] worker domains; the caller is the pool's other
+         domain. With none, tasks run on the submitting domain at [submit]
+         time, in the FIFO order a single worker would use, and the process
+         stays single-domain, so
+         {!Sct_explore.Prefix_exec.fork_available} remains true and
+         sequential runs keep the fork server. *)
 }
 
 type 'a outcome = Value of 'a | Error of exn * Printexc.raw_backtrace
@@ -20,7 +20,7 @@ type 'a future = {
   mutable outcome : 'a outcome option;  (* [None] while pending or running *)
 }
 
-let size pool = if pool.inline then 1 else Array.length pool.domains
+let size pool = Array.length pool.domains + 1
 let default_jobs () = Domain.recommended_domain_count ()
 
 let worker pool =
@@ -41,7 +41,6 @@ let worker pool =
   loop ()
 
 let create ~jobs =
-  let jobs = max 1 jobs in
   let pool =
     {
       lock = Mutex.create ();
@@ -50,16 +49,15 @@ let create ~jobs =
       queue = Queue.create ();
       closed = false;
       domains = [||];
-      inline = jobs = 1;
     }
   in
-  if not pool.inline then begin
+  if jobs > 1 then begin
     (* the OCaml runtime refuses [Unix.fork] in any process that ever
        spawned a second domain: switch the prefix-batch executor to its
        portable fallback for the rest of the process *)
     Sct_explore.Prefix_exec.note_domains_spawned ();
     pool.domains <-
-      Array.init jobs (fun _ -> Domain.spawn (fun () -> worker pool))
+      Array.init (jobs - 1) (fun _ -> Domain.spawn (fun () -> worker pool))
   end;
   pool
 
@@ -79,7 +77,7 @@ let submit pool fn =
     Mutex.unlock pool.lock;
     invalid_arg "Sct_parallel.Pool.submit: pool is shut down"
   end;
-  if pool.inline then begin
+  if Array.length pool.domains = 0 then begin
     Mutex.unlock pool.lock;
     task ()
   end
@@ -90,10 +88,26 @@ let submit pool fn =
   end;
   fut
 
+(* With the lock held, run queued tasks on the calling domain, oldest
+   first and outside the lock, until [stop ()] holds or the queue is
+   empty. *)
+let rec run_queued pool ~stop =
+  if not (stop ()) then
+    match Queue.take_opt pool.queue with
+    | Some task ->
+        Mutex.unlock pool.lock;
+        task ();
+        Mutex.lock pool.lock;
+        run_queued pool ~stop
+    | None -> ()
+
+(* The caller works while it waits, and sleeps only when the queue is empty
+   and its own task is still running on a worker. *)
 let await fut =
   let pool = fut.pool in
   Mutex.lock pool.lock;
   let rec wait () =
+    run_queued pool ~stop:(fun () -> Option.is_some fut.outcome);
     match fut.outcome with
     | Some o -> o
     | None ->
@@ -111,9 +125,10 @@ let shutdown pool =
   let was_closed = pool.closed in
   pool.closed <- true;
   Condition.broadcast pool.work;
+  (* the caller drains the queue beside the workers *)
+  run_queued pool ~stop:(fun () -> false);
   Mutex.unlock pool.lock;
-  if (not was_closed) && not pool.inline then
-    Array.iter Domain.join pool.domains
+  if not was_closed then Array.iter Domain.join pool.domains
 
 let with_pool ~jobs f =
   let pool = create ~jobs in

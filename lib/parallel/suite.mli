@@ -4,15 +4,17 @@
     benchmark for race detection, then one per benchmark x technique, each
     job running the ordinary sequential code). It produces rows identical
     to the sequential [Sct_report.Run_data.run_all] for every pool size,
-    and falls back to that function when the pool has one worker. One
+    and falls back to that function on a one-job pool. One
     benchmark's row with seed-sharded cells spread over the pool is
     [Sct_report.Run_data.run_benchmark ~run:(Drivers.run ~pool)].
 
     With a [store], {!run_all} honours the journal exactly like the
     sequential function: journalled cells are reused (never resubmitted as
     jobs), and each freshly computed cell is persisted — from the
-    collector domain only — the moment its future is awaited. Since the
-    journal key ignores [jobs] and the engine is deterministic for every
+    collector domain only — the moment its future is awaited. The
+    collector also runs queued cells while it awaits (see {!Pool}), so a
+    finished cell may wait for one such cell before it is journalled.
+    Since the journal key ignores [jobs] and the engine is deterministic for every
     pool size, a store written sequentially resumes under any [--jobs]
     value and vice versa. *)
 

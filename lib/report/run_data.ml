@@ -11,71 +11,68 @@ let found_by row t =
   | Some s -> Sct_explore.Stats.found s
   | None -> false
 
-(* The (technique, journal key) pairs of one benchmark's cells. *)
-let keyed_cells o (bench : Sctbench.Bench.t) techniques =
-  List.map
-    (fun t ->
-      ( t,
-        Sct_store.Db.fingerprint ~bench:bench.Sctbench.Bench.name
-          ~technique:(Sct_explore.Techniques.name t) o ))
-    techniques
+type cells =
+  | Journalled of row
+  | Missing of
+      (Sct_explore.Techniques.t * string * Sct_store.Db.entry option) list
 
-let cached_racy db = function
-  | (_, key) :: _ -> (
-      match Sct_store.Db.find db key with
-      | Some e -> Some e.Sct_store.Db.e_racy
-      | None -> None)
-  | [] -> None
+let lookup ?store o (bench : Sctbench.Bench.t) techniques =
+  let find key =
+    match store with Some db -> Sct_store.Db.find db key | None -> None
+  in
+  let cells =
+    List.map
+      (fun t ->
+        let key =
+          Sct_store.Db.fingerprint ~bench:bench.Sctbench.Bench.name
+            ~technique:(Sct_explore.Techniques.name t) o
+        in
+        (t, key, find key))
+      techniques
+  in
+  let entries =
+    List.filter_map (fun (t, _, e) -> Option.map (fun e -> (t, e)) e) cells
+  in
+  if Option.is_some store && List.compare_lengths entries cells = 0 then
+    (* the detection phase ran when the cells were written, and its racy
+       count rode along in each record *)
+    Journalled
+      {
+        bench;
+        racy_locations =
+          (match entries with (_, e) :: _ -> e.Sct_store.Db.e_racy | [] -> 0);
+        results = List.map (fun (t, e) -> (t, e.Sct_store.Db.e_stats)) entries;
+      }
+  else Missing cells
+
+let record ?store o (bench : Sctbench.Bench.t) ~racy ~key t s =
+  match store with
+  | Some db ->
+      Sct_store.Db.record db ~key ~bench:bench.Sctbench.Bench.name
+        ~technique:(Sct_explore.Techniques.name t) ~racy ~options:o s
+  | None -> ()
 
 let run_benchmark ?store ?(techniques = Sct_explore.Techniques.all_paper)
     ?(run = Sct_explore.Techniques.run) o (bench : Sctbench.Bench.t) =
-  let program = bench.Sctbench.Bench.program in
-  match store with
-  | None ->
+  match lookup ?store o bench techniques with
+  | Journalled row -> row
+  | Missing cells ->
+      let program = bench.Sctbench.Bench.program in
       let detection = Sct_explore.Techniques.detect_races o program in
       let promote = Sct_race.Promotion.promote detection in
-      {
-        bench;
-        racy_locations = List.length detection.Sct_race.Promotion.racy;
-        results = List.map (fun t -> (t, run ~promote o t program)) techniques;
-      }
-  | Some db ->
-      let keyed = keyed_cells o bench techniques in
-      let missing =
-        List.exists (fun (_, key) -> not (Sct_store.Db.mem db key)) keyed
+      let racy = List.length detection.Sct_race.Promotion.racy in
+      let results =
+        List.map
+          (fun (t, key, e) ->
+            match e with
+            | Some e -> (t, e.Sct_store.Db.e_stats)
+            | None ->
+                let s = run ~promote o t program in
+                record ?store o bench ~racy ~key t s;
+                (t, s))
+          cells
       in
-      if not missing then
-        (* every cell journalled: rebuild the row without touching the
-           program (the detection phase ran when the cells were written,
-           and its racy count rode along in each record) *)
-        {
-          bench;
-          racy_locations = Option.value ~default:0 (cached_racy db keyed);
-          results =
-            List.map
-              (fun (t, key) ->
-                (t, (Option.get (Sct_store.Db.find db key)).Sct_store.Db.e_stats))
-              keyed;
-        }
-      else begin
-        let detection = Sct_explore.Techniques.detect_races o program in
-        let promote = Sct_race.Promotion.promote detection in
-        let racy = List.length detection.Sct_race.Promotion.racy in
-        let results =
-          List.map
-            (fun (t, key) ->
-              match Sct_store.Db.find db key with
-              | Some e -> (t, e.Sct_store.Db.e_stats)
-              | None ->
-                  let s = run ~promote o t program in
-                  Sct_store.Db.record db ~key ~bench:bench.Sctbench.Bench.name
-                    ~technique:(Sct_explore.Techniques.name t) ~racy
-                    ~options:o s;
-                  (t, s))
-            keyed
-        in
-        { bench; racy_locations = racy; results }
-      end
+      { bench; racy_locations = racy; results }
 
 let run_all ?store ?techniques ?(progress = fun _ -> ()) o benches =
   List.map

@@ -17,13 +17,35 @@ type row = {
 val stats_of : row -> Sct_explore.Techniques.t -> Sct_explore.Stats.t option
 val found_by : row -> Sct_explore.Techniques.t -> bool
 
-val keyed_cells :
+(** One benchmark's cells, each looked up in the store once. *)
+type cells =
+  | Journalled of row
+      (** Every cell is journalled: the row rebuilt from the records, with
+          the racy count of the first one. *)
+  | Missing of
+      (Sct_explore.Techniques.t * string * Sct_store.Db.entry option) list
+      (** Some cell still has to run, or there is no store: every cell's
+          technique, journal key and finished record, in [techniques]
+          order. *)
+
+val lookup :
+  ?store:Sct_store.Db.t ->
   Sct_explore.Techniques.options ->
   Sctbench.Bench.t ->
   Sct_explore.Techniques.t list ->
-  (Sct_explore.Techniques.t * string) list
-(** The (technique, journal key) pairs of one benchmark's cells, in
-    [techniques] order. *)
+  cells
+
+val record :
+  ?store:Sct_store.Db.t ->
+  Sct_explore.Techniques.options ->
+  Sctbench.Bench.t ->
+  racy:int ->
+  key:string ->
+  Sct_explore.Techniques.t ->
+  Sct_explore.Stats.t ->
+  unit
+(** [record ?store o bench ~racy ~key t s] journals a freshly computed
+    cell; without a store it does nothing. *)
 
 val run_benchmark :
   ?store:Sct_store.Db.t ->

@@ -43,8 +43,8 @@
     written by the one-shot study runner.
 
     A store handle must only be used from one domain (the driver's
-    collector domain); worker domains compute cells, the collector
-    journals them. *)
+    collector domain); the pool's domains, the collector among them,
+    compute cells, and the collector journals them. *)
 
 type entry = {
   e_bench : string;

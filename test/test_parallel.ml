@@ -11,15 +11,128 @@ let stats_t =
 
 (* --- pool --- *)
 
+(* Spin until [cond ()] holds or [secs] seconds pass, and say which: a
+   regression then fails the test instead of hanging it. *)
+let wait_until ?(secs = 10.) cond =
+  let deadline = Unix.gettimeofday () +. secs in
+  let rec spin () =
+    cond ()
+    || Unix.gettimeofday () < deadline
+       && begin
+            Domain.cpu_relax ();
+            spin ()
+          end
+  in
+  spin ()
+
+let raise_boom () = raise (Failure "boom") [@@inline never]
+
+(* Occupy the one worker of a 2-job pool until [release] is set. The caller
+   runs tasks only inside [await] and [shutdown], so the worker takes it. *)
+let hold_worker pool =
+  let started = Atomic.make false and release = Atomic.make false in
+  let held =
+    Pool.submit pool (fun () ->
+        Atomic.set started true;
+        wait_until (fun () -> Atomic.get release))
+  in
+  Alcotest.(check bool)
+    "the worker holds a task" true
+    (wait_until (fun () -> Atomic.get started));
+  (held, release)
+
+(* A task that records the domain it runs on. *)
+let recording_domain ran_on f () =
+  Atomic.set ran_on (Some (Domain.self () :> int));
+  f ()
+
 let test_pool_exception_propagates () =
+  let recording = Printexc.backtrace_status () in
+  Printexc.record_backtrace true;
+  Fun.protect ~finally:(fun () -> Printexc.record_backtrace recording)
+  @@ fun () ->
   Pool.with_pool ~jobs:2 (fun pool ->
-      let boom = Pool.submit pool (fun () -> failwith "boom") in
+      let boom = Pool.submit pool (fun () -> raise_boom ()) in
       (match Pool.await boom with
       | _ -> Alcotest.fail "expected Failure"
       | exception Failure m -> Alcotest.(check string) "message" "boom" m);
       (* the raising task did not kill its worker: the pool stays usable *)
       let ok = Pool.submit pool (fun () -> 6 * 7) in
-      Alcotest.(check int) "pool still works" 42 (Pool.await ok))
+      Alcotest.(check int) "pool still works" 42 (Pool.await ok);
+      (* Hold the one worker, so that the caller itself runs the raising
+         task while it awaits [held]; the task after it releases [held]. *)
+      let held, release = hold_worker pool in
+      let ran_on = Atomic.make None in
+      let boom = Pool.submit pool (recording_domain ran_on raise_boom) in
+      let released = Pool.submit pool (fun () -> Atomic.set release true) in
+      Alcotest.(check bool) "held task released" true (Pool.await held);
+      Alcotest.(check (option int))
+        "the caller ran the raising task"
+        (Some (Domain.self () :> int))
+        (Atomic.get ran_on);
+      (match Pool.await boom with
+      | _ -> Alcotest.fail "expected Failure"
+      | exception Failure m ->
+          let bt =
+            Printexc.raw_backtrace_to_string (Printexc.get_raw_backtrace ())
+          in
+          Alcotest.(check string) "its own future's message" "boom" m;
+          Alcotest.(check bool)
+            ("the task's backtrace rides along:\n" ^ bt)
+            true
+            (Astring_contains.contains bt "raise_boom"));
+      Pool.await released;
+      let ok = Pool.submit pool (fun () -> 6 * 7) in
+      Alcotest.(check int) "pool still works after a caller-run raise" 42
+        (Pool.await ok))
+
+(* N tasks that can finish only together, each waiting for the other N - 1
+   at a rendezvous: on a pool of N domains they run on N distinct domains,
+   and the domain that awaits them is one. *)
+let test_pool_caller_runs_tasks () =
+  List.iter
+    (fun jobs ->
+      Pool.with_pool ~jobs (fun pool ->
+          let arrived = Atomic.make 0 in
+          let task () =
+            Atomic.incr arrived;
+            ( (Domain.self () :> int),
+              wait_until (fun () -> Atomic.get arrived >= jobs) )
+          in
+          let results =
+            List.init jobs (fun _ -> Pool.submit pool task)
+            |> List.map Pool.await
+          in
+          let label = Printf.sprintf "jobs:%d " jobs in
+          Alcotest.(check bool)
+            (label ^ "every task met the others")
+            true
+            (List.for_all snd results);
+          let domains = List.sort_uniq compare (List.map fst results) in
+          Alcotest.(check int)
+            (label ^ "distinct domains") jobs (List.length domains);
+          Alcotest.(check bool)
+            (label ^ "the awaiting domain ran a task")
+            true
+            (List.mem (Domain.self () :> int) domains)))
+    [ 2; 3 ]
+
+(* Shutting down with the one worker held: the caller drains the queue,
+   so the task that releases the worker runs on the caller. *)
+let test_pool_shutdown_drains_on_caller () =
+  let pool = Pool.create ~jobs:2 in
+  let held, release = hold_worker pool in
+  let ran_on = Atomic.make None in
+  let _released =
+    Pool.submit pool
+      (recording_domain ran_on (fun () -> Atomic.set release true))
+  in
+  Pool.shutdown pool;
+  Alcotest.(check (option int))
+    "the caller ran the queued task"
+    (Some (Domain.self () :> int))
+    (Atomic.get ran_on);
+  Alcotest.(check bool) "the held task was released" true (Pool.await held)
 
 (* a one-job pool runs tasks inline on the submitting domain and — unlike
    a real worker pool — leaves the prefix-batch fork server available *)
@@ -145,6 +258,10 @@ let suites =
         Alcotest.test_case "worker exception propagates" `Quick
           test_pool_exception_propagates;
         Alcotest.test_case "inline one-job pool" `Quick test_pool_inline;
+        Alcotest.test_case "the awaiting domain runs tasks" `Quick
+          test_pool_caller_runs_tasks;
+        Alcotest.test_case "shutdown drains on the caller too" `Quick
+          test_pool_shutdown_drains_on_caller;
         Alcotest.test_case "many tasks" `Quick test_pool_many_tasks;
       ] );
     ( "parallel-determinism",

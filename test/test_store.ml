@@ -1663,7 +1663,10 @@ let check_rows_equal clean resumed =
 
 exception Interrupted
 
-let test_kill_and_resume () =
+(* [run_all ~store ~progress o benches] runs the study with a store: the
+   sequential runner, or [Suite.run_all], whose collector journals cells in
+   between the tasks it runs itself. *)
+let kill_and_resume run_all () =
   with_dir (fun dir ->
       let o = resume_options in
       let benches = resume_benches () in
@@ -1674,7 +1677,7 @@ let test_kill_and_resume () =
       let seen = ref 0 in
       (try
          ignore
-           (Sct_report.Run_data.run_all ~store:db
+           (run_all ~store:db
               ~progress:(fun _ ->
                 incr seen;
                 if !seen = 3 then raise Interrupted)
@@ -1689,7 +1692,7 @@ let test_kill_and_resume () =
       Alcotest.(check bool)
         "interrupted partway" true
         (before > 0 && before < n_cells);
-      let resumed = Sct_report.Run_data.run_all ~store:db o benches in
+      let resumed = run_all ~store:db ~progress:ignore o benches in
       Alcotest.(check int) "all cells journalled" n_cells (Db.size db);
       Db.close db;
       check_rows_equal clean resumed;
@@ -1707,10 +1710,19 @@ let test_kill_and_resume () =
       (* a fully journalled store reproduces the rows without running
          anything — and still matches *)
       let db = Db.open_ ~dir in
-      let cached = Sct_report.Run_data.run_all ~store:db o benches in
+      let cached = run_all ~store:db ~progress:ignore o benches in
       Alcotest.(check int) "pure read" n_cells (Db.size db);
       Db.close db;
       check_rows_equal clean cached)
+
+let test_kill_and_resume =
+  kill_and_resume (fun ~store ~progress o benches ->
+      Sct_report.Run_data.run_all ~store ~progress o benches)
+
+let test_suite_kill_and_resume =
+  kill_and_resume (fun ~store ~progress o benches ->
+      Sct_parallel.Pool.with_pool ~jobs:2 (fun pool ->
+          Sct_parallel.Suite.run_all ~pool ~store ~progress o benches))
 
 let test_compact_then_resume () =
   with_dir (fun dir ->
@@ -1904,6 +1916,8 @@ let suites =
       [
         Alcotest.test_case "kill-and-resume equals an uninterrupted run"
           `Slow test_kill_and_resume;
+        Alcotest.test_case "kill-and-resume on a 2-domain suite run" `Slow
+          test_suite_kill_and_resume;
         Alcotest.test_case "compacted store resumes identically" `Slow
           test_compact_then_resume;
         Alcotest.test_case "recorded witnesses replay as buggy" `Slow
