@@ -38,8 +38,11 @@ exception Cut
 type status =
   | Run_op of Op.t * (unit, unit) Effect.Deep.continuation
   | Run_spawn of (unit -> unit) * (Tid.t, unit) Effect.Deep.continuation
-  | Blocked_cond of { k : (unit, unit) Effect.Deep.continuation; mutex : int }
-  | Blocked_barrier of (unit, unit) Effect.Deep.continuation
+  | Running
+      (* on its own stack at the perform site of [t_op], taking the next
+         decision there (see [visible]) *)
+  | Blocked of (unit, unit) Effect.Deep.continuation
+      (* in a condition variable's wait queue or at a barrier *)
   | Finished
 
 (* Per-thread cached scheduling state. [t_enabled]/[t_live] mirror what a
@@ -51,6 +54,8 @@ type status =
 type thread = {
   tid : Tid.t;
   mutable status : status;
+  mutable t_op : Op.t;  (* the pending operation while [Running] *)
+  mutable t_kept : int;  (* decisions of the loop that kept it running *)
   t_singleton : Tid.t list;
   mutable t_enabled : bool;
   mutable t_dirty : bool;
@@ -104,9 +109,20 @@ type t = {
   mutable handler : (unit, unit) Effect.Deep.handler;
   mutable eff_op : Op.t;
   mutable eff_spawn : unit -> unit;
+  scheduler : ctx -> Tid.t;
+  mutable ctx : ctx;  (* the one context handed to [scheduler] *)
+  mutable in_step : bool;
+      (* a fibre resumed for a scheduled step is running: its next visible
+         operation may take the next decision on its own stack *)
+  mutable next : int;
+      (* the decision a perform site took and the loop is to commit: a
+         thread id, [terminal], or [undecided] when it took none *)
+  mutable kept : (exn * Printexc.raw_backtrace) option;
+      (* what the scheduler or a listener raised on a fibre's stack, for
+         [exec] to re-raise *)
 }
 
-type ctx = {
+and ctx = {
   mutable c_step : int;
   mutable c_last : Tid.t option;
   mutable c_enabled : Tid.t list;
@@ -144,17 +160,6 @@ type result = {
   r_multi_points : int;
   r_steps : int;
 }
-
-(* Ambient runtime: execution is fully serialised within a domain, so one
-   slot per domain works; [exec] saves and restores it, allowing
-   (non-concurrent) nesting. Domain-local storage keeps concurrent [exec]
-   calls on distinct domains (lib/parallel) from clobbering each other. *)
-let ambient_rt : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-
-let ambient () =
-  match Domain.DLS.get ambient_rt with
-  | Some rt -> rt
-  | None -> invalid_arg "Sct_core.Runtime: no execution in progress"
 
 let self rt = rt.running
 let n_threads rt = rt.count
@@ -206,28 +211,35 @@ let bug rt b =
   set_bug rt ~by:rt.running b;
   raise (Outcome.Bug_exn b)
 
-let op_of_status = function
+let op_of th =
+  match th.status with
   | Run_op (op, _) -> op
+  | Running -> th.t_op
   | Run_spawn _ -> Op.Spawn
-  | Blocked_cond _ | Blocked_barrier _ | Finished ->
+  | Blocked _ | Finished ->
       invalid_arg "Sct_core.Runtime: thread has no pending operation"
 
 let pending_op rt tid =
-  match (thread rt tid).status with
-  | (Run_op _ | Run_spawn _) as st -> Some (op_of_status st)
-  | Blocked_cond _ | Blocked_barrier _ | Finished -> None
+  let th = thread rt tid in
+  match th.status with
+  | Run_op _ | Running | Run_spawn _ -> Some (op_of th)
+  | Blocked _ | Finished -> None
 
 (* Allocation-free probes for the bounding walks (consulted per decision on
    fair / variable / thread bounded explorations). *)
 let pending_is_yield rt tid =
-  match (thread rt tid).status with
+  let th = thread rt tid in
+  match th.status with
   | Run_op (Op.Yield, _) -> true
+  | Running -> ( match th.t_op with Op.Yield -> true | _ -> false)
   | _ -> false
 
 let pending_obj_id rt tid =
-  match (thread rt tid).status with
-  | Run_op (op, _) -> ( match Op.obj_id op with Some o -> o | None -> -1)
-  | Run_spawn _ | Blocked_cond _ | Blocked_barrier _ | Finished -> -1
+  let th = thread rt tid in
+  match th.status with
+  | Run_op _ | Running -> (
+      match Op.obj_id (op_of th) with Some o -> o | None -> -1)
+  | Run_spawn _ | Blocked _ | Finished -> -1
 
 let thread_live rt tid = (thread rt tid).t_live
 
@@ -280,8 +292,9 @@ let op_enabled rt op =
 let thread_enabled rt th =
   match th.status with
   | Run_op (op, _) -> op_enabled rt op
+  | Running -> op_enabled rt th.t_op
   | Run_spawn _ -> true
-  | Blocked_cond _ | Blocked_barrier _ | Finished -> false
+  | Blocked _ | Finished -> false
 
 let is_finished th = match th.status with Finished -> true | _ -> false
 
@@ -339,42 +352,45 @@ let touch_joiners rt th =
       th.t_joiners <- [];
       List.iter (mark_dirty rt) joiners
 
-(* Evaluate [th]'s enabledness and register it as a dependent of whatever
-   its pending op blocks on, so the next relevant state change re-evaluates
-   it. Registration is cleared exactly when the object is touched, so a
-   thread is registered at most once per object. *)
+(* Evaluate [th]'s enabledness before its pending [op] and register it as
+   a dependent of whatever [op] blocks on, so the next relevant state change
+   re-evaluates it. Registration is cleared exactly when the object is
+   touched, so a thread is registered at most once per object. *)
+let eval_op rt th op =
+  match op with
+  | Op.Lock id | Op.Reacquire id ->
+      rt.obj_deps.(id) <- th.tid :: rt.obj_deps.(id);
+      let m = mutex_st rt id ~ctx:"lock" in
+      m.destroyed || m.holder = None
+  | Op.Join target ->
+      let tth = thread rt target in
+      if is_finished tth then true
+      else begin
+        tth.t_joiners <- th.tid :: tth.t_joiners;
+        false
+      end
+  | Op.Sem_wait id ->
+      rt.obj_deps.(id) <- th.tid :: rt.obj_deps.(id);
+      (sem_st rt id).count > 0
+  | Op.Rd_lock id ->
+      rt.obj_deps.(id) <- th.tid :: rt.obj_deps.(id);
+      (rw_st rt id).writer = None
+  | Op.Wr_lock id ->
+      rt.obj_deps.(id) <- th.tid :: rt.obj_deps.(id);
+      let r = rw_st rt id in
+      r.writer = None && r.readers = []
+  | Op.Spawn | Op.Try_lock _ | Op.Unlock _ | Op.Mutex_destroy _
+  | Op.Cond_wait _ | Op.Signal _ | Op.Broadcast _ | Op.Sem_post _
+  | Op.Barrier_wait _ | Op.Barrier_resume _ | Op.Rw_unlock _
+  | Op.Access _ | Op.Yield ->
+      true
+
 let eval_enabled rt th =
   match th.status with
-  | Finished | Blocked_cond _ | Blocked_barrier _ -> false
+  | Finished | Blocked _ -> false
   | Run_spawn _ -> true
-  | Run_op (op, _) -> (
-      match op with
-      | Op.Lock id | Op.Reacquire id ->
-          rt.obj_deps.(id) <- th.tid :: rt.obj_deps.(id);
-          let m = mutex_st rt id ~ctx:"lock" in
-          m.destroyed || m.holder = None
-      | Op.Join target ->
-          let tth = thread rt target in
-          if is_finished tth then true
-          else begin
-            tth.t_joiners <- th.tid :: tth.t_joiners;
-            false
-          end
-      | Op.Sem_wait id ->
-          rt.obj_deps.(id) <- th.tid :: rt.obj_deps.(id);
-          (sem_st rt id).count > 0
-      | Op.Rd_lock id ->
-          rt.obj_deps.(id) <- th.tid :: rt.obj_deps.(id);
-          (rw_st rt id).writer = None
-      | Op.Wr_lock id ->
-          rt.obj_deps.(id) <- th.tid :: rt.obj_deps.(id);
-          let r = rw_st rt id in
-          r.writer = None && r.readers = []
-      | Op.Spawn | Op.Try_lock _ | Op.Unlock _ | Op.Mutex_destroy _
-      | Op.Cond_wait _ | Op.Signal _ | Op.Broadcast _ | Op.Sem_post _
-      | Op.Barrier_wait _ | Op.Barrier_resume _ | Op.Rw_unlock _
-      | Op.Access _ | Op.Yield ->
-          true)
+  | Run_op (op, _) -> eval_op rt th op
+  | Running -> eval_op rt th th.t_op
 
 (* Re-derive one thread's cached state: its liveness (a finishing thread
    wakes its joiners, pushing them on the dirty stack), its enabledness, and
@@ -482,10 +498,80 @@ let single_enabled rt =
       | _ -> first_enabled rt 0)
   | None -> first_enabled rt 0
 
-(* Holds the handler's place in a runtime record until [exec] installs the
-   execution's own, before it starts any fibre. *)
+(* What [decide] answers when the execution is over, and what [next] holds
+   when no perform site took a decision. Thread ids are never negative. *)
+let terminal = -1
+let undecided = -2
+
+(* Hold the places of the handler and of the scheduling context in a
+   runtime record until [exec] installs the execution's own, before it
+   starts any fibre. A context and its runtime point at each other, so the
+   placeholders are built once, here, rather than per execution. *)
 let no_handler : (unit, unit) Effect.Deep.handler =
   { retc = Fun.id; exnc = raise; effc = (fun _ -> None) }
+
+let rec no_rt =
+  {
+    threads = [||];
+    count = 0;
+    objects = [||];
+    obj_deps = [||];
+    n_objects = 0;
+    promote = (fun _ -> false);
+    listener = None;
+    max_steps = 0;
+    record_decisions = false;
+    sched_buf = [||];
+    decisions_rev = [];
+    steps = 0;
+    outcome = None;
+    last = None;
+    pc = 0;
+    dc = 0;
+    max_enabled = 0;
+    multi_points = 0;
+    running = Tid.main;
+    teardown = false;
+    try_lock_result = false;
+    n_live = 0;
+    n_enabled = 0;
+    enabled_fp = 0;
+    enabled_cache = [];
+    dirty = [||];
+    n_dirty = 0;
+    handler = no_handler;
+    eff_op = Op.Yield;
+    eff_spawn = ignore;
+    scheduler = (fun _ -> Tid.main);
+    ctx = no_ctx;
+    in_step = false;
+    next = undecided;
+    kept = None;
+  }
+
+and no_ctx =
+  {
+    c_step = 0;
+    c_last = None;
+    c_enabled = [];
+    c_n_enabled = 0;
+    c_enabled_fp = 0;
+    c_n_threads = 0;
+    c_rt = no_rt;
+  }
+
+(* Ambient runtime: execution is fully serialised within a domain, so one
+   slot per domain works; [exec] saves and restores it, allowing
+   (non-concurrent) nesting. Domain-local storage keeps concurrent [exec]
+   calls on distinct domains (lib/parallel) from clobbering each other. The
+   slot holds the placeholder runtime outside of any execution, so a lookup
+   allocates nothing and matches no option. *)
+let ambient_rt : t Domain.DLS.key = Domain.DLS.new_key (fun () -> no_rt)
+
+let ambient () =
+  let rt = Domain.DLS.get ambient_rt in
+  if rt == no_rt then invalid_arg "Sct_core.Runtime: no execution in progress"
+  else rt
 
 (* The shared effect handler. The fibre that returns, raises or suspends is
    always the one [execute]/[add_thread] just resumed, i.e. [rt.running] —
@@ -529,9 +615,26 @@ let make_handler rt : (unit, unit) Effect.Deep.handler =
         | _ -> None);
   }
 
-(* Run or resume a fibre. Control returns here when the fibre suspends at
-   its next visible operation, finishes, or raises. *)
+(* Run a new fibre. Control returns here when the fibre suspends at its
+   next visible operation, finishes, or raises. *)
 let start_fibre rt f = Effect.Deep.match_with f () rt.handler
+
+(* A thread takes its decisions on its own stack once the loop has kept it
+   running this many times. A fibre's stack starts at 64 words, and the
+   first decision taken on it grows the stack by a copy: 110-250 ns, the
+   price of four to eight suspends at about 30 ns each (2-core x86-64). A
+   thread that has kept running is likely to keep running, and one that
+   runs only a few steps never pays for the copy. *)
+let in_place_after = 4
+
+(* Continue the suspended fibre of [th] for its scheduled step. Until
+   control returns to the loop, its visible operations may take decisions
+   on its own stack (see [visible]). [continue] stays a tail call: a write
+   after it that cleared the flag made a step about 25 % slower, so the
+   loop clears it. *)
+let resume (type a) rt th (k : (a, unit) Effect.Deep.continuation) (v : a) =
+  rt.in_step <- th.t_kept >= in_place_after;
+  Effect.Deep.continue k v
 
 (* Create a thread and eagerly run its invisible prefix: a step is "a
    visible operation followed by invisible operations" (paper §2), so a
@@ -548,6 +651,8 @@ let add_thread rt f =
     {
       tid;
       status = Finished;
+      t_op = Op.Yield;
+      t_kept = 0;
       t_singleton = [ tid ];
       t_enabled = false;
       t_dirty = false;
@@ -561,35 +666,221 @@ let add_thread rt f =
   rt.running <- tid;
   start_fibre rt f;
   rt.running <- caller;
-  (* initial accounting: no thread can depend on [tid] yet *)
+  (* initial accounting: no thread can depend on [tid] yet, and the next
+     decision evaluates it with the step's other dirty threads *)
   if not (is_finished th) then begin
     th.t_live <- true;
-    rt.n_live <- rt.n_live + 1
+    rt.n_live <- rt.n_live + 1;
+    mark_dirty rt tid
   end;
-  refresh rt th;
   tid
 
 let wake_cond_waiter rt cid w mid =
   let wth = thread rt w in
   match wth.status with
-  | Blocked_cond { k; mutex } ->
-      assert (mutex = mid);
+  | Blocked k ->
       if rt.listener <> None then emit rt (Event.Acquire { tid = w; obj = cid });
       wth.status <- Run_op (Op.Reacquire mid, k);
       mark_dirty rt w
   | _ -> invalid_arg "Sct_core.Runtime: condition waiter in wrong state"
 
-let continue_unit k = Effect.Deep.continue k ()
+(* How the thread whose operation [apply] applied goes on. *)
+type applied =
+  | Resume
+  | Abort  (* the operation is a lock error: the bug is set, unwind it *)
+  | Block  (* it waits in a condition variable's queue or at a barrier *)
 
-(* Execute the pending visible operation of thread [tid]; the caller
-   guarantees the operation is enabled. Every mutation of object state that
-   can flip another thread's enabledness is followed by a [touch]; the
-   scheduling loop re-evaluates the executed thread itself. *)
+(* Apply the visible operation [op] of [th], the running thread; the caller
+   guarantees [op] is enabled. This is each operation's one implementation,
+   for the loop and for a perform site alike. Every mutation of object state
+   that can flip another thread's enabledness is followed by a [touch]; the
+   next decision re-evaluates [th] itself. *)
+let apply rt th op =
+  let tid = th.tid in
+  match op with
+  | Op.Spawn -> invalid_arg "Sct_core.Runtime: impossible pending op"
+  | Op.Yield | Op.Access _ ->
+      (* Access semantics (the load/store itself and its race event) run in
+         the fibre, once the operation returns. *)
+      Resume
+  | Op.Lock id ->
+      let m = mutex_st rt id ~ctx:"lock" in
+      if m.destroyed then (
+        set_bug rt ~by:tid (Outcome.Lock_error "lock of destroyed mutex");
+        Abort)
+      else begin
+        m.holder <- Some tid;
+        touch_obj rt id;
+        if rt.listener <> None then emit rt (Event.Acquire { tid; obj = id });
+        Resume
+      end
+  | Op.Try_lock id ->
+      let m = mutex_st rt id ~ctx:"try_lock" in
+      if m.destroyed then (
+        set_bug rt ~by:tid (Outcome.Lock_error "try_lock of destroyed mutex");
+        Abort)
+      else begin
+        if m.holder = None then begin
+          m.holder <- Some tid;
+          touch_obj rt id;
+          if rt.listener <> None then
+            emit rt (Event.Acquire { tid; obj = id });
+          rt.try_lock_result <- true
+        end
+        else rt.try_lock_result <- false;
+        Resume
+      end
+  | Op.Unlock id ->
+      let m = mutex_st rt id ~ctx:"unlock" in
+      if m.destroyed then (
+        set_bug rt ~by:tid (Outcome.Lock_error "unlock of destroyed mutex");
+        Abort)
+      else if m.holder <> Some tid then (
+        set_bug rt ~by:tid
+          (Outcome.Lock_error "unlock of mutex not held by the thread");
+        Abort)
+      else begin
+        m.holder <- None;
+        touch_obj rt id;
+        if rt.listener <> None then emit rt (Event.Release { tid; obj = id });
+        Resume
+      end
+  | Op.Mutex_destroy id ->
+      let m = mutex_st rt id ~ctx:"destroy" in
+      if m.destroyed then (
+        set_bug rt ~by:tid (Outcome.Lock_error "double mutex destroy");
+        Abort)
+      else if m.holder <> None then (
+        set_bug rt ~by:tid (Outcome.Lock_error "destroy of locked mutex");
+        Abort)
+      else begin
+        m.destroyed <- true;
+        touch_obj rt id;
+        Resume
+      end
+  | Op.Cond_wait (cid, mid) ->
+      let m = mutex_st rt mid ~ctx:"cond_wait" in
+      if m.holder <> Some tid then (
+        set_bug rt ~by:tid
+          (Outcome.Lock_error "cond_wait without holding the mutex");
+        Abort)
+      else begin
+        let c = cond_st rt cid in
+        m.holder <- None;
+        touch_obj rt mid;
+        if rt.listener <> None then emit rt (Event.Release { tid; obj = mid });
+        Queue.add (tid, mid) c.waiters;
+        Block
+      end
+  | Op.Reacquire id ->
+      let m = mutex_st rt id ~ctx:"reacquire" in
+      if m.destroyed then (
+        set_bug rt ~by:tid (Outcome.Lock_error "wait wake-up on destroyed mutex");
+        Abort)
+      else begin
+        m.holder <- Some tid;
+        touch_obj rt id;
+        if rt.listener <> None then emit rt (Event.Acquire { tid; obj = id });
+        Resume
+      end
+  | Op.Signal cid ->
+      let c = cond_st rt cid in
+      if rt.listener <> None then emit rt (Event.Release { tid; obj = cid });
+      (match Queue.take_opt c.waiters with
+      | None -> ()
+      | Some (w, mid) -> wake_cond_waiter rt cid w mid);
+      Resume
+  | Op.Broadcast cid ->
+      let c = cond_st rt cid in
+      if rt.listener <> None then emit rt (Event.Release { tid; obj = cid });
+      while not (Queue.is_empty c.waiters) do
+        let w, mid = Queue.take c.waiters in
+        wake_cond_waiter rt cid w mid
+      done;
+      Resume
+  | Op.Sem_wait id ->
+      let s = sem_st rt id in
+      assert (s.count > 0);
+      s.count <- s.count - 1;
+      touch_obj rt id;
+      if rt.listener <> None then emit rt (Event.Acquire { tid; obj = id });
+      Resume
+  | Op.Sem_post id ->
+      let s = sem_st rt id in
+      s.count <- s.count + 1;
+      touch_obj rt id;
+      if rt.listener <> None then emit rt (Event.Release { tid; obj = id });
+      Resume
+  | Op.Barrier_wait id ->
+      let b = barrier_st rt id in
+      if rt.listener <> None then emit rt (Event.Release { tid; obj = id });
+      if b.n_waiting + 1 < b.size then begin
+        b.waiting <- tid :: b.waiting;
+        b.n_waiting <- b.n_waiting + 1;
+        Block
+      end
+      else begin
+        let woken = b.waiting in
+        b.waiting <- [];
+        b.n_waiting <- 0;
+        List.iter
+          (fun w ->
+            let wth = thread rt w in
+            match wth.status with
+            | Blocked wk ->
+                wth.status <- Run_op (Op.Barrier_resume id, wk);
+                mark_dirty rt w
+            | _ ->
+                invalid_arg "Sct_core.Runtime: barrier waiter in wrong state")
+          woken;
+        if rt.listener <> None then emit rt (Event.Acquire { tid; obj = id });
+        Resume
+      end
+  | Op.Barrier_resume id ->
+      if rt.listener <> None then emit rt (Event.Acquire { tid; obj = id });
+      Resume
+  | Op.Rd_lock id ->
+      let r = rw_st rt id in
+      r.readers <- tid :: r.readers;
+      touch_obj rt id;
+      if rt.listener <> None then emit rt (Event.Acquire { tid; obj = id });
+      Resume
+  | Op.Wr_lock id ->
+      let r = rw_st rt id in
+      r.writer <- Some tid;
+      touch_obj rt id;
+      if rt.listener <> None then emit rt (Event.Acquire { tid; obj = id });
+      Resume
+  | Op.Rw_unlock id ->
+      let r = rw_st rt id in
+      if r.writer = Some tid then begin
+        r.writer <- None;
+        touch_obj rt id;
+        if rt.listener <> None then emit rt (Event.Release { tid; obj = id });
+        Resume
+      end
+      else if List.exists (Tid.equal tid) r.readers then begin
+        r.readers <- List.filter (fun x -> not (Tid.equal tid x)) r.readers;
+        touch_obj rt id;
+        if rt.listener <> None then emit rt (Event.Release { tid; obj = id });
+        Resume
+      end
+      else (
+        set_bug rt ~by:tid
+          (Outcome.Lock_error "rwlock unlock without holding it");
+        Abort)
+  | Op.Join target ->
+      if rt.listener <> None then
+        emit rt (Event.Joined { parent = tid; child = target });
+      Resume
+
+(* Execute the pending operation of [th], a suspended thread the loop
+   chose, and resume it for its step. *)
 let execute rt th =
   let tid = th.tid in
   rt.running <- tid;
   match th.status with
-  | Finished | Blocked_cond _ | Blocked_barrier _ ->
+  | Finished | Running | Blocked _ ->
       invalid_arg "Sct_core.Runtime: scheduled a non-runnable thread"
   | Run_spawn (f, k) ->
       (* The handler (or retc/exnc) will overwrite the status as soon as the
@@ -599,197 +890,13 @@ let execute rt th =
       if rt.listener <> None then emit rt (Event.Fork { parent = tid; child });
       let child' = add_thread rt f in
       assert (child = child');
-      Effect.Deep.continue k child
+      resume rt th k child
   | Run_op (op, k) -> (
       th.status <- Finished;
-      match op with
-      | Op.Spawn -> invalid_arg "Sct_core.Runtime: impossible pending op"
-      | Op.Yield | Op.Access _ ->
-          (* Access semantics (the load/store itself and its race event)
-             run in the fibre, immediately after resumption. *)
-          continue_unit k
-      | Op.Lock id ->
-          let m = mutex_st rt id ~ctx:"lock" in
-          if m.destroyed then (
-            set_bug rt ~by:tid (Outcome.Lock_error "lock of destroyed mutex");
-            Effect.Deep.discontinue k Aborted)
-          else begin
-            m.holder <- Some tid;
-            touch_obj rt id;
-            if rt.listener <> None then
-              emit rt (Event.Acquire { tid; obj = id });
-            continue_unit k
-          end
-      | Op.Try_lock id ->
-          let m = mutex_st rt id ~ctx:"try_lock" in
-          if m.destroyed then (
-            set_bug rt ~by:tid
-              (Outcome.Lock_error "try_lock of destroyed mutex");
-            Effect.Deep.discontinue k Aborted)
-          else begin
-            if m.holder = None then begin
-              m.holder <- Some tid;
-              touch_obj rt id;
-              if rt.listener <> None then
-                emit rt (Event.Acquire { tid; obj = id });
-              rt.try_lock_result <- true
-            end
-            else rt.try_lock_result <- false;
-            continue_unit k
-          end
-      | Op.Unlock id ->
-          let m = mutex_st rt id ~ctx:"unlock" in
-          if m.destroyed then (
-            set_bug rt ~by:tid (Outcome.Lock_error "unlock of destroyed mutex");
-            Effect.Deep.discontinue k Aborted)
-          else if m.holder <> Some tid then (
-            set_bug rt ~by:tid
-              (Outcome.Lock_error "unlock of mutex not held by the thread");
-            Effect.Deep.discontinue k Aborted)
-          else begin
-            m.holder <- None;
-            touch_obj rt id;
-            if rt.listener <> None then
-              emit rt (Event.Release { tid; obj = id });
-            continue_unit k
-          end
-      | Op.Mutex_destroy id ->
-          let m = mutex_st rt id ~ctx:"destroy" in
-          if m.destroyed then (
-            set_bug rt ~by:tid (Outcome.Lock_error "double mutex destroy");
-            Effect.Deep.discontinue k Aborted)
-          else if m.holder <> None then (
-            set_bug rt ~by:tid (Outcome.Lock_error "destroy of locked mutex");
-            Effect.Deep.discontinue k Aborted)
-          else begin
-            m.destroyed <- true;
-            touch_obj rt id;
-            continue_unit k
-          end
-      | Op.Cond_wait (cid, mid) ->
-          let m = mutex_st rt mid ~ctx:"cond_wait" in
-          if m.holder <> Some tid then (
-            set_bug rt ~by:tid
-              (Outcome.Lock_error "cond_wait without holding the mutex");
-            Effect.Deep.discontinue k Aborted)
-          else begin
-            let c = cond_st rt cid in
-            m.holder <- None;
-            touch_obj rt mid;
-            if rt.listener <> None then
-              emit rt (Event.Release { tid; obj = mid });
-            Queue.add (tid, mid) c.waiters;
-            th.status <- Blocked_cond { k; mutex = mid }
-          end
-      | Op.Reacquire id ->
-          let m = mutex_st rt id ~ctx:"reacquire" in
-          if m.destroyed then (
-            set_bug rt ~by:tid
-              (Outcome.Lock_error "wait wake-up on destroyed mutex");
-            Effect.Deep.discontinue k Aborted)
-          else begin
-            m.holder <- Some tid;
-            touch_obj rt id;
-            if rt.listener <> None then
-              emit rt (Event.Acquire { tid; obj = id });
-            continue_unit k
-          end
-      | Op.Signal cid ->
-          let c = cond_st rt cid in
-          if rt.listener <> None then
-            emit rt (Event.Release { tid; obj = cid });
-          (match Queue.take_opt c.waiters with
-          | None -> ()
-          | Some (w, mid) -> wake_cond_waiter rt cid w mid);
-          continue_unit k
-      | Op.Broadcast cid ->
-          let c = cond_st rt cid in
-          if rt.listener <> None then
-            emit rt (Event.Release { tid; obj = cid });
-          while not (Queue.is_empty c.waiters) do
-            let w, mid = Queue.take c.waiters in
-            wake_cond_waiter rt cid w mid
-          done;
-          continue_unit k
-      | Op.Sem_wait id ->
-          let s = sem_st rt id in
-          assert (s.count > 0);
-          s.count <- s.count - 1;
-          touch_obj rt id;
-          if rt.listener <> None then emit rt (Event.Acquire { tid; obj = id });
-          continue_unit k
-      | Op.Sem_post id ->
-          let s = sem_st rt id in
-          s.count <- s.count + 1;
-          touch_obj rt id;
-          if rt.listener <> None then emit rt (Event.Release { tid; obj = id });
-          continue_unit k
-      | Op.Barrier_wait id ->
-          let b = barrier_st rt id in
-          if rt.listener <> None then emit rt (Event.Release { tid; obj = id });
-          if b.n_waiting + 1 < b.size then begin
-            b.waiting <- tid :: b.waiting;
-            b.n_waiting <- b.n_waiting + 1;
-            th.status <- Blocked_barrier k
-          end
-          else begin
-            let woken = b.waiting in
-            b.waiting <- [];
-            b.n_waiting <- 0;
-            List.iter
-              (fun w ->
-                let wth = thread rt w in
-                match wth.status with
-                | Blocked_barrier wk ->
-                    wth.status <- Run_op (Op.Barrier_resume id, wk);
-                    mark_dirty rt w
-                | _ ->
-                    invalid_arg
-                      "Sct_core.Runtime: barrier waiter in wrong state")
-              woken;
-            if rt.listener <> None then
-              emit rt (Event.Acquire { tid; obj = id });
-            continue_unit k
-          end
-      | Op.Barrier_resume id ->
-          if rt.listener <> None then emit rt (Event.Acquire { tid; obj = id });
-          continue_unit k
-      | Op.Rd_lock id ->
-          let r = rw_st rt id in
-          r.readers <- tid :: r.readers;
-          touch_obj rt id;
-          if rt.listener <> None then emit rt (Event.Acquire { tid; obj = id });
-          continue_unit k
-      | Op.Wr_lock id ->
-          let r = rw_st rt id in
-          r.writer <- Some tid;
-          touch_obj rt id;
-          if rt.listener <> None then emit rt (Event.Acquire { tid; obj = id });
-          continue_unit k
-      | Op.Rw_unlock id ->
-          let r = rw_st rt id in
-          if r.writer = Some tid then begin
-            r.writer <- None;
-            touch_obj rt id;
-            if rt.listener <> None then
-              emit rt (Event.Release { tid; obj = id });
-            continue_unit k
-          end
-          else if List.exists (Tid.equal tid) r.readers then begin
-            r.readers <- List.filter (fun x -> not (Tid.equal tid x)) r.readers;
-            touch_obj rt id;
-            if rt.listener <> None then
-              emit rt (Event.Release { tid; obj = id });
-            continue_unit k
-          end
-          else (
-            set_bug rt ~by:tid
-              (Outcome.Lock_error "rwlock unlock without holding it");
-            Effect.Deep.discontinue k Aborted)
-      | Op.Join target ->
-          if rt.listener <> None then
-            emit rt (Event.Joined { parent = tid; child = target });
-          continue_unit k)
+      match apply rt th op with
+      | Resume -> resume rt th k ()
+      | Abort -> Effect.Deep.discontinue k Aborted
+      | Block -> th.status <- Blocked k)
 
 let discontinue_aborted (type a) (k : (a, unit) Effect.Deep.continuation) =
   try Effect.Deep.discontinue k Aborted
@@ -806,11 +913,10 @@ let teardown rt =
           discontinue_aborted k
         in
         match th.status with
-        | Finished -> ()
+        | Finished | Running -> ()
         | Run_op (_, k) -> fin k
         | Run_spawn (_, k) -> fin k
-        | Blocked_cond { k; _ } -> fin k
-        | Blocked_barrier k -> fin k)
+        | Blocked k -> fin k)
   done
 
 let push_sched rt tid =
@@ -826,6 +932,159 @@ let schedule_of rt =
     if i < 0 then acc else build (i - 1) (rt.sched_buf.(i) :: acc)
   in
   build (rt.steps - 1) []
+
+(* The decision that follows the step of [th]: re-evaluate [th] in place
+   unless its own step put it on the dirty stack, drain the stack, which
+   holds the threads the step woke, blocked or created, then stop at a
+   terminal state or ask the scheduler. Inlined, as [commit] is, into the
+   loop and into the perform site. *)
+let[@inline] decide rt th =
+  if not th.t_dirty then refresh rt th;
+  if rt.n_dirty > 0 then flush_dirty rt;
+  match rt.outcome with
+  | Some _ -> terminal
+  | None ->
+      if rt.n_live = 0 || rt.n_enabled = 0 || rt.steps >= rt.max_steps then
+        terminal
+      else begin
+        let n_enabled = rt.n_enabled in
+        if n_enabled > rt.max_enabled then rt.max_enabled <- n_enabled;
+        if n_enabled > 1 then rt.multi_points <- rt.multi_points + 1;
+        let ctx = rt.ctx in
+        ctx.c_step <- rt.steps;
+        ctx.c_last <- rt.last;
+        ctx.c_enabled <-
+          (if n_enabled = 1 then single_enabled rt else enabled_list rt);
+        ctx.c_n_enabled <- n_enabled;
+        ctx.c_enabled_fp <- rt.enabled_fp;
+        ctx.c_n_threads <- rt.count;
+        let chosen = rt.scheduler ctx in
+        if not (is_enabled rt chosen) then
+          invalid_arg "Sct_core.Runtime: scheduler chose a disabled thread";
+        chosen
+      end
+
+(* The outcome of an execution [decide] found over. *)
+let terminal_outcome rt =
+  match rt.outcome with
+  | Some o -> o
+  | None ->
+      if rt.n_live = 0 then Outcome.Ok
+      else if rt.n_enabled = 0 then
+        Outcome.Bug { bug = Outcome.Deadlock (live_tids rt); by = Tid.main }
+      else Outcome.Step_limit
+
+(* Record the decision [decide] took, which chose [th]: its decision
+   record, the schedule, the bound counts, [last] and the step count. *)
+let[@inline] commit rt th =
+  let ctx = rt.ctx and chosen = th.tid in
+  if rt.record_decisions then
+    rt.decisions_rev <-
+      {
+        d_enabled = ctx.c_enabled;
+        d_chosen = chosen;
+        d_op = op_of th;
+        d_n_threads = rt.count;
+      }
+      :: rt.decisions_rev;
+  push_sched rt chosen;
+  if ctx.c_n_enabled > 1 then begin
+    (* with a single enabled thread both costs are 0 *)
+    rt.pc <- rt.pc + preemption_cost rt chosen;
+    rt.dc <- rt.dc + delay_cost rt chosen
+  end;
+  (match rt.last with
+  | Some l when Tid.equal l chosen -> ()
+  | _ -> rt.last <- Some chosen);
+  rt.steps <- rt.steps + 1
+
+(* Keep what a scheduler or a listener raised on a fibre's stack, for
+   [exec] to re-raise once the fibre has suspended. *)
+let keep rt e =
+  rt.kept <- Some (e, Printexc.get_raw_backtrace ());
+  terminal
+
+(* Whether [op] can take its step on the running thread's own stack: it is
+   enabled, so [decide] may choose it, and it needs no continuation, unlike
+   a condition wait, a barrier arrival that blocks and a spawn. *)
+let in_place rt op =
+  match op with
+  | Op.Cond_wait _ | Op.Spawn -> false
+  | Op.Barrier_wait id ->
+      let b = barrier_st rt id in
+      b.n_waiting + 1 >= b.size
+  | Op.Lock _ | Op.Reacquire _ | Op.Join _ | Op.Sem_wait _ | Op.Rd_lock _
+  | Op.Wr_lock _ | Op.Try_lock _ | Op.Unlock _ | Op.Mutex_destroy _
+  | Op.Signal _ | Op.Broadcast _ | Op.Sem_post _ | Op.Barrier_resume _
+  | Op.Rw_unlock _ | Op.Access _ | Op.Yield ->
+      op_enabled rt op
+
+(* The perform site of a thread resumed for a scheduled step. If [op] can
+   be applied in place, the thread takes the next decision here; when that
+   keeps it running, the step is committed and applied, and the program
+   goes on. Otherwise the fibre suspends with the decision, or what was
+   raised, kept for the loop. Kept out of [visible], so that the suspend of
+   a thread outside its step stays a small function. *)
+let[@inline never] decide_here rt op =
+  let th = thread rt rt.running in
+  let chosen =
+    try
+      if in_place rt op then begin
+        th.t_op <- op;
+        th.status <- Running;
+        decide rt th
+      end
+      else undecided
+    with e -> keep rt e
+  in
+  if chosen = th.tid then begin
+    commit rt th;
+    (* as [execute] leaves a thread it resumes, until its next perform site *)
+    th.status <- Finished;
+    match apply rt th op with
+    | Resume -> ()
+    | Abort -> raise Aborted
+    | Block ->
+        (* [in_place] turned every blocking operation away *)
+        invalid_arg "Sct_core.Runtime: blocked at a perform site"
+    | exception e ->
+        rt.next <- keep rt e;
+        Effect.perform (Visible op)
+  end
+  else begin
+    rt.next <- chosen;
+    Effect.perform (Visible op)
+  end
+
+let visible rt op =
+  if rt.in_step then decide_here rt op else Effect.perform (Visible op)
+
+let spawn f = Effect.perform (Spawn_eff f)
+
+(* The scheduling loop: commit the decision [chosen], execute it, and take
+   the next decision, unless the fibre it resumed took it at its perform
+   site. *)
+let rec run rt chosen =
+  if chosen >= 0 then begin
+    let th = thread rt chosen in
+    commit rt th;
+    execute rt th;
+    rt.in_step <- false;
+    let next = rt.next in
+    if next = undecided then begin
+      let next = decide rt th in
+      if next = th.tid then th.t_kept <- th.t_kept + 1;
+      run rt next
+    end
+    else begin
+      rt.next <- undecided;
+      run rt next
+    end
+  end
+  else
+    match rt.kept with
+    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+    | None -> terminal_outcome rt
 
 let exec ?(promote = fun _ -> false) ?listener ?(max_steps = 100_000)
     ?(record_decisions = true) ~scheduler program =
@@ -861,11 +1120,26 @@ let exec ?(promote = fun _ -> false) ?listener ?(max_steps = 100_000)
       handler = no_handler;
       eff_op = Op.Yield;
       eff_spawn = ignore;
+      scheduler;
+      ctx = no_ctx;
+      in_step = false;
+      next = undecided;
+      kept = None;
     }
   in
+  rt.ctx <-
+    {
+      c_step = 0;
+      c_last = None;
+      c_enabled = [];
+      c_n_enabled = 0;
+      c_enabled_fp = 0;
+      c_n_threads = 0;
+      c_rt = rt;
+    };
   rt.handler <- make_handler rt;
   let saved = Domain.DLS.get ambient_rt in
-  Domain.DLS.set ambient_rt (Some rt);
+  Domain.DLS.set ambient_rt rt;
   let restore () = Domain.DLS.set ambient_rt saved in
   let finish outcome =
     teardown rt;
@@ -883,73 +1157,8 @@ let exec ?(promote = fun _ -> false) ?listener ?(max_steps = 100_000)
     }
   in
   try
-    ignore (add_thread rt program);
-    let ctx =
-      {
-        c_step = 0;
-        c_last = None;
-        c_enabled = [];
-        c_n_enabled = 0;
-        c_enabled_fp = 0;
-        c_n_threads = 0;
-        c_rt = rt;
-      }
-    in
-    let rec loop () =
-      match rt.outcome with
-      | Some o -> o
-      | None ->
-          if rt.n_live = 0 then Outcome.Ok
-          else if rt.n_enabled = 0 then
-            Outcome.Bug { bug = Outcome.Deadlock (live_tids rt); by = Tid.main }
-          else if rt.steps >= rt.max_steps then Outcome.Step_limit
-          else begin
-            let n_enabled = rt.n_enabled in
-            if n_enabled > rt.max_enabled then rt.max_enabled <- n_enabled;
-            if n_enabled > 1 then rt.multi_points <- rt.multi_points + 1;
-            let enabled =
-              if n_enabled = 1 then single_enabled rt else enabled_list rt
-            in
-            ctx.c_step <- rt.steps;
-            ctx.c_last <- rt.last;
-            ctx.c_enabled <- enabled;
-            ctx.c_n_enabled <- n_enabled;
-            ctx.c_enabled_fp <- rt.enabled_fp;
-            ctx.c_n_threads <- rt.count;
-            let chosen = scheduler ctx in
-            if not (is_enabled rt chosen) then
-              invalid_arg "Sct_core.Runtime: scheduler chose a disabled thread";
-            let th = thread rt chosen in
-            if record_decisions then
-              rt.decisions_rev <-
-                {
-                  d_enabled = enabled;
-                  d_chosen = chosen;
-                  d_op = op_of_status th.status;
-                  d_n_threads = rt.count;
-                }
-                :: rt.decisions_rev;
-            push_sched rt chosen;
-            if n_enabled > 1 then begin
-              (* with a single enabled thread both costs are 0 *)
-              rt.pc <- rt.pc + preemption_cost rt chosen;
-              rt.dc <- rt.dc + delay_cost rt chosen
-            end;
-            (match rt.last with
-            | Some l when Tid.equal l chosen -> ()
-            | _ -> rt.last <- Some chosen);
-            rt.steps <- rt.steps + 1;
-            execute rt th;
-            (* Re-evaluate the executed thread first, in place, unless its
-               own step put it on the dirty stack; then drain the stack, which
-               holds the threads the step woke or blocked, if it holds any. *)
-            if not th.t_dirty then refresh rt th;
-            if rt.n_dirty > 0 then flush_dirty rt;
-            loop ()
-          end
-    in
-    let outcome = loop () in
-    finish outcome
+    let main = thread rt (add_thread rt program) in
+    finish (run rt (decide rt main))
   with
   | Cut ->
       (* The scheduler abandoned the execution (all enabled continuations

@@ -2,11 +2,12 @@
 
     This is the OCaml analogue of Maple's systematic mode (paper §3): the
     program under test runs as a set of effect-handled fibres; every visible
-    operation suspends the executing fibre at a scheduling point, and a
-    user-supplied scheduler picks the next enabled thread. Execution is fully
-    serialised, so repeated execution of the same schedule always reaches the
-    same program state, provided the program's only nondeterminism is
-    scheduling (paper §2).
+    operation is a scheduling point, where a user-supplied scheduler picks
+    the next enabled thread. A fibre suspends only when another thread is
+    to run: a thread that keeps running takes the decision on its own stack
+    and goes on (see {!visible}). Execution is fully serialised, so repeated
+    execution of the same schedule always reaches the same program state,
+    provided the program's only nondeterminism is scheduling (paper §2).
 
     Programs are written against the {!Sct} DSL, which performs the effects
     declared here; explorers drive {!exec} with different schedulers.
@@ -53,16 +54,26 @@ type obj =
 type t
 (** A runtime instance: one per execution. *)
 
-(** {1 Effects performed by the DSL} *)
+(** {1 Perform sites of the DSL} *)
 
-type _ Effect.t +=
-  | Visible : Op.t -> unit Effect.t
-        (** suspend at a scheduling point just before the described visible
-            operation; resumption means the operation was executed (or, for
-            access operations, may now be executed by the thread itself) *)
-  | Spawn_eff : (unit -> unit) -> Tid.t Effect.t
-        (** suspend; on execution a new thread is created and its creation
-            order id is returned *)
+val visible : t -> Op.t -> unit
+(** [visible rt op] is the scheduling point just before the running
+    thread's visible operation [op]; it returns once [op] was executed (for
+    access operations: once the thread may execute it itself). [rt] must be
+    the runtime of the execution in progress.
+
+    A thread that the loop resumed for a scheduled step, after keeping it
+    running four times, takes the next decision here, on its own stack,
+    when [op] is enabled and needs no continuation (everything but a
+    condition wait and a barrier arrival that blocks). If the scheduler
+    keeps the thread running, the step is committed and [op] applied in
+    place, with no effect performed. In every other case the fibre
+    suspends, and the loop commits the decision taken here, or takes it
+    itself. *)
+
+val spawn : (unit -> unit) -> Tid.t
+(** Suspend the running thread before a spawn; on execution a new thread
+    is created and its creation-order id is returned. *)
 
 (** {1 Scheduling} *)
 
@@ -92,7 +103,12 @@ type ctx = {
     physically. *)
 
 type scheduler = ctx -> Tid.t
-(** Must return a member of [c_enabled]. *)
+(** Must return a member of [c_enabled].
+
+    A scheduler may run on the stack of the fibre whose step it decides
+    (see {!visible}), so it must not perform the DSL's effects: it must not
+    call {!Sct} operations of the execution it schedules. What it raises,
+    {!Cut} included, surfaces from {!exec}, never inside the program. *)
 
 val uniform_pick : Random.State.t -> ctx -> Tid.t
 (** A uniformly random member of [c_enabled]: one
@@ -138,7 +154,16 @@ val exec :
     operations (the outcome of the data-race-detection phase, paper §5);
     default: none. [listener] receives every {!Event.t} (shared accesses —
     visible or not — and synchronisation events). [record_decisions]
-    (default [true]) keeps the per-step decision trace in the result. *)
+    (default [true]) keeps the per-step decision trace in the result.
+
+    [scheduler] is called once per step, in step order, with the same
+    context wherever the decision is taken. An exception that [scheduler]
+    or [listener] raises while applying a synchronisation operation tears
+    the execution down and surfaces from [exec], even when it was raised on
+    a fibre's stack and the program catches every exception. Shared-access
+    events are emitted by the accessing program code itself, once the
+    access's scheduling point has returned, so what the listener raises on
+    those reaches the program. *)
 
 (** {1 Enabled-set fingerprints} *)
 

@@ -1,8 +1,11 @@
-let perform_visible op = Effect.perform (Runtime.Visible op)
 let rt () = Runtime.ambient ()
-let spawn f = Effect.perform (Runtime.Spawn_eff f)
-let join tid = perform_visible (Op.Join tid)
-let yield () = perform_visible Op.Yield
+
+(* Every visible operation reaches the runtime through [Runtime.visible].
+   Objects cache the runtime that created them, as [Var] explains below;
+   the operations that name no object read the ambient one. *)
+let join tid = Runtime.visible (rt ()) (Op.Join tid)
+let yield () = Runtime.visible (rt ()) Op.Yield
+let spawn = Runtime.spawn
 let self () = Runtime.self (rt ())
 
 let check cond msg =
@@ -11,70 +14,68 @@ let check cond msg =
 let fail msg = raise (Outcome.Bug_exn (Outcome.Assertion_failure msg))
 let memory_error msg = raise (Outcome.Bug_exn (Outcome.Memory_error msg))
 
+(* A synchronisation object: its id and the runtime that created it. *)
+type obj = { id : int; lrt : Runtime.t }
+
+let make_obj o =
+  let r = rt () in
+  { id = Runtime.new_object r o; lrt = r }
+
 module Mutex = struct
-  type t = { id : int }
+  type t = obj
 
-  let create () =
-    { id = Runtime.new_object (rt ()) (O_mutex { holder = None; destroyed = false }) }
-
-  let lock m = perform_visible (Op.Lock m.id)
-  let unlock m = perform_visible (Op.Unlock m.id)
+  let create () = make_obj (O_mutex { holder = None; destroyed = false })
+  let lock m = Runtime.visible m.lrt (Op.Lock m.id)
+  let unlock m = Runtime.visible m.lrt (Op.Unlock m.id)
 
   let try_lock m =
-    perform_visible (Op.Try_lock m.id);
-    Runtime.try_lock_result (rt ())
+    Runtime.visible m.lrt (Op.Try_lock m.id);
+    Runtime.try_lock_result m.lrt
 
-  let destroy m = perform_visible (Op.Mutex_destroy m.id)
+  let destroy m = Runtime.visible m.lrt (Op.Mutex_destroy m.id)
   let id m = m.id
 end
 
 module Cond = struct
-  type t = { id : int }
+  type t = obj
 
-  let create () =
-    { id = Runtime.new_object (rt ()) (O_cond { waiters = Queue.create () }) }
-  let wait c m = perform_visible (Op.Cond_wait (c.id, Mutex.id m))
-  let signal c = perform_visible (Op.Signal c.id)
-  let broadcast c = perform_visible (Op.Broadcast c.id)
+  let create () = make_obj (O_cond { waiters = Queue.create () })
+  let wait c m = Runtime.visible c.lrt (Op.Cond_wait (c.id, Mutex.id m))
+  let signal c = Runtime.visible c.lrt (Op.Signal c.id)
+  let broadcast c = Runtime.visible c.lrt (Op.Broadcast c.id)
   let id c = c.id
 end
 
 module Sem = struct
-  type t = { id : int }
+  type t = obj
 
   let create count =
     if count < 0 then invalid_arg "Sct.Sem.create: negative count";
-    { id = Runtime.new_object (rt ()) (O_sem { count }) }
+    make_obj (O_sem { count })
 
-  let wait s = perform_visible (Op.Sem_wait s.id)
-  let post s = perform_visible (Op.Sem_post s.id)
+  let wait s = Runtime.visible s.lrt (Op.Sem_wait s.id)
+  let post s = Runtime.visible s.lrt (Op.Sem_post s.id)
   let id s = s.id
 end
 
 module Barrier = struct
-  type t = { id : int }
+  type t = obj
 
   let create size =
     if size <= 0 then invalid_arg "Sct.Barrier.create: non-positive size";
-    {
-      id =
-        Runtime.new_object (rt ())
-          (O_barrier { size; waiting = []; n_waiting = 0 });
-    }
+    make_obj (O_barrier { size; waiting = []; n_waiting = 0 })
 
-  let wait b = perform_visible (Op.Barrier_wait b.id)
+  let wait b = Runtime.visible b.lrt (Op.Barrier_wait b.id)
   let id b = b.id
 end
 
 module Rwlock = struct
-  type t = { id : int }
+  type t = obj
 
-  let create () =
-    { id = Runtime.new_object (rt ()) (O_rw { readers = []; writer = None }) }
-
-  let rd_lock l = perform_visible (Op.Rd_lock l.id)
-  let wr_lock l = perform_visible (Op.Wr_lock l.id)
-  let unlock l = perform_visible (Op.Rw_unlock l.id)
+  let create () = make_obj (O_rw { readers = []; writer = None })
+  let rd_lock l = Runtime.visible l.lrt (Op.Rd_lock l.id)
+  let wr_lock l = Runtime.visible l.lrt (Op.Wr_lock l.id)
+  let unlock l = Runtime.visible l.lrt (Op.Rw_unlock l.id)
   let id l = l.id
 end
 
@@ -118,13 +119,13 @@ module Var = struct
     }
 
   let access x kind =
+    let r = x.lrt in
     if x.promoted then
-      perform_visible
+      Runtime.visible r
         (match kind with
         | Op.Plain_read -> x.op_read
         | Op.Plain_write -> x.op_write
         | Op.Atomic_op _ -> Op.Access { id = x.id; name = x.name; kind });
-    let r = x.lrt in
     if Runtime.listening r then
       Runtime.emit r
         (Event.Access { tid = Runtime.self r; id = x.id; name = x.name; kind })
@@ -159,8 +160,9 @@ module Atomic = struct
      (acquire + release) on the location, so the race detector orders all
      atomic accesses to the same location. *)
   let sync x opname =
-    perform_visible (Op.Access { id = x.id; name = x.name; kind = Op.Atomic_op opname });
     let r = x.lrt in
+    Runtime.visible r
+      (Op.Access { id = x.id; name = x.name; kind = Op.Atomic_op opname });
     if Runtime.listening r then begin
       let tid = Runtime.self r in
       Runtime.emit r
@@ -235,13 +237,13 @@ module Arr = struct
     }
 
   let access x kind =
+    let r = x.lrt in
     if x.promoted then
-      perform_visible
+      Runtime.visible r
         (match kind with
         | Op.Plain_read -> x.op_read
         | Op.Plain_write -> x.op_write
         | Op.Atomic_op _ -> Op.Access { id = x.id; name = x.name; kind });
-    let r = x.lrt in
     if Runtime.listening r then
       Runtime.emit r
         (Event.Access { tid = Runtime.self r; id = x.id; name = x.name; kind })

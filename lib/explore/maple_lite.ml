@@ -145,7 +145,9 @@ let active_choose ~forced ~patience target (ctx : Runtime.ctx) =
 
 (* --- the STRATEGY instance --------------------------------------------- *)
 
-type stage = Profiling of int | Forcing of iroot list | Finished_
+(* [Forcing (target, rest)]: the candidate forced by the current run and
+   those still to force, so the stage names a target by construction. *)
+type stage = Profiling of int | Forcing of iroot * iroot list | Finished_
 
 let strategy ?(promote = fun _ -> false) ?(profile_runs = 10) ~seed () :
     Strategy.t =
@@ -201,15 +203,18 @@ let strategy ?(promote = fun _ -> false) ?(profile_runs = 10) ~seed () :
             Strategy.Phase { ph_bound = None; ph_new_at_bound = false }
       end
 
+    (* The driver begins no run once [on_terminal] has ended the phase, so
+       [Finished_] sees none; were one to run, it would be plain
+       round-robin (see [choose]) and change nothing. *)
     let begin_run st =
       match st.stage with
       | Profiling i ->
           st.profile <- new_profile ();
           st.rng <- Random.State.make [| seed; i; 0x3aF |]
-      | Forcing (_ :: _) ->
+      | Forcing _ ->
           st.a_forced := false;
           st.a_patience := 400
-      | Forcing [] | Finished_ -> assert false
+      | Finished_ -> ()
 
     let listener st =
       match st.stage with
@@ -219,9 +224,9 @@ let strategy ?(promote = fun _ -> false) ?(profile_runs = 10) ~seed () :
     let choose st ctx =
       match st.stage with
       | Profiling _ -> profile_choose st.rng ctx
-      | Forcing (c :: _) ->
+      | Forcing (c, _) ->
           active_choose ~forced:st.a_forced ~patience:st.a_patience c ctx
-      | Forcing [] | Finished_ -> assert false
+      | Finished_ -> Replay.round_robin ctx
 
     let on_terminal st (res : Runtime.result) =
       let bug =
@@ -240,12 +245,13 @@ let strategy ?(promote = fun _ -> false) ?(profile_runs = 10) ~seed () :
               candidates ~promote ~observed:st.observed ~adjacent:st.adjacent
             with
             | [] -> st.stage <- Finished_
-            | cs -> st.stage <- Forcing cs
+            | c :: cs -> st.stage <- Forcing (c, cs)
           end
-      | Forcing (_ :: rest) ->
-          if bug || rest = [] then st.stage <- Finished_
-          else st.stage <- Forcing rest
-      | Forcing [] | Finished_ -> assert false);
+      | Forcing (_, rest) -> (
+          match rest with
+          | c :: cs when not bug -> st.stage <- Forcing (c, cs)
+          | _ -> st.stage <- Finished_)
+      | Finished_ -> ());
       {
         Strategy.v_counts = true;
         v_phase_over =

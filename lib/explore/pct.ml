@@ -35,22 +35,22 @@ let pct_choose ~change_points rs (ctx : Runtime.ctx) =
         Hashtbl.replace rs.priorities t p;
         p
   in
-  let best () =
+  (* The first thread's priority is drawn only when a second one is
+     compared with it, so a lone enabled thread draws none. *)
+  let best first rest =
     List.fold_left
-      (fun acc t ->
-        match acc with
-        | None -> Some t
-        | Some u -> if priority t > priority u then Some t else acc)
-      None ctx.c_enabled
+      (fun u t -> if priority t > priority u then t else u)
+      first rest
   in
-  (match best () with
-  | Some t ->
+  match ctx.c_enabled with
+  | [] -> invalid_arg "Sct_explore.Pct: no enabled thread"
+  | first :: rest ->
+      let t = best first rest in
       List.iter
         (fun (d, j) ->
           if d = ctx.c_step + 1 then Hashtbl.replace rs.priorities t j)
-        rs.depths
-  | None -> ());
-  match best () with Some t -> t | None -> assert false
+        rs.depths;
+      best first rest
 
 (* [k = None] probes on campaign setup; shards of one campaign share the
    collector's probe instead, keeping run [i] identical for every shard

@@ -57,26 +57,20 @@ let left rs t = match Hashtbl.find_opt rs.remaining t with Some n -> n | None ->
 let surw_choose rs (ctx : Runtime.ctx) =
   let weight t = max 0 (left rs t) in
   let total = List.fold_left (fun acc t -> acc + weight t) 0 ctx.c_enabled in
+  (* one draw per point, weighted by events left; the last thread takes
+     what the others leave *)
+  let rec pick x t = function
+    | [] -> t
+    | u :: rest ->
+        let w = weight t in
+        if x < w then t else pick (x - w) u rest
+  in
   let chosen =
-    if total = 0 then
-      (* all budgets spent: the estimate was short, fall back to uniform *)
-      Runtime.uniform_pick rs.rng ctx
-    else begin
-      (* one draw per point, weighted by events left *)
-      let x = ref (Random.State.int rs.rng total) in
-      let rec pick = function
-        | [] -> assert false
-        | [ t ] -> t
-        | t :: rest ->
-            let w = weight t in
-            if !x < w then t
-            else begin
-              x := !x - w;
-              pick rest
-            end
-      in
-      pick ctx.c_enabled
-    end
+    match ctx.c_enabled with
+    | t :: rest when total > 0 -> pick (Random.State.int rs.rng total) t rest
+    | _ ->
+        (* all budgets spent: the estimate was short, fall back to uniform *)
+        Runtime.uniform_pick rs.rng ctx
   in
   Hashtbl.replace rs.remaining chosen (left rs chosen - 1);
   chosen

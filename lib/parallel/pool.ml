@@ -2,7 +2,9 @@ type t = {
   lock : Mutex.t;
   work : Condition.t;  (* signalled when the queue grows or the pool closes *)
   finished : Condition.t;  (* broadcast whenever any future completes *)
-  queue : (unit -> unit) Queue.t;  (* each task closes over its own future *)
+  queue : (bool -> unit) Queue.t;
+      (* each task closes over its own future; [task true] runs it,
+         [task false] cancels it *)
   mutable closed : bool;
   mutable domains : unit Domain.t array;
       (* the [jobs - 1] worker domains; the caller is the pool's other
@@ -14,6 +16,11 @@ type t = {
 }
 
 type 'a outcome = Value of 'a | Error of exn * Printexc.raw_backtrace
+
+exception Cancelled
+
+(* Cancelled tasks never ran, so they have no backtrace of their own. *)
+let no_backtrace = Printexc.get_callstack 0
 
 type 'a future = {
   pool : t;
@@ -35,7 +42,7 @@ let worker pool =
         Mutex.unlock pool.lock (* closed and empty: exit *)
     | Some task ->
         Mutex.unlock pool.lock;
-        task ();
+        task true;
         loop ()
   in
   loop ()
@@ -63,9 +70,11 @@ let create ~jobs =
 
 let submit pool fn =
   let fut = { pool; outcome = None } in
-  let task () =
+  let task run =
     let outcome =
-      try Value (fn ()) with e -> Error (e, Printexc.get_raw_backtrace ())
+      if not run then Error (Cancelled, no_backtrace)
+      else
+        try Value (fn ()) with e -> Error (e, Printexc.get_raw_backtrace ())
     in
     Mutex.lock pool.lock;
     fut.outcome <- Some outcome;
@@ -79,7 +88,7 @@ let submit pool fn =
   end;
   if Array.length pool.domains = 0 then begin
     Mutex.unlock pool.lock;
-    task ()
+    task true
   end
   else begin
     Queue.push task pool.queue;
@@ -96,7 +105,7 @@ let rec run_queued pool ~stop =
     match Queue.take_opt pool.queue with
     | Some task ->
         Mutex.unlock pool.lock;
-        task ();
+        task true;
         Mutex.lock pool.lock;
         run_queued pool ~stop
     | None -> ()
@@ -130,6 +139,20 @@ let shutdown pool =
   Mutex.unlock pool.lock;
   if not was_closed then Array.iter Domain.join pool.domains
 
+(* Close the pool, complete the futures of the tasks that have not started
+   with [Cancelled], and join the workers once they finish the tasks they
+   are running. *)
+let cancel pool =
+  Mutex.lock pool.lock;
+  let was_closed = pool.closed in
+  pool.closed <- true;
+  let pending = List.of_seq (Queue.to_seq pool.queue) in
+  Queue.clear pool.queue;
+  Condition.broadcast pool.work;
+  Mutex.unlock pool.lock;
+  List.iter (fun task -> task false) pending;
+  if not was_closed then Array.iter Domain.join pool.domains
+
 let with_pool ~jobs f =
   let pool = create ~jobs in
   match f pool with
@@ -138,5 +161,5 @@ let with_pool ~jobs f =
       v
   | exception e ->
       let bt = Printexc.get_raw_backtrace () in
-      shutdown pool;
+      cancel pool;
       Printexc.raise_with_backtrace e bt

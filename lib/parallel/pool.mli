@@ -69,6 +69,13 @@ val shutdown : t -> unit
 (** Drain the queue, on the workers and on the calling domain, then join
     the workers. Idempotent. *)
 
+exception Cancelled
+(** The error of a task that {!with_pool} dropped before it started. *)
+
 val with_pool : jobs:int -> (t -> 'a) -> 'a
-(** [with_pool ~jobs f] runs [f] with a fresh pool and always shuts it
-    down, even if [f] raises. *)
+(** [with_pool ~jobs f] runs [f] with a fresh pool and always closes it.
+    When [f] returns, the pool is {!shutdown}: every queued task runs.
+    When [f] raises, the tasks that have not started are dropped, and
+    their futures complete with {!Cancelled}, so an {!await} on one of
+    them raises instead of blocking; the workers finish the tasks they are
+    running and are joined, and [f]'s exception is re-raised. *)

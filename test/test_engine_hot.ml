@@ -129,8 +129,11 @@ let tids l = String.concat "," (List.map string_of_int l)
    The enabled list is reused across decisions until a bit flips, so the
    set check also pins the reuse's invalidation. It also checks the
    bound-cost kernel: every enabled thread's preemption and delay cost must
-   equal the reference definitions on the recomputed set. *)
-let checking_scheduler rng (ctx : Runtime.ctx) =
+   equal the reference definitions on the recomputed set. Every enabled
+   thread has a pending operation, the one deciding on its own stack
+   included; the chosen thread's is pushed on [ops], to be compared with
+   the decision records. *)
+let checking_scheduler rng ops (ctx : Runtime.ctx) =
   let naive = Runtime.recomputed_enabled ctx.c_rt in
   if not (List.equal Tid.equal naive ctx.c_enabled) then
     failwith
@@ -182,7 +185,26 @@ let checking_scheduler rng (ctx : Runtime.ctx) =
         (Sct_explore.Bound_cost.cost Sct_explore.Bound_cost.Delays ctx t)
         (Delay.delays ~n ~last ~enabled:naive t))
     naive;
-  List.nth ctx.c_enabled (Random.State.int rng (List.length ctx.c_enabled))
+  let pending t =
+    match Runtime.pending_op ctx.c_rt t with
+    | Some op -> op
+    | None ->
+        failwith
+          (Printf.sprintf "enabled T%d has no pending op at step %d" t
+             ctx.c_step)
+  in
+  List.iter (fun t -> ignore (pending t : Op.t)) naive;
+  (* keep the running thread three times in four, so that threads run long
+     enough to take decisions on their own stacks *)
+  let chosen =
+    match ctx.c_last with
+    | Some l when List.mem l ctx.c_enabled && Random.State.int rng 4 > 0 -> l
+    | _ ->
+        List.nth ctx.c_enabled
+          (Random.State.int rng (List.length ctx.c_enabled))
+  in
+  ops := pending chosen :: !ops;
+  chosen
 
 (* At a terminal, the engine's accumulated preemption and delay counts
    equal the reference counts over the recorded decisions: the costs add up
@@ -211,14 +233,26 @@ let prop_incremental_matches_naive =
       let program = build hp in
       for seed = 0 to 5 do
         let rng = Random.State.make [| 0xE0; seed |] in
+        let ops = ref [] in
         let r =
           Runtime.exec
             ~promote:(fun _ -> true)
             ~max_steps:1_000 ~record_decisions:true
-            ~scheduler:(checking_scheduler rng) program
+            ~scheduler:(checking_scheduler rng ops) program
         in
-        (* any terminal outcome is fine; the per-decision law lives in the
-           scheduler, and the accumulated counts are checked here *)
+        (* a deadlock, a bug or the step limit is fine, but an uncaught
+           exception means a check above failed inside the program; the
+           per-decision law lives in the scheduler, and the accumulated
+           counts and the decisions' operations are checked here *)
+        (match r.r_outcome with
+        | Outcome.Bug { bug = Outcome.Uncaught_exn e; _ } ->
+            failwith ("the run ended in an uncaught exception: " ^ e)
+        | Outcome.Ok | Outcome.Bug _ | Outcome.Step_limit -> ());
+        if
+          not
+            (List.equal ( = ) (List.rev !ops)
+               (List.map (fun d -> d.Runtime.d_op) r.r_decisions))
+        then failwith "a decision's d_op differs from the chosen pending op";
         check_pc_dc r
       done;
       true)

@@ -152,6 +152,30 @@ let test_pool_inline () =
   Alcotest.(check bool) "fork stays disabled after shutdown" false
     (Sct_explore.Prefix_exec.fork_available ())
 
+(* When the body of [with_pool] raises, the queued tasks are dropped, not
+   run: only the tasks already started finish, and a dropped task's future
+   raises [Cancelled] instead of blocking its [await]. *)
+let test_pool_raise_cancels_queued () =
+  let ran = Atomic.make 0 in
+  let futs = ref [] in
+  (match
+     Pool.with_pool ~jobs:2 (fun pool ->
+         futs :=
+           List.init 40 (fun _ ->
+               Pool.submit pool (fun () ->
+                   Unix.sleepf 0.05;
+                   Atomic.incr ran));
+         Pool.await (List.hd !futs);
+         failwith "body")
+   with
+  | () -> Alcotest.fail "with_pool returned"
+  | exception Failure m -> Alcotest.(check string) "body's exception" "body" m);
+  let n = Atomic.get ran in
+  if n > 4 then Alcotest.failf "%d of 40 queued tasks ran" n;
+  match Pool.await (List.nth !futs 39) with
+  | () -> Alcotest.fail "the last task ran"
+  | exception Pool.Cancelled -> ()
+
 let test_pool_many_tasks () =
   Pool.with_pool ~jobs:4 (fun pool ->
       let futs = List.init 50 (fun i -> Pool.submit pool (fun () -> i * i)) in
@@ -263,6 +287,8 @@ let suites =
         Alcotest.test_case "shutdown drains on the caller too" `Quick
           test_pool_shutdown_drains_on_caller;
         Alcotest.test_case "many tasks" `Quick test_pool_many_tasks;
+        Alcotest.test_case "a raising body cancels queued tasks" `Quick
+          test_pool_raise_cancels_queued;
       ] );
     ( "parallel-determinism",
       [

@@ -341,6 +341,64 @@ let test_child_prefix_runs_eagerly () =
   in
   check_outcome "ok" "ok" r
 
+(* A thread that keeps running takes the next decision on its own stack,
+   from its fifth step on (the loop has then kept it running four times).
+   What the scheduler or a listener raises there must still surface from
+   [exec], never inside the program: these programs catch every exception
+   their operations raise, so a leak shows as a run that ends normally. *)
+
+exception Boom
+
+let catching f = try f () with _ -> ()
+
+let test_scheduler_exn_surfaces () =
+  (* one thread: every decision keeps it running *)
+  let scheduler (ctx : Runtime.ctx) =
+    if ctx.c_step = 7 then raise Boom else List.hd ctx.c_enabled
+  in
+  let program () =
+    for _ = 1 to 10 do
+      catching Sct.yield
+    done
+  in
+  match Runtime.exec ~scheduler program with
+  | r -> Alcotest.failf "exec returned %a" Outcome.pp r.Runtime.r_outcome
+  | exception Boom -> ()
+
+let test_listener_exn_surfaces () =
+  let acquires = ref 0 in
+  let listener = function
+    | Event.Acquire _ ->
+        incr acquires;
+        if !acquires = 4 then raise Boom
+    | _ -> ()
+  in
+  let program () =
+    let m = Sct.Mutex.create () in
+    for _ = 1 to 6 do
+      catching (fun () -> Sct.Mutex.lock m);
+      catching (fun () -> Sct.Mutex.unlock m)
+    done
+  in
+  match Runtime.exec ~listener ~scheduler:rr program with
+  | r -> Alcotest.failf "exec returned %a" Outcome.pp r.Runtime.r_outcome
+  | exception Boom -> Alcotest.(check int) "raised once" 4 !acquires
+
+let test_cut_on_running_thread () =
+  (* [Cut] raised where the running thread would continue still ends the
+     execution as a truncated prefix *)
+  let scheduler (ctx : Runtime.ctx) =
+    if ctx.c_step = 7 then raise Runtime.Cut else List.hd ctx.c_enabled
+  in
+  let r =
+    Runtime.exec ~scheduler (fun () ->
+        for _ = 1 to 10 do
+          catching Sct.yield
+        done)
+  in
+  check_outcome "cut" "step-limit" r;
+  Alcotest.(check int) "steps before the cut" 7 r.Runtime.r_steps
+
 let suites =
   [
     ( "runtime",
@@ -374,5 +432,11 @@ let suites =
           test_max_enabled_and_points;
         Alcotest.test_case "eager child prefix" `Quick
           test_child_prefix_runs_eagerly;
+        Alcotest.test_case "scheduler exception surfaces from exec" `Quick
+          test_scheduler_exn_surfaces;
+        Alcotest.test_case "listener exception surfaces from exec" `Quick
+          test_listener_exn_surfaces;
+        Alcotest.test_case "cut where the thread would continue" `Quick
+          test_cut_on_running_thread;
       ] );
   ]

@@ -459,6 +459,41 @@ let prop_session_law =
         driver_configs;
       true)
 
+(* PCT's [choose] names its one partial case: an empty enabled set, which
+   the engine never hands a scheduler. Called on one anyway, from inside a
+   real execution, it raises that invariant; the run itself is unaffected. *)
+let test_pct_empty_enabled_invariant () =
+  let (module S) = Sct_explore.Pct.strategy ~k:4 ~seed:0 (two_seq 2 2) () in
+  let st = S.init () in
+  S.begin_run st;
+  let raised = ref false in
+  let scheduler (ctx : Runtime.ctx) =
+    (match S.choose st { ctx with c_enabled = []; c_n_enabled = 0 } with
+    | _ -> ()
+    | exception Invalid_argument m ->
+        raised := m = "Sct_explore.Pct: no enabled thread");
+    S.choose st ctx
+  in
+  let r = Runtime.exec ~scheduler (two_seq 2 2) in
+  Alcotest.(check bool) "named invariant" true !raised;
+  Alcotest.(check string) "run unaffected" "ok" (Outcome.to_string r.r_outcome)
+
+(* MapleAlg's stages are total: a run begun after the campaign ended, which
+   the driver never begins, is a round-robin run that ends the phase again
+   instead of an [assert false]. *)
+let test_maple_total_after_finish () =
+  let (module S) = Sct_explore.Maple_lite.strategy ~profile_runs:0 ~seed:0 () in
+  let st = S.init () in
+  (match S.next_phase st with
+  | Sct_explore.Strategy.Finished _ -> ()
+  | Sct_explore.Strategy.Phase _ -> Alcotest.fail "no profiling run, no phase");
+  S.begin_run st;
+  let r = Runtime.exec ~scheduler:(S.choose st) (two_seq 2 3) in
+  let rr = Sct_explore.Replay.round_robin_run (two_seq 2 3) in
+  Alcotest.(check bool) "round-robin schedule" true
+    (Schedule.equal r.r_schedule rr.r_schedule);
+  Alcotest.(check bool) "phase over" true (S.on_terminal st r).v_phase_over
+
 let suites =
   [
     ( "strategy-driver",
@@ -471,6 +506,10 @@ let suites =
           test_dfs_matches_naive;
         Alcotest.test_case "deadline reported distinctly from limit" `Quick
           test_deadline_distinct_from_limit;
+        Alcotest.test_case "PCT names its empty-enabled-set invariant" `Quick
+          test_pct_empty_enabled_invariant;
+        Alcotest.test_case "MapleAlg stays total after its campaign" `Quick
+          test_maple_total_after_finish;
       ] );
     ("strategy.session", [ QCheck_alcotest.to_alcotest prop_session_law ]);
     ( "surw",
