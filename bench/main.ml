@@ -79,7 +79,7 @@ let wants s = List.mem s sections
 
 let options =
   { Sct_explore.Techniques.default_options with
-    Sct_explore.Techniques.limit; seed; jobs }
+    Sct_explore.Techniques.limit; seed }
 
 (* The full study run is shared by table2/table3/fig2/fig3/fig4. The rows
    are identical for every [jobs] value (see lib/parallel). *)
@@ -204,18 +204,20 @@ let perf_tests () =
         Test.make ~name:"rand"
           (Staged.stage (fun () ->
                Sys.opaque_identity
-                 (Sct_explore.Random_walk.explore ~promote:promote_all ~seed:1
-                    ~runs:25 small)));
+                 (Sct_explore.Seeded.explore ~promote:promote_all ~seed:1
+                    ~runs:25 Sct_explore.Seeded.rand small)));
         Test.make ~name:"pct"
           (Staged.stage (fun () ->
                Sys.opaque_identity
-                 (Sct_explore.Pct.explore ~promote:promote_all ~seed:1
-                    ~runs:25 small)));
+                 (Sct_explore.Seeded.explore ~promote:promote_all ~seed:1
+                    ~runs:25
+                    (Sct_explore.Seeded.pct ~change_points:2)
+                    small)));
         Test.make ~name:"surw"
           (Staged.stage (fun () ->
                Sys.opaque_identity
-                 (Sct_explore.Surw.explore ~promote:promote_all ~seed:1
-                    ~runs:25 small)));
+                 (Sct_explore.Seeded.explore ~promote:promote_all ~seed:1
+                    ~runs:25 Sct_explore.Seeded.surw small)));
         (* MapleLite's campaign length is intrinsic (profiling runs plus one
            active run per candidate); the budget below makes it comparable
            to the other 25-schedule rows on this benchmark *)

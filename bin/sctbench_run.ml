@@ -173,8 +173,26 @@ let length_bound_t =
     & opt non_negative Sct_explore.Techniques.default_options.length_bound
     & info [ "length-bound" ] ~docv:"N" ~doc)
 
-(* The fair and length bounds travel together through [options_of]. *)
-let bounds_t = Term.(const (fun f l -> (f, l)) $ fair_bound_t $ length_bound_t)
+(* The exploration options every running command reads, built once.
+   --jobs is not among them: it sizes the pool, and results are identical
+   for every value. *)
+let options_t =
+  let options limit seed prefix_batch por time_limit fair_bound length_bound
+      =
+    {
+      Sct_explore.Techniques.default_options with
+      Sct_explore.Techniques.limit;
+      seed;
+      time_limit;
+      prefix_batch;
+      por;
+      fair_bound;
+      length_bound;
+    }
+  in
+  Term.(
+    const options $ limit_t $ seed_t $ prefix_batch_t $ por_t $ time_limit_t
+    $ fair_bound_t $ length_bound_t)
 
 let store_t =
   let doc =
@@ -213,25 +231,12 @@ let open_store ~resume store =
 
 let close_store = Option.iter Sct_store.Db.close
 
+(* race detection reads the seed, and the defaults for the rest *)
+let detection_options seed =
+  { Sct_explore.Techniques.default_options with Sct_explore.Techniques.seed }
+
 let resolve_jobs jobs =
   if jobs <= 0 then Sct_parallel.Pool.default_jobs () else jobs
-
-let options_of ?(jobs = 1) ?(prefix_batch = false) ?por ?time_limit
-    ?(bounds =
-      Sct_explore.Techniques.(default_options.fair_bound,
-                              default_options.length_bound)) limit seed =
-  let fair_bound, length_bound = bounds in
-  {
-    Sct_explore.Techniques.default_options with
-    Sct_explore.Techniques.limit;
-    seed;
-    jobs = resolve_jobs jobs;
-    time_limit;
-    prefix_batch;
-    por;
-    fair_bound;
-    length_bound;
-  }
 
 let corpus_t =
   let doc =
@@ -312,8 +317,10 @@ let detect_cmd =
     match Sctbench.Registry.by_name name with
     | None -> prerr_endline ("unknown benchmark: " ^ name); exit 1
     | Some b ->
-        let o = options_of 0 seed in
-        let d = Sct_explore.Techniques.detect_races o b.Sctbench.Bench.program in
+        let d =
+          Sct_explore.Techniques.detect_races (detection_options seed)
+            b.Sctbench.Bench.program
+        in
         Printf.printf "racy locations (%d):\n" (List.length d.Sct_race.Promotion.racy);
         List.iter (fun l -> Printf.printf "  %s\n" l) d.Sct_race.Promotion.racy
   in
@@ -324,17 +331,13 @@ let detect_cmd =
 
 (* run one benchmark *)
 let run_cmd =
-  let run limit seed jobs prefix_batch por time_limit bounds techniques
-      store resume name =
+  let run o jobs techniques store resume name =
     match Sctbench.Registry.by_name name with
     | None -> prerr_endline ("unknown benchmark: " ^ name); exit 1
     | Some b ->
-        let o =
-          options_of ~jobs ~prefix_batch ?por ?time_limit ~bounds limit seed
-        in
         let store = open_store ~resume store in
         let row =
-          Sct_parallel.Pool.with_pool ~jobs:o.Sct_explore.Techniques.jobs
+          Sct_parallel.Pool.with_pool ~jobs:(resolve_jobs jobs)
             (fun pool ->
               Sct_report.Run_data.run_benchmark ?store ~techniques
                 ~run:(Sct_parallel.Drivers.run ~pool) o b)
@@ -370,8 +373,8 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc:"Run one benchmark under the selected techniques.")
     Term.(
-      const run $ limit_t $ seed_t $ jobs_t $ prefix_batch_t $ por_t
-      $ time_limit_t $ bounds_t $ techniques_t $ store_t $ resume_t $ name_t)
+      const run $ options_t $ jobs_t $ techniques_t $ store_t $ resume_t
+      $ name_t)
 
 let with_bench name f =
   match Sctbench.Registry.by_name name with
@@ -381,9 +384,9 @@ let with_bench name f =
   | Some b -> f b
 
 let detection_promote seed (b : Sctbench.Bench.t) =
-  let o = options_of 0 seed in
   Sct_race.Promotion.promote
-    (Sct_explore.Techniques.detect_races o b.Sctbench.Bench.program)
+    (Sct_explore.Techniques.detect_races (detection_options seed)
+       b.Sctbench.Bench.program)
 
 (* benchmark details *)
 let info_cmd =
@@ -493,8 +496,8 @@ let minimize_cmd =
             simplify b promote schedule
         | None -> (
             let s =
-              Sct_explore.Random_walk.explore ~promote ~stop_on_bug:true ~seed
-                ~runs:limit b.Sctbench.Bench.program
+              Sct_explore.Seeded.explore ~promote ~stop_on_bug:true ~seed
+                ~runs:limit Sct_explore.Seeded.rand b.Sctbench.Bench.program
             in
             match s.Sct_explore.Stats.first_bug with
             | None -> print_endline "no bug found by the random scheduler"
@@ -546,18 +549,14 @@ let por_cmd =
     Term.(const run $ limit_t $ name_t $ mode_t)
 
 (* the full study: tables and figures *)
-let study what limit seed jobs prefix_batch por time_limit bounds benches
-    techniques store resume =
-  let o =
-    options_of ~jobs ~prefix_batch ?por ?time_limit ~bounds limit seed
-  in
+let study what o jobs benches techniques store resume =
+  let limit = o.Sct_explore.Techniques.limit in
   match what with
   | `Table1 -> Sct_report.Table1.print benches
   | (`Table2 | `Table3 | `Fig2 | `Fig3 | `Fig4 | `Agreement | `Csv) as what ->
       let store = open_store ~resume store in
       let rows =
-        Sct_parallel.Pool.with_pool ~jobs:o.Sct_explore.Techniques.jobs
-          (fun pool ->
+        Sct_parallel.Pool.with_pool ~jobs:(resolve_jobs jobs) (fun pool ->
             Sct_parallel.Suite.run_all ~pool ?store ~techniques ~progress o
               benches)
       in
@@ -576,9 +575,8 @@ let study what limit seed jobs prefix_batch por time_limit bounds benches
 let study_cmd name what doc =
   Cmd.v (Cmd.info name ~doc)
     Term.(
-      const (study what) $ limit_t $ seed_t $ jobs_t $ prefix_batch_t $ por_t
-      $ time_limit_t $ bounds_t $ benches_t $ techniques_t $ store_t
-      $ resume_t)
+      const (study what) $ options_t $ jobs_t $ benches_t $ techniques_t
+      $ store_t $ resume_t)
 
 let vocab_conv =
   let parse s =
@@ -904,26 +902,21 @@ let corpus_cmd =
       Term.(const run $ dir_t)
   in
   let run_cmd =
-    let run dir limit seed jobs prefix_batch por time_limit bounds techniques
-        store resume =
+    let run dir o jobs techniques store resume =
       load_corpus (Some dir);
       let benches = Sctbench.Registry.of_suite Sctbench.Bench.Corpus in
       if benches = [] then begin
         prerr_endline "corpus run: the corpus is empty";
         exit 1
       end;
-      let o =
-        options_of ~jobs ~prefix_batch ?por ?time_limit ~bounds limit seed
-      in
       let store = open_store ~resume store in
       let rows =
-        Sct_parallel.Pool.with_pool ~jobs:o.Sct_explore.Techniques.jobs
-          (fun pool ->
+        Sct_parallel.Pool.with_pool ~jobs:(resolve_jobs jobs) (fun pool ->
             Sct_parallel.Suite.run_all ~pool ?store ~techniques ~progress o
               benches)
       in
       close_store store;
-      Sct_report.Table3.print ~limit rows;
+      Sct_report.Table3.print ~limit:o.Sct_explore.Techniques.limit rows;
       (* the manifest's mining-time hardness is the corpus paper row, so
          the agreement table is a standing regression study: current
          behaviour vs promoted behaviour *)
@@ -937,8 +930,8 @@ let corpus_cmd =
             current behaviour against the mining-time record — the \
             corpus's standing regression study.")
       Term.(
-        const run $ dir_t $ limit_t $ seed_t $ jobs_t $ prefix_batch_t $ por_t
-        $ time_limit_t $ bounds_t $ techniques_t $ store_t $ resume_t)
+        const run $ dir_t $ options_t $ jobs_t $ techniques_t $ store_t
+        $ resume_t)
   in
   Cmd.group
     (Cmd.info "corpus"
@@ -977,11 +970,7 @@ let shard_conv =
   let print ppf (k, n) = Format.fprintf ppf "%d/%d" k n in
   Arg.conv ~docv:"K/N" (parse, print)
 
-let run_campaign ~shard limit seed jobs prefix_batch por time_limit bounds
-    benches techniques slice store =
-  let o =
-    options_of ~jobs ~prefix_batch ?por ?time_limit ~bounds limit seed
-  in
+let run_campaign ~shard o jobs benches techniques slice store =
   let cells = Sct_campaign.Cell.grid ~techniques o benches in
   let cells =
     match shard with
@@ -990,8 +979,7 @@ let run_campaign ~shard limit seed jobs prefix_batch por time_limit bounds
   in
   let db = Sct_store.Db.open_ ~dir:store in
   let outcome =
-    Sct_parallel.Pool.with_pool ~jobs:o.Sct_explore.Techniques.jobs
-      (fun pool ->
+    Sct_parallel.Pool.with_pool ~jobs:(resolve_jobs jobs) (fun pool ->
         Sct_campaign.Orchestrator.run ~slice
           ~on_slice:(fun c p ->
             Printf.eprintf "%-40s slice %d: %d schedules banked%s\n%!"
@@ -1009,8 +997,7 @@ let run_campaign ~shard limit seed jobs prefix_batch por time_limit bounds
 let campaign_cmd =
   let grid_args run =
     Term.(
-      const run $ limit_t $ seed_t $ jobs_t $ prefix_batch_t $ por_t
-      $ time_limit_t $ bounds_t $ benches_t $ techniques_t $ slice_t
+      const run $ options_t $ jobs_t $ benches_t $ techniques_t $ slice_t
       $ campaign_store_t)
   in
   let run_cmd =
@@ -1043,8 +1030,7 @@ let campaign_cmd =
             process fleets: N workers with --shard 0/N .. (N-1)/N, then \
             $(b,store merge)).")
       Term.(
-        const run $ shard_t $ limit_t $ seed_t $ jobs_t $ prefix_batch_t
-        $ por_t $ time_limit_t $ bounds_t $ benches_t $ techniques_t
+        const run $ shard_t $ options_t $ jobs_t $ benches_t $ techniques_t
         $ slice_t $ campaign_store_t)
   in
   let status_cmd =

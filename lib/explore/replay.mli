@@ -19,8 +19,9 @@ val round_robin_run :
   (unit -> unit) ->
   Sct_core.Runtime.result
 (** One execution under {!round_robin}, recording no decisions: the
-    uncounted probe from which PCT ({!Pct.probe}) and SURW ({!Surw.probe})
-    fix their campaign estimates. *)
+    uncounted probe from which the {!Seeded.pct} and {!Seeded.surw}
+    presets fix their campaign estimates (PCT's depth range, SURW's
+    per-thread budgets). *)
 
 val replay :
   ?promote:(string -> bool) ->

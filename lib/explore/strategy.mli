@@ -158,6 +158,8 @@ type sharding =
           dispatch, so these cells gain from a pool only by running beside
           other cells ([Sct_parallel.Suite.run_all]) *)
   | Shard_seed of (lo:int -> hi:int -> Stats.t)
-      (** run [i] is a pure function of the campaign seed and [i]: shard
-          the run range [\[0, limit)] into contiguous slices and fold
-          {!Stats.merge} (Rand, PCT, SURW) *)
+      (** run [i] is a pure function of the campaign seed, [i] and one
+          probe made before the plan is returned: shard the run range
+          [\[0, limit)] into contiguous slices and fold {!Stats.merge}.
+          [Seeded.sharding] builds it for every seeded preset (Rand, PCT,
+          SURW); a shard reports what the driver reports *)

@@ -83,7 +83,6 @@ type options = {
   race_runs : int;
   pct_change_points : int;
   maple_profile_runs : int;
-  jobs : int;
   time_limit : float option;
   prefix_batch : bool;
   por : Por.mode option;
@@ -99,7 +98,6 @@ let default_options =
     race_runs = 10;
     pct_change_points = 2;
     maple_profile_runs = 10;
-    jobs = 1;
     time_limit = None;
     prefix_batch = false;
     por = None;
@@ -111,8 +109,9 @@ let deadline_of o = Driver.deadline_of_time_limit o.time_limit
 
 (* Pure STRATEGY registration: what a technique name denotes under the
    campaign options. The seven tree techniques are presets of one bounds
-   record; the other four register their own strategies. All exploration
-   control flow lives in Driver. *)
+   record and the three seeded ones presets of {!Seeded.t}; MapleAlg
+   registers its own strategy. All exploration control flow lives in
+   Driver. *)
 let registration o technique =
   let tree ?axis ?fair ?length () =
     `Tree { Bounded.name = name technique; axis; fair; length }
@@ -125,47 +124,35 @@ let registration o technique =
   | Length -> tree ~length:o.length_bound ()
   | IVB -> tree ~axis:Bounded.Variables ()
   | ITB -> tree ~axis:Bounded.Threads ()
-  | Rand -> `Rand
-  | PCT -> `PCT
+  | Rand -> `Seeded Seeded.rand
+  | PCT -> `Seeded (Seeded.pct ~change_points:o.pct_change_points)
+  | SURW -> `Seeded Seeded.surw
   | Maple -> `Maple
-  | SURW -> `SURW
 
 let bounds o technique =
   match registration o technique with
   | `Tree b -> Some b
-  | `Rand | `PCT | `Maple | `SURW -> None
+  | `Seeded _ | `Maple -> None
 
 let strategy ?(promote = fun _ -> false) o technique program =
   match registration o technique with
   | `Tree b -> Bounded.strategy b
-  | `Rand -> Random_walk.strategy ~seed:o.seed ()
-  | `PCT ->
-      Pct.strategy ~promote ~max_steps:o.max_steps
-        ~change_points:o.pct_change_points ~seed:o.seed program ()
+  | `Seeded p ->
+      Seeded.strategy ~promote ~max_steps:o.max_steps ~seed:o.seed p program
   | `Maple ->
       Maple_lite.strategy ~promote ~profile_runs:o.maple_profile_runs
         ~seed:o.seed ()
-  | `SURW ->
-      Surw.strategy ~promote ~max_steps:o.max_steps ~seed:o.seed program ()
 
 (* Declared parallel plan per technique, consumed by Sct_parallel.Drivers
-   and the campaign runner. Again pure registration: the technique only
-   names its plan ({!Strategy.sharding}); how shards are dispatched and
-   merged lives in lib/parallel. The tree walks and MapleAlg are
-   [Sequential]: their cells run whole on one domain. *)
+   and the campaign runner: the seeded presets shard their run range, and
+   the tree walks and MapleAlg run whole on one domain. How shards are
+   dispatched and merged lives in lib/parallel. *)
 let sharding ?(promote = fun _ -> false) o technique program =
-  let deadline = deadline_of o in
-  match technique with
-  | IPB | IDB | DFS | Maple | Fair | Length | IVB | ITB -> Strategy.Sequential
-  | Rand ->
-      Random_walk.sharding ~promote ~max_steps:o.max_steps ?deadline
-        ~seed:o.seed program
-  | PCT ->
-      Pct.sharding ~promote ~max_steps:o.max_steps
-        ~change_points:o.pct_change_points ?deadline ~seed:o.seed program
-  | SURW ->
-      Surw.sharding ~promote ~max_steps:o.max_steps ?deadline ~seed:o.seed
-        program
+  match registration o technique with
+  | `Seeded p ->
+      Seeded.sharding ~promote ~max_steps:o.max_steps ?deadline:(deadline_of o)
+        ~seed:o.seed p program
+  | `Tree _ | `Maple -> Strategy.Sequential
 
 (* The shape of the bounds picks the walk. The partial-order reduction and
    the prefix-batching executor restructure the tree, so they take bounds

@@ -4,11 +4,12 @@
 
     Every technique is a {!Strategy.STRATEGY} value. The seven tree
     techniques are presets of one {!Bounded.t} record ({!bounds}), run by
-    {!Bounded.strategy}. {!session} drives the registered strategy on a
-    {!Driver} session, except that bounds with no filter and no footprint
-    axis (DFS, IPB and IDB) may run on the partial-order reduction or the
-    prefix-batching executor instead. {!run} is one advance of a
-    session. *)
+    {!Bounded.strategy}; Rand, PCT and SURW are presets of one
+    {!Seeded.t}, run by {!Seeded.strategy}. {!session} drives the
+    registered strategy on a {!Driver} session, except that bounds with no
+    filter and no footprint axis (DFS, IPB and IDB) may run on the
+    partial-order reduction or the prefix-batching executor instead.
+    {!run} is one advance of a session. *)
 
 type t =
   | IPB
@@ -54,12 +55,6 @@ type options = {
   race_runs : int;  (** data-race detection executions (paper: 10) *)
   pct_change_points : int;
   maple_profile_runs : int;
-  jobs : int;
-      (** domains that run the work, the calling one included, in the
-          parallel engine (lib/parallel); [run] and [run_all] below are
-          always sequential — a value > 1 takes effect through
-          [Sct_parallel.Drivers] / [Sct_parallel.Suite], which produce
-          identical statistics for every [jobs] value *)
   time_limit : float option;
       (** wall-clock budget in seconds per campaign; [None] (the default)
           disables the deadline and keeps runs fully deterministic *)
@@ -87,9 +82,11 @@ type options = {
 
 val default_options : options
 (** [limit = 10_000; seed = 0; max_steps = 100_000; race_runs = 10;
-    pct_change_points = 2; maple_profile_runs = 10; jobs = 1;
-    time_limit = None; prefix_batch = false; por = None; fair_bound = 5;
-    length_bound = 250]. *)
+    pct_change_points = 2; maple_profile_runs = 10; time_limit = None;
+    prefix_batch = false; por = None; fair_bound = 5; length_bound = 250].
+    How many domains run a study is the pool's business
+    ([Sct_parallel.Pool]), not an option: statistics are identical for
+    every pool size. *)
 
 val deadline_of : options -> float option
 (** The absolute deadline for a campaign starting now, from
@@ -105,7 +102,9 @@ val strategy :
   ?promote:(string -> bool) -> options -> t -> (unit -> unit) -> Strategy.t
 (** The registered strategy of a technique under the given options — pure
     registration; all control flow lives in {!Driver}. A tree technique is
-    {!Bounded.strategy} of its {!bounds}. *)
+    {!Bounded.strategy} of its {!bounds}; Rand, PCT and SURW are
+    {!Seeded.strategy} of {!Seeded.rand}, {!Seeded.pct} at
+    [pct_change_points] and {!Seeded.surw}. *)
 
 val sharding :
   ?promote:(string -> bool) ->
@@ -115,7 +114,7 @@ val sharding :
   Strategy.sharding
 (** The declared parallel plan of a technique, dispatched by
     [Sct_parallel.Drivers] and the campaign runner from the plan's
-    constructor alone: {!Strategy.Shard_seed} for Rand, PCT and SURW, and
+    constructor alone: {!Seeded.sharding} for Rand, PCT and SURW, and
     {!Strategy.Sequential} for everything else: the tree walks (DFS, IPB,
     IDB, Fair, Length, IVB, ITB), whatever [prefix_batch] and [por] say,
     since {!run} honours both on one domain, and MapleAlg. *)

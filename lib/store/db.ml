@@ -26,7 +26,6 @@ let artifacts_dir t = Filename.concat t.t_dir "artifacts"
 let journal_file dir = Filename.concat dir "journal.jsonl"
 
 let fingerprint ~bench ~technique (o : Techniques.options) =
-  (* jobs excluded: results are identical for every value *)
   Json.to_string
     (Json.Obj
        ([

@@ -25,10 +25,11 @@
     line, so it never holds more than one line of it.
 
     Cells are keyed by {!fingerprint}, a digest of the benchmark name, the
-    technique and the semantically relevant exploration options. [jobs] is
-    deliberately excluded: the parallel engine produces identical
-    statistics for every value, so a store written with [--jobs 1] resumes
-    cleanly under [--jobs 8] and vice versa.
+    technique and the semantically relevant exploration options. The pool
+    size is no option: the parallel engine produces identical statistics
+    for every [--jobs], and the records (witness artifacts included) are
+    byte-identical, so a store written with [--jobs 1] resumes cleanly
+    under [--jobs 8] and vice versa.
 
     The campaign orchestrator ([lib/campaign]) journals a record per
     budget {e slice}: the same record shape plus a

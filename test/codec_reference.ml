@@ -138,9 +138,9 @@ let options_to_json (o : Techniques.options) =
        ("race_runs", Json.Int o.Techniques.race_runs);
        ("pct_change_points", Json.Int o.Techniques.pct_change_points);
        ("maple_profile_runs", Json.Int o.Techniques.maple_profile_runs);
-       ("jobs", Json.Int o.Techniques.jobs);
-       (* a constant of the v1 format: the option it held is gone, but
-          older readers require the member *)
+       (* constants of the v1 format: the options they held are gone, but
+          older readers require the members *)
+       ("jobs", Json.Int 1);
        ("split_depth", Json.Int 3);
      ]
     @ (match o.Techniques.time_limit with
@@ -164,8 +164,9 @@ let options_to_json (o : Techniques.options) =
     else [])
 
 let options_of_json j =
-  (* [split_depth] is required by the v1 format; any integer is accepted
-     and ignored *)
+  (* [jobs] and [split_depth] are required by the v1 format; any integer
+     is accepted and ignored *)
+  ignore (get_int (field j "jobs"));
   ignore (get_int (field j "split_depth"));
   {
     Techniques.limit = get_int (field j "limit");
@@ -174,7 +175,6 @@ let options_of_json j =
     race_runs = get_int (field j "race_runs");
     pct_change_points = get_int (field j "pct_change_points");
     maple_profile_runs = get_int (field j "maple_profile_runs");
-    jobs = get_int (field j "jobs");
     time_limit = opt_field j "time_limit" time_limit_of_json;
     prefix_batch =
       (match opt_field j "prefix_batch" get_bool with

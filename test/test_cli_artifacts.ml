@@ -263,6 +263,41 @@ let test_named_flags_checked () =
   Alcotest.(check bool) "both is dpor+sleep" true
     (contains ~needle:"CS.reorder_3_bad: " out)
 
+(* The pool size is not an exploration option: a stored study writes the
+   same journal and the same witness artifacts at every --jobs. An
+   artifact's name is the digest of its contents, so equal names are
+   equal files. *)
+let test_store_independent_of_jobs () =
+  let stored jobs =
+    let dir = fresh_store () in
+    let code, out =
+      run_cli
+        (Printf.sprintf "table3 --suite cs --limit 100 --jobs %d --store %s"
+           jobs (Filename.quote dir))
+    in
+    if code <> 0 then Alcotest.failf "--jobs %d: exit %d:\n%s" jobs code out;
+    dir
+  in
+  let one = stored 1 and two = stored 2 in
+  Fun.protect
+    ~finally:(fun () ->
+      Test_store.rm_rf one;
+      Test_store.rm_rf two)
+    (fun () ->
+      let journal dir =
+        In_channel.with_open_bin
+          (Filename.concat dir "journal.jsonl")
+          In_channel.input_all
+      in
+      let artifacts dir =
+        List.sort compare
+          (Array.to_list (Sys.readdir (Filename.concat dir "artifacts")))
+      in
+      Alcotest.(check string) "same journal" (journal one) (journal two);
+      Alcotest.(check bool) "witnesses were written" true (artifacts one <> []);
+      Alcotest.(check (list string))
+        "same artifact files" (artifacts one) (artifacts two))
+
 let suites =
   [
     ( "cli-artifacts",
@@ -279,5 +314,7 @@ let suites =
           test_numeric_flags_checked;
         Alcotest.test_case "named flags: bad values exit 124" `Quick
           test_named_flags_checked;
+        Alcotest.test_case "a stored study is the same at every --jobs" `Quick
+          test_store_independent_of_jobs;
       ] );
   ]

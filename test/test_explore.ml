@@ -80,13 +80,10 @@ let test_zero_delay_unique () =
   Alcotest.(check int) "one zero-delay schedule" 1 r.Sct_explore.Dfs.counted
 
 let test_round_robin_run () =
-  (* the round-robin run is the zero-delay schedule, and PCT's probe is its
-     length *)
+  (* the round-robin run is the zero-delay schedule *)
   let program = two_seq 3 4 in
   let r = Sct_explore.Replay.round_robin_run ~promote:promote_all program in
   Alcotest.(check int) "no delay" 0 r.Runtime.r_dc;
-  Alcotest.(check int) "PCT's depth range" r.Runtime.r_steps
-    (Sct_explore.Pct.probe ~promote:promote_all program);
   (* with no enabled thread the engine reports a deadlock instead of
      calling the scheduler *)
   let deadlock () =
@@ -191,8 +188,8 @@ let test_bounded_first_bug_cumulative () =
 let test_random_finds_trivial () =
   let program () = Sct.check false "always" in
   let r =
-    Sct_explore.Random_walk.explore ~promote:promote_all ~seed:0 ~runs:5
-      program
+    Sct_explore.Seeded.explore ~promote:promote_all ~seed:0 ~runs:5
+      Sct_explore.Seeded.rand program
   in
   Alcotest.(check (option int)) "first run buggy" (Some 1)
     r.Sct_explore.Stats.to_first_bug;
@@ -200,12 +197,12 @@ let test_random_finds_trivial () =
 
 let test_random_seeded_deterministic () =
   let r1 =
-    Sct_explore.Random_walk.explore ~promote:promote_all ~seed:3 ~runs:200
-      figure1
+    Sct_explore.Seeded.explore ~promote:promote_all ~seed:3 ~runs:200
+      Sct_explore.Seeded.rand figure1
   in
   let r2 =
-    Sct_explore.Random_walk.explore ~promote:promote_all ~seed:3 ~runs:200
-      figure1
+    Sct_explore.Seeded.explore ~promote:promote_all ~seed:3 ~runs:200
+      Sct_explore.Seeded.rand figure1
   in
   Alcotest.(check int) "same buggy count" r1.Sct_explore.Stats.buggy
     r2.Sct_explore.Stats.buggy;
@@ -214,8 +211,8 @@ let test_random_seeded_deterministic () =
 
 let test_random_stop_on_bug () =
   let r =
-    Sct_explore.Random_walk.explore ~promote:promote_all ~stop_on_bug:true
-      ~seed:0 ~runs:10_000 figure1
+    Sct_explore.Seeded.explore ~promote:promote_all ~stop_on_bug:true
+      ~seed:0 ~runs:10_000 Sct_explore.Seeded.rand figure1
   in
   Alcotest.(check int) "stopped at the first bug" 1 r.Sct_explore.Stats.buggy
 
@@ -223,8 +220,9 @@ let test_random_stop_on_bug () =
 
 let test_pct_finds_figure1 () =
   let r =
-    Sct_explore.Pct.explore ~promote:promote_all ~change_points:1 ~seed:0
-      ~runs:2_000 figure1
+    Sct_explore.Seeded.explore ~promote:promote_all ~seed:0 ~runs:2_000
+      (Sct_explore.Seeded.pct ~change_points:1)
+      figure1
   in
   Alcotest.(check bool) "pct finds the bug" true (Sct_explore.Stats.found r)
 

@@ -119,8 +119,8 @@ let prop_no_false_positives =
       let program = build gp in
       let d = dfs program in
       let r =
-        Sct_explore.Random_walk.explore ~promote:promote_all ~seed:11 ~runs:50
-          program
+        Sct_explore.Seeded.explore ~promote:promote_all ~seed:11 ~runs:50
+          Sct_explore.Seeded.rand program
       in
       d.Sct_explore.Dfs.buggy = 0 && r.Sct_explore.Stats.buggy = 0)
 

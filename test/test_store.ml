@@ -84,7 +84,6 @@ let gen_options =
     let* race_runs = int_range 1 20 in
     let* pct_change_points = int_bound 5 in
     let* maple_profile_runs = int_range 1 20 in
-    let* jobs = int_range 1 8 in
     (* dyadic rationals: exactly representable, so [=] on the decoded
        record is meaningful *)
     let* time_limit =
@@ -108,7 +107,6 @@ let gen_options =
         race_runs;
         pct_change_points;
         maple_profile_runs;
-        jobs;
         time_limit;
         prefix_batch;
         por;
@@ -1166,21 +1164,22 @@ let test_db_truncated_tail () =
 
 let test_fingerprint_ignores_parallelism () =
   let o = Techniques.default_options in
-  let fp j =
-    Db.fingerprint ~bench:"B" ~technique:"IPB" { o with Techniques.jobs = j }
-  in
-  Alcotest.(check string) "jobs excluded" (fp 1) (fp 8);
-  (* the v1 options record keeps its [split_depth] member, whose value
-     decodes to nothing *)
-  let with_split_depth d =
+  (* the v1 options record keeps its [jobs] and [split_depth] members,
+     whose values decode to nothing *)
+  let with_v1_members ~jobs ~split_depth =
     Codec.decode_options
       (Printf.sprintf
-         {|{"v":1,"options":{"limit":10000,"seed":0,"max_steps":100000,"race_runs":10,"pct_change_points":2,"maple_profile_runs":10,"jobs":1,"split_depth":%d}}|}
-         d)
+         {|{"v":1,"options":{"limit":10000,"seed":0,"max_steps":100000,"race_runs":10,"pct_change_points":2,"maple_profile_runs":10,"jobs":%d,"split_depth":%d}}|}
+         jobs split_depth)
   in
   Alcotest.(check bool)
+    "jobs ignored" true
+    (with_v1_members ~jobs:2 ~split_depth:3 = o
+    && with_v1_members ~jobs:8 ~split_depth:3 = o);
+  Alcotest.(check bool)
     "split_depth ignored" true
-    (with_split_depth 0 = o && with_split_depth 50 = o);
+    (with_v1_members ~jobs:1 ~split_depth:0 = o
+    && with_v1_members ~jobs:1 ~split_depth:50 = o);
   Alcotest.(check bool)
     "limit included" true
     (Db.fingerprint ~bench:"B" ~technique:"IPB" o

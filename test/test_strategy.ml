@@ -2,8 +2,9 @@
    driver.ml): each technique routed through Driver.explore must equal a
    from-scratch naive reference loop written directly against the runtime;
    the wall-clock deadline must be reported distinctly from the schedule
-   limit; and the SURW extension must be seed-deterministic, shardable
-   (jobs 1 == jobs 4) and able to find easy bugs. *)
+   limit, on one domain and on a pool; and the SURW extension must be
+   seed-deterministic, shardable (jobs 1 == jobs 4) and able to find easy
+   bugs. *)
 
 open Sct_core
 module Stats = Sct_explore.Stats
@@ -154,6 +155,72 @@ let naive_pct ~change_points ~seed ~runs program =
   done;
   { !stats with Stats.hit_limit = true }
 
+let naive_surw ~seed ~runs program =
+  (* the per-thread budgets: how often one deterministic RR run scheduled
+     each thread, counted off its recorded schedule *)
+  let rr (ctx : Runtime.ctx) =
+    match
+      Delay.deterministic_choice ~n:ctx.c_n_threads ~last:ctx.c_last
+        ~enabled:ctx.c_enabled
+    with
+    | Some t -> t
+    | None -> assert false
+  in
+  let probe =
+    Runtime.exec ~promote:promote_all ~max_steps:100_000 ~scheduler:rr program
+  in
+  let budgets =
+    List.fold_left
+      (fun acc t ->
+        let n = Option.value ~default:0 (List.assoc_opt t acc) in
+        (t, n + 1) :: List.remove_assoc t acc)
+      []
+      (Schedule.to_list probe.Runtime.r_schedule)
+  in
+  let stats = ref (Stats.base ~technique:"SURW") in
+  let seen = ref Stats.Sched_set.empty in
+  for i = 0 to runs - 1 do
+    let rng = Random.State.make [| seed; i; 0x5a1 |] in
+    (* a thread the probe never saw has one event left *)
+    let left = ref budgets in
+    let left_of t = Option.value ~default:1 (List.assoc_opt t !left) in
+    let scheduler (ctx : Runtime.ctx) =
+      let weights = List.map (fun t -> (t, max 0 (left_of t))) ctx.c_enabled in
+      let total = List.fold_left (fun acc (_, w) -> acc + w) 0 weights in
+      let t =
+        if total > 0 then begin
+          (* the first thread whose cumulative weight passes the draw *)
+          let x = Random.State.int rng total in
+          let rec first acc = function
+            | [] -> assert false
+            | (t, w) :: rest -> if x < acc + w then t else first (acc + w) rest
+          in
+          first 0 weights
+        end
+        else
+          match ctx.c_enabled with
+          | [ t ] ->
+              ignore (Random.State.int rng 1 : int);
+              t
+          | enabled ->
+              let a = Array.of_list enabled in
+              a.(Random.State.int rng (Array.length a))
+      in
+      left := (t, left_of t - 1) :: List.remove_assoc t !left;
+      t
+    in
+    let res =
+      Runtime.exec ~promote:promote_all ~max_steps:100_000 ~scheduler program
+    in
+    seen := Stats.Sched_set.add (Schedule.to_list res.Runtime.r_schedule) !seen;
+    stats := count_result ~i:(i + 1) !stats res
+  done;
+  {
+    !stats with
+    Stats.hit_limit = true;
+    distinct_schedules = Some !seen;
+  }
+
 (* Naive DFS: a work-list of decision prefixes (no backtracking stack, no
    replay machinery shared with lib/explore). Each run follows its prefix,
    then always takes the round-robin-first enabled thread, recording every
@@ -228,6 +295,20 @@ let test_pct_matches_naive () =
         driver)
     [ (0, 50, 1); (1, 120, 2); (7, 80, 3) ]
 
+let test_surw_matches_naive () =
+  List.iter
+    (fun (seed, runs) ->
+      let driver =
+        Techniques.run ~promote:promote_all
+          { Techniques.default_options with Techniques.limit = runs; seed }
+          Techniques.SURW figure1
+      in
+      Alcotest.check stats_t
+        (Printf.sprintf "SURW seed=%d runs=%d" seed runs)
+        (naive_surw ~seed ~runs figure1)
+        driver)
+    [ (0, 1); (0, 57); (3, 200); (42, 100) ]
+
 let test_dfs_matches_naive () =
   List.iter
     (fun (a, b) ->
@@ -253,7 +334,8 @@ let test_deadline_distinct_from_limit () =
     Sct_explore.Driver.explore ~promote:promote_all
       ~deadline:(Unix.gettimeofday () -. 1.)
       ~limit:1_000_000
-      (Sct_explore.Random_walk.strategy ~seed:0 ())
+      (Sct_explore.Seeded.strategy ~promote:promote_all ~seed:0
+         Sct_explore.Seeded.rand figure1)
       figure1
   in
   Alcotest.(check int) "one schedule before the deadline check" 1
@@ -275,7 +357,30 @@ let test_deadline_distinct_from_limit () =
   let o = { o with Techniques.time_limit = None; limit = 10 } in
   let s = Techniques.run ~promote:promote_all o Techniques.Rand figure1 in
   Alcotest.(check bool) "limit stop" true s.Stats.hit_limit;
-  Alcotest.(check bool) "no deadline stop" false s.Stats.hit_deadline
+  Alcotest.(check bool) "no deadline stop" false s.Stats.hit_deadline;
+  (* on a 2-domain pool the seeded techniques shard their run range, and
+     the merged shards report the deadline stop as one domain does *)
+  let o =
+    {
+      Techniques.default_options with
+      Techniques.limit = 1_000;
+      time_limit = Some 0.;
+    }
+  in
+  Sct_parallel.Pool.with_pool ~jobs:2 (fun pool ->
+      List.iter
+        (fun t ->
+          let name = Techniques.name t in
+          let s =
+            Sct_parallel.Drivers.run ~pool ~promote:promote_all o t figure1
+          in
+          Alcotest.(check bool)
+            (name ^ " on 2 domains: deadline reported")
+            true s.Stats.hit_deadline;
+          Alcotest.(check bool)
+            (name ^ " on 2 domains: not a limit stop")
+            false s.Stats.hit_limit)
+        Techniques.[ Rand; PCT; SURW ])
 
 (* --- SURW --- *)
 
@@ -316,8 +421,8 @@ let test_surw_weights_cover_both_orders () =
      schedules that retire the short thread early; SURW must still sample
      both relative orders of the racy accesses *)
   let s =
-    Sct_explore.Surw.explore ~promote:promote_all ~seed:0 ~runs:500
-      (two_seq 1 8)
+    Sct_explore.Seeded.explore ~promote:promote_all ~seed:0 ~runs:500
+      Sct_explore.Seeded.surw (two_seq 1 8)
   in
   Alcotest.(check bool)
     "several distinct schedules" true
@@ -463,7 +568,11 @@ let prop_session_law =
    the engine never hands a scheduler. Called on one anyway, from inside a
    real execution, it raises that invariant; the run itself is unaffected. *)
 let test_pct_empty_enabled_invariant () =
-  let (module S) = Sct_explore.Pct.strategy ~k:4 ~seed:0 (two_seq 2 2) () in
+  let (module S) =
+    Sct_explore.Seeded.strategy ~seed:0
+      (Sct_explore.Seeded.pct ~change_points:2)
+      (two_seq 2 2)
+  in
   let st = S.init () in
   S.begin_run st;
   let raised = ref false in
@@ -471,7 +580,7 @@ let test_pct_empty_enabled_invariant () =
     (match S.choose st { ctx with c_enabled = []; c_n_enabled = 0 } with
     | _ -> ()
     | exception Invalid_argument m ->
-        raised := m = "Sct_explore.Pct: no enabled thread");
+        raised := m = "Sct_explore.Seeded.pct: no enabled thread");
     S.choose st ctx
   in
   let r = Runtime.exec ~scheduler (two_seq 2 2) in
@@ -502,6 +611,8 @@ let suites =
           test_rand_matches_naive;
         Alcotest.test_case "PCT via driver == naive reference" `Quick
           test_pct_matches_naive;
+        Alcotest.test_case "SURW via driver == naive reference" `Quick
+          test_surw_matches_naive;
         Alcotest.test_case "DFS via driver == naive enumeration" `Quick
           test_dfs_matches_naive;
         Alcotest.test_case "deadline reported distinctly from limit" `Quick

@@ -241,8 +241,8 @@ let test_technique_list () =
 let test_simplify_reduces_preemptions () =
   (* take a (likely messy) random witness and minimize it *)
   let rand =
-    Sct_explore.Random_walk.explore ~promote:promote_all ~stop_on_bug:true
-      ~seed:5 ~runs:10_000 figure1
+    Sct_explore.Seeded.explore ~promote:promote_all ~stop_on_bug:true
+      ~seed:5 ~runs:10_000 Sct_explore.Seeded.rand figure1
   in
   match rand.Sct_explore.Stats.first_bug with
   | None -> Alcotest.fail "random scheduler found nothing"
@@ -341,8 +341,8 @@ let test_guarantee_maple_heuristic () =
 
 let test_random_distinct_tracking () =
   let s =
-    Sct_explore.Random_walk.explore ~promote:promote_all ~seed:0 ~runs:500
-      figure1
+    Sct_explore.Seeded.explore ~promote:promote_all ~seed:0 ~runs:500
+      Sct_explore.Seeded.rand figure1
   in
   match Sct_explore.Stats.distinct s with
   | None -> Alcotest.fail "distinct not tracked"
