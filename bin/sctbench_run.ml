@@ -340,7 +340,7 @@ let run_cmd =
           Sct_parallel.Pool.with_pool ~jobs:(resolve_jobs jobs)
             (fun pool ->
               Sct_report.Run_data.run_benchmark ?store ~techniques
-                ~run:(Sct_parallel.Drivers.run ~pool) o b)
+                ~fan_out:(Sct_parallel.Drivers.run_seeds ~pool) o b)
         in
         close_store store;
         Printf.printf "%s (%d racy locations)\n" b.Sctbench.Bench.name

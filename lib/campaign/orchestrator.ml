@@ -42,7 +42,7 @@ let run ?(slice = 500) ?(on_slice = fun _ _ -> ()) ~pool ~db cells =
         Hashtbl.replace detections name d;
         d
   in
-  (* walks of unfinished tree cells, kept alive between their slices *)
+  (* sessions of unfinished cells, kept alive between their slices *)
   let sessions = Runner.sessions () in
   let granted = ref 0 in
   let rec loop () =

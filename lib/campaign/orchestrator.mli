@@ -10,11 +10,12 @@
     resumes the exact schedule, and a finished campaign's tables are
     byte-identical to the one-shot study runner's.
 
-    Each call also owns a {!Runner.sessions} table, so a tree cell's walk
+    Each call also owns a {!Runner.sessions} table, so a cell's session
     stays alive between its slices and each slice continues it. The table
     is a cache whose hits and misses journal identical records: a
-    restarted process starts with an empty one and re-runs each
-    unfinished tree cell's journalled prefix once. *)
+    restarted process starts with an empty one, restores each unfinished
+    seeded cell from its record and re-runs each unfinished tree cell's
+    journalled prefix once. *)
 
 type outcome = {
   cells : int;  (** cells in the campaign grid *)

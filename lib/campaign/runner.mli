@@ -2,47 +2,43 @@
 
     A campaign never runs a cell to completion in one go: it grants budget
     {e slices} and journals a snapshot after each, so a killed campaign
-    loses at most one slice of work. The per-plan slice models keep
-    the final statistics byte-identical to the one-shot
-    [Sct_explore.Techniques.run] (and hence to the whole study pipeline):
+    loses at most one slice of work. Each slice advances the cell's
+    {!Sct_explore.Techniques.session} to a target limit, so by the
+    session law each slice's statistics are the one-shot
+    [Sct_explore.Techniques.run]'s at that limit, and the last slice's are
+    the one-shot run's (and hence the whole study pipeline's). The
+    target depends on whether the cell is a tree walk
+    ([Sct_explore.Techniques.bounds] is [Some]):
 
-    - [Shard_seed] (Rand, PCT, SURW): run [i] is a pure function of the
-      campaign seed and [i], so a slice is the contiguous run range
-      [\[consumed, consumed+slice)] and cumulative statistics fold with
-      [Stats.merge] — exactly the contiguous-slice merge the parallel
-      drivers already prove equal to the sequential run. A slice is
-      itself sub-sharded across the pool
-      ([Sct_parallel.Drivers.run_seeds]).
-    - [Sequential] (DFS, IPB, IDB, the bounding axes Fair, Length, IVB,
-      ITB, and MapleAlg): tree walks carry backtracking state that cannot
-      be banked in a [Stats.t]. Each slice advances the cell's
-      {!Sct_explore.Techniques.session}, on one domain, to a
-      geometrically growing schedule limit
-      [min limit (max (consumed+slice) (2·consumed))]; the last slice
-      runs with the cell's exact limit (or exhausts the bounded space
-      below it). By the session law, each slice's statistics are the
-      one-shot statistics at its limit, so the final ones are literally
-      the one-shot run's. Cumulative stats {e replace} the previous
-      snapshot. Consumed budget counts cut runs (fair/length bounding
-      charge abandoned executions to the budget without counting them),
-      so a cut-heavy cell still advances every slice. MapleAlg's campaign
-      length is intrinsic ([respects_limit = false]): it ignores the
-      slice's limit, runs to completion in its first slice and journals
-      that slice as done.
+    - a tree walk (DFS, IPB, IDB and the bounding axes Fair, Length, IVB,
+      ITB) grows its limit geometrically,
+      [min limit (max (consumed+slice) (2·consumed))], and runs on one
+      domain: its backtracking state cannot be banked in a [Stats.t];
+    - every other cell takes [min limit (consumed+slice)]. A seeded cell
+      (Rand, PCT, SURW) probes once per session, runs each slice's run
+      range across the pool ([Sct_parallel.Drivers.run_seeds]) and merges
+      it into its record. MapleAlg's campaign length is intrinsic
+      ([respects_limit = false]): it ignores the limit, runs to completion
+      in its first slice and journals that slice as done.
+
+    Every cell journals [consumed = total + cut_runs] (fair and length
+    bounding charge cut executions to the budget without counting them,
+    so a cut-heavy cell still advances every slice) and is done when its
+    budget did not stop it, a deadline did, or the target reached the
+    cell's limit. A deadline thus finishes a cell where it stopped.
 
     {b Live sessions.} The store is the only durable state. A
-    {!sessions} table keeps the session of each unfinished [Sequential]
-    cell in memory between its slices, so the next slice continues the
-    walk instead of re-running it from the root. The table is a cache: a
-    slice uses a session only when it stands exactly where the journal
-    does (its consumed budget equals [prev]'s), and otherwise starts a
-    fresh one that re-runs the journalled prefix once, bounded by the
-    doubling. Both paths journal identical records, so a restarted
-    process, which starts with an empty table, resumes byte-identically.
-    A prefix-batched cell keeps no walk and re-runs at every slice.
-
-    Dispatch is from the declared parallel plan alone, like the parallel
-    drivers — no per-technique case analysis. *)
+    {!sessions} table keeps the session of each unfinished cell in memory
+    between its slices, so the next slice continues the walk, and a
+    seeded cell keeps its probe. The table is a cache: a slice uses a
+    session only when it stands exactly where the journal does (its
+    consumed budget equals [prev]'s), and otherwise starts a fresh one
+    from [prev]'s record. A seeded session starts after that record and
+    re-runs nothing; a tree walk starts at the root and re-runs the
+    journalled prefix once, bounded by the doubling. Both paths journal
+    identical records, so a restarted process, which starts with an empty
+    table, resumes byte-identically. A prefix-batched cell keeps no walk
+    and re-runs at every slice. *)
 
 type slice_result = {
   stats : Sct_explore.Stats.t;
@@ -53,8 +49,7 @@ type slice_result = {
 }
 
 type sessions
-(** The live sessions of unfinished [Sequential] cells, keyed by cell
-    fingerprint. *)
+(** The live sessions of unfinished cells, keyed by cell fingerprint. *)
 
 val sessions : unit -> sessions
 (** An empty table. *)
@@ -69,6 +64,6 @@ val run_slice :
   slice_result
 (** Grant one budget slice to an unfinished cell. [prev] is the cell's
     latest journal record ([None] if never run); it must not be finished.
-    A [Sequential] cell's session is taken from [sessions] when it stands
-    where [prev] does, and left there while the cell is unfinished.
+    The cell's session is taken from [sessions] when it stands where
+    [prev] does, and left there while the cell is unfinished.
     @raise Invalid_argument if [slice < 1]. *)

@@ -38,8 +38,8 @@
     cell requests both, [Techniques.run] falls back to the unbatched
     driver (visible as [steps_saved = 0] in the cell's statistics). Every
     iterative-bounding campaign, plain, batched or reduced, runs on one
-    domain ({!Strategy.Sequential}), so its statistics are byte-identical
-    for every [--jobs] value. *)
+    domain whatever fan-out its session is given, so its statistics are
+    byte-identical for every [--jobs] value. *)
 
 type axis =
   | Preemptions

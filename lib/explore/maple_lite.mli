@@ -27,8 +27,8 @@ val strategy :
     profiling runs (default 10), then one active run per candidate, stopping
     at the first bug. The campaign length is intrinsic ([respects_limit] is
     [false]); the generic driver runs it to heuristic completion, or to the
-    deadline. Its parallel plan is [Strategy.Sequential]: the whole
-    campaign is too short to gain from sharding its runs across domains.
+    deadline, on one domain: the whole campaign is too short to gain from
+    spreading its runs across domains.
 
     [Stats.complete] is set once every candidate has been attempted. That
     is Maple's heuristic termination, not an exhausted schedule space, so

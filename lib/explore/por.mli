@@ -60,9 +60,9 @@
     [--prefix-batch] are requested, the cell falls back to unbatched
     execution (the choice is visible in the cell's statistics:
     [steps_saved = 0]) and the store fingerprint records both options.
-    Like every tree walk, a POR cell runs on one domain
-    ([Strategy.Sequential]) for every [--jobs] value, so its statistics
-    are byte-identical for every [jobs] value.
+    Like every tree walk, a POR cell runs on one domain for every
+    [--jobs] value, so its statistics are byte-identical for every [jobs]
+    value.
 
     The reduction assumes full dependence information for the {e visible}
     operations (see {!Op_depend}); unpromoted locations must be race-free,

@@ -5,7 +5,7 @@ open Sct_core
    split of the run range replays the sequential campaign exactly
    (lib/parallel shards it, lib/campaign slices it). A preset only says
    what to probe and how run [i] schedules; one strategy, one explore and
-   one parallel plan run every preset. *)
+   one session run every preset. *)
 
 type t = {
   name : string;
@@ -128,7 +128,7 @@ let surw =
 
 (* Runs [lo], [lo + 1], ... in a single never-ending phase, which only the
    budget, the deadline or [stop_on_bug] stops. [setup] runs in [init]:
-   the campaign's own probe, or a shard's share of its collector's. *)
+   the campaign's own probe, or a range's share of its session's. *)
 let runs_from ~lo p setup : Strategy.t =
   (module struct
     let technique = p.name
@@ -177,13 +177,29 @@ let explore ?(promote = fun _ -> false) ?(max_steps = 100_000) ?stop_on_bug
     (strategy ~promote ~max_steps ~seed p program)
     program
 
-let sharding ?(promote = fun _ -> false) ?(max_steps = 100_000) ?deadline
-    ~seed p program =
-  (* one probe for the whole campaign, on the collector *)
+(* One probe for the whole campaign, however many advances run it. Each
+   advance runs the runs from the previous limit up to the new one, fanned
+   out as the caller says, and folds them into what it has banked: run [i]
+   is a pure function of the seed, [i] and the probe, so the fold equals
+   one sequential campaign. A deadline ends the session, since the ranges
+   it stopped left gaps. *)
+let session ?(promote = fun _ -> false) ?(max_steps = 100_000)
+    ?(fan_out = fun run ~lo ~hi -> run ~lo ~hi) ?from ~seed p program =
   let run_of = p.probe ~promote ~max_steps program ~seed in
-  Strategy.Shard_seed
-    (fun ~lo ~hi ->
-      Driver.explore ~promote ~max_steps ?deadline ~count_offset:lo
-        ~limit:(hi - lo)
-        (runs_from ~lo p (fun () -> run_of))
-        program)
+  let at = ref (match from with Some (n, _) -> n | None -> 0) in
+  let banked = ref (Option.map snd from) in
+  fun ~deadline ~limit ->
+    match !banked with
+    | Some s when limit <= !at || s.Stats.hit_deadline -> s
+    | prior ->
+        let run ~lo ~hi =
+          Driver.explore ~promote ~max_steps ?deadline ~count_offset:lo
+            ~limit:(hi - lo)
+            (runs_from ~lo p (fun () -> run_of))
+            program
+        in
+        let ran = fan_out run ~lo:!at ~hi:limit in
+        let s = match prior with Some b -> Stats.merge b ran | None -> ran in
+        at := limit;
+        banked := Some s;
+        s

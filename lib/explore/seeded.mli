@@ -5,12 +5,13 @@
 
     Run [i] of a campaign is a pure function of the seed, [i] and one
     uncounted probe of the program. The run range therefore splits into
-    contiguous shards whose statistics merge ({!Stats.merge}) into exactly
-    the sequential campaign's: {!sharding} declares that plan, which
-    [Sct_parallel.Drivers] runs on a pool and the campaign runner runs one
-    budget slice at a time. No information is saved between runs, so a
-    seeded campaign may repeat a schedule and never "completes"; only the
-    budget, the deadline or [stop_on_bug] stops it. *)
+    contiguous ranges whose statistics merge ({!Stats.merge}) into exactly
+    the sequential campaign's: a {!session} runs each advance's range
+    through a caller's fan-out, which [Sct_parallel.Drivers.run_seeds]
+    spreads over a pool, and the campaign runner advances one budget slice
+    at a time. No information is saved between runs, so a seeded campaign
+    may repeat a schedule and never "completes"; only the budget, the
+    deadline or [stop_on_bug] stops it. *)
 
 type t = {
   name : string;  (** the technique name recorded in [Stats.technique] *)
@@ -83,17 +84,29 @@ val explore :
     for [runs] executions. With [stop_on_bug] (default [false], as in the
     paper) the campaign stops at the first buggy schedule. *)
 
-val sharding :
+val session :
   ?promote:(string -> bool) ->
   ?max_steps:int ->
-  ?deadline:float ->
+  ?fan_out:((lo:int -> hi:int -> Stats.t) -> lo:int -> hi:int -> Stats.t) ->
+  ?from:int * Stats.t ->
   seed:int ->
   t ->
   (unit -> unit) ->
-  Strategy.sharding
-(** The declared parallel plan: the probe runs once, here, on the
-    collector, and {!Strategy.Shard_seed} runs [\[lo, hi)] of the campaign
-    from it. [to_first_bug] is an absolute 1-based run index and a shard
-    reports [hit_limit] and [hit_deadline] as the driver does, so folding
-    {!Stats.merge} over any partition of [\[0, runs)] equals {!explore}
-    (up to the deadline, which each shard checks on its own). *)
+  deadline:float option ->
+  limit:int ->
+  Stats.t
+(** [session ~seed p program] runs the preset's probe once, here, and
+    returns the campaign's advance. Each call [~deadline ~limit] runs the
+    runs [\[at, limit)], where [at] is the previous call's limit (at
+    first [0], or [n] with [from:(n, s)]), as [fan_out run ~lo:at
+    ~hi:limit], and folds the result into the statistics so far with
+    {!Stats.merge}. [run ~lo ~hi] runs [\[lo, hi)] on {!Driver.explore}
+    under [deadline] and reports what the driver reports, with
+    [to_first_bug] an absolute 1-based run index; [fan_out] (default:
+    [run] on the calling domain) may call it on any partition of its
+    range and merge the parts. So through non-decreasing limits and no
+    deadline, each call returns exactly what {!explore} at that limit
+    returns. [from:(n, s)] starts the session after a record [s] of the
+    runs [\[0, n)], such as a journalled slice of this campaign. A call
+    at or below the previous limit, or after a deadline stopped the
+    session, runs nothing and returns the statistics so far. *)

@@ -92,7 +92,3 @@ type walk_result = {
   max_enabled : int;
   max_sched_points : int;
 }
-
-(* --- parallel plans (used by lib/parallel and lib/campaign) -------------- *)
-
-type sharding = Sequential | Shard_seed of (lo:int -> hi:int -> Stats.t)

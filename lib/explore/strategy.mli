@@ -141,25 +141,3 @@ type walk_result = {
 (** Result of one (bounded) schedule-tree walk; [Dfs.level_result] is an
     alias of this type. *)
 
-(** {1 Parallel plans}
-
-    How a campaign may use a domain pool, declared per technique and
-    interpreted generically by [Sct_parallel.Drivers] and the campaign
-    runner: the shape of the value, not the identity of the technique,
-    decides the parallel plan. *)
-
-type sharding =
-  | Sequential
-      (** the campaign runs on one domain for every pool size (DFS, IPB,
-          IDB, the bounding axes Fair, Length, IVB, ITB, and MapleAlg): a
-          tree walk's backtracking state is one sequential thread of
-          control, and MapleAlg's whole campaign (about ten profiling runs
-          plus one forcing run per candidate) is too short to pay for
-          dispatch, so these cells gain from a pool only by running beside
-          other cells ([Sct_parallel.Suite.run_all]) *)
-  | Shard_seed of (lo:int -> hi:int -> Stats.t)
-      (** run [i] is a pure function of the campaign seed, [i] and one
-          probe made before the plan is returned: shard the run range
-          [\[0, limit)] into contiguous slices and fold {!Stats.merge}.
-          [Seeded.sharding] builds it for every seeded preset (Rand, PCT,
-          SURW); a shard reports what the driver reports *)

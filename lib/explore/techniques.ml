@@ -143,42 +143,37 @@ let strategy ?(promote = fun _ -> false) o technique program =
       Maple_lite.strategy ~promote ~profile_runs:o.maple_profile_runs
         ~seed:o.seed ()
 
-(* Declared parallel plan per technique, consumed by Sct_parallel.Drivers
-   and the campaign runner: the seeded presets shard their run range, and
-   the tree walks and MapleAlg run whole on one domain. How shards are
-   dispatched and merged lives in lib/parallel. *)
-let sharding ?(promote = fun _ -> false) o technique program =
-  match registration o technique with
-  | `Seeded p ->
-      Seeded.sharding ~promote ~max_steps:o.max_steps ?deadline:(deadline_of o)
-        ~seed:o.seed p program
-  | `Tree _ | `Maple -> Strategy.Sequential
-
-(* The shape of the bounds picks the walk. The partial-order reduction and
-   the prefix-batching executor restructure the tree, so they take bounds
-   with no filter and no footprint axis, which are exactly DFS, IPB and
-   IDB; every other technique ignores both options. POR wins over batching
-   (see por.mli's interaction contract): a cell requesting both runs
-   reduced and unbatched, visible as [steps_saved = 0]. A reduced walk
-   threads its sleep-pruned-run counter out through [on_prune], and the
-   running count is patched into each advance's statistics. Every advance
-   takes [o.time_limit] afresh from its own start. *)
-let session ?(promote = fun _ -> false) o technique program =
+(* The shape of the registration picks the walk. A seeded preset runs
+   its run ranges on {!Seeded.session}, which may fan them out and start
+   after a record. The partial-order reduction and the prefix-batching
+   executor restructure the tree, so they take bounds with no filter and
+   no footprint axis, which are exactly DFS, IPB and IDB; every other
+   technique ignores both options. POR wins over batching (see por.mli's
+   interaction contract): a cell requesting both runs reduced and
+   unbatched, visible as [steps_saved = 0]. A reduced walk threads its
+   sleep-pruned-run counter out through [on_prune], and the running count
+   is patched into each advance's statistics. Every advance takes
+   [o.time_limit] afresh from its own start. *)
+let session ?(promote = fun _ -> false) ?fan_out ?from o technique program =
   let max_steps = o.max_steps in
-  let restructurable =
-    match bounds o technique with
-    | Some
-        ({
-           Bounded.fair = None;
-           length = None;
-           axis = None | Some (Bounded.Preemptions | Bounded.Delays);
-           _;
-         } as b) ->
-        Some b
-    | Some _ | None -> None
+  let restructurable = function
+    | {
+        Bounded.fair = None;
+        length = None;
+        axis = None | Some (Bounded.Preemptions | Bounded.Delays);
+        _;
+      } ->
+        true
+    | _ -> false
   in
-  match (restructurable, o.por, o.prefix_batch) with
-  | Some b, Some mode, _ ->
+  match (registration o technique, o.por, o.prefix_batch) with
+  | `Seeded p, _, _ ->
+      let advance =
+        Seeded.session ~promote ~max_steps ?fan_out ?from ~seed:o.seed p
+          program
+      in
+      fun ~limit -> advance ~deadline:(deadline_of o) ~limit
+  | `Tree b, Some mode, _ when restructurable b ->
       let pruned = ref 0 in
       let s =
         Driver.start ~promote ~max_steps
@@ -192,7 +187,7 @@ let session ?(promote = fun _ -> false) o technique program =
             ~limit
         in
         { st with Stats.por_pruned = !pruned }
-  | Some b, None, true ->
+  | `Tree b, None, true when restructurable b ->
       (* the batched executor keeps no session: each advance re-runs *)
       fun ~limit ->
         Bounded.explore_batched ~promote ~max_steps ?deadline:(deadline_of o)
@@ -204,8 +199,8 @@ let session ?(promote = fun _ -> false) o technique program =
       in
       fun ~limit -> Driver.advance ?deadline:(deadline_of o) s ~limit
 
-let run ?promote o technique program =
-  session ?promote o technique program ~limit:o.limit
+let run ?promote ?fan_out o technique program =
+  session ?promote ?fan_out o technique program ~limit:o.limit
 
 let detect_races o program =
   Sct_race.Promotion.detect ~runs:o.race_runs ~seed:o.seed

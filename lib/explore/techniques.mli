@@ -5,9 +5,10 @@
     Every technique is a {!Strategy.STRATEGY} value. The seven tree
     techniques are presets of one {!Bounded.t} record ({!bounds}), run by
     {!Bounded.strategy}; Rand, PCT and SURW are presets of one
-    {!Seeded.t}, run by {!Seeded.strategy}. {!session} drives the
-    registered strategy on a {!Driver} session, except that bounds with no
-    filter and no footprint axis (DFS, IPB and IDB) may run on the
+    {!Seeded.t}, run by {!Seeded.strategy}. {!session} is the one way a
+    cell runs: it drives the registered strategy on a {!Driver} session,
+    except that a seeded preset runs on {!Seeded.session}, and bounds with
+    no filter and no footprint axis (DFS, IPB and IDB) may run on the
     partial-order reduction or the prefix-batching executor instead.
     {!run} is one advance of a session. *)
 
@@ -106,21 +107,10 @@ val strategy :
     {!Seeded.strategy} of {!Seeded.rand}, {!Seeded.pct} at
     [pct_change_points] and {!Seeded.surw}. *)
 
-val sharding :
-  ?promote:(string -> bool) ->
-  options ->
-  t ->
-  (unit -> unit) ->
-  Strategy.sharding
-(** The declared parallel plan of a technique, dispatched by
-    [Sct_parallel.Drivers] and the campaign runner from the plan's
-    constructor alone: {!Seeded.sharding} for Rand, PCT and SURW, and
-    {!Strategy.Sequential} for everything else: the tree walks (DFS, IPB,
-    IDB, Fair, Length, IVB, ITB), whatever [prefix_batch] and [por] say,
-    since {!run} honours both on one domain, and MapleAlg. *)
-
 val session :
   ?promote:(string -> bool) ->
+  ?fan_out:((lo:int -> hi:int -> Stats.t) -> lo:int -> hi:int -> Stats.t) ->
+  ?from:int * Stats.t ->
   options ->
   t ->
   (unit -> unit) ->
@@ -132,7 +122,19 @@ val session :
     statistics so far. Through non-decreasing limits, each call returns
     exactly what {!run} with [{o with limit}] returns (the session law of
     {!Driver.advance}); [options.time_limit] budgets every call afresh
-    from its start. The shape of the {!bounds} picks the walk: the two
+    from its start.
+
+    Rand, PCT and SURW run on {!Seeded.session}: the probe runs once,
+    here, and each call runs the runs from the previous limit up to the
+    new one through [fan_out] (default: the calling domain; a pool
+    passes [Sct_parallel.Drivers.run_seeds ~pool]), merging them into
+    the statistics so far. [from:(n, s)] starts such a session after a
+    record [s] of its first [n] runs, since seeded records fold with
+    {!Stats.merge}. Every other technique ignores [fan_out] and [from]:
+    it runs on one domain, and a walk's state is not in its record, so
+    it starts at the root.
+
+    The shape of the {!bounds} picks a tree technique's walk: the two
     options below restructure the tree, so they apply to bounds with no
     fair or length filter and no footprint axis — DFS, IPB and IDB:
     + with [options.por], such bounds run the {!Por.walk} reduction:
@@ -147,10 +149,16 @@ val session :
       {!Driver.advance}. *)
 
 val run :
-  ?promote:(string -> bool) -> options -> t -> (unit -> unit) -> Stats.t
+  ?promote:(string -> bool) ->
+  ?fan_out:((lo:int -> hi:int -> Stats.t) -> lo:int -> hi:int -> Stats.t) ->
+  options ->
+  t ->
+  (unit -> unit) ->
+  Stats.t
 (** Run one technique with an externally supplied promotion predicate
     (defaults to promoting nothing), budgeted by [options.limit] and
-    [options.time_limit]: [session o t program ~limit:o.limit]. *)
+    [options.time_limit]: [session o t program ~limit:o.limit]. The
+    statistics are the same for every [fan_out]. *)
 
 val detect_races : options -> (unit -> unit) -> Sct_race.Promotion.result
 (** Phase 1: the data-race detection phase. *)

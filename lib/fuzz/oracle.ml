@@ -488,24 +488,21 @@ let check ?(wrap = fun r -> r) cfg ~seed program =
     | _ -> ()
   end;
 
-  (* ---- shard-merge determinism for the seed-sharded techniques --------- *)
-  (* Two half-range shards, merged, must equal the sequential campaign at
-     the sub-budget: what [--jobs 1] prints, and so what the merged shards
-     of [--jobs N] must reproduce. *)
+  (* ---- shard-merge determinism for the seeded techniques -------------- *)
+  (* One session advanced to half the sub-budget and then to all of it runs
+     two half ranges and merges them; that must equal the sequential
+     campaign at the sub-budget: what [--jobs 1] prints, and so what the
+     merged ranges of [--jobs N] must reproduce. *)
   List.iter
     (fun t ->
-      match Techniques.sharding ~promote o t program with
-      | Strategy.Shard_seed f ->
-          let h = m / 2 in
-          let merged = Stats.merge (f ~lo:0 ~hi:h) (f ~lo:h ~hi:m) in
-          require "shard-merge"
-            (Stats.equal (reference t) merged)
-            "%s: half-range shards [0,%d)+[%d,%d) do not merge to the \
-             sequential campaign at limit %d (the --jobs 1 result)"
-            (tname t) h h m m
-      | Strategy.Sequential ->
-          fail "shard-merge" "%s: expected a Shard_seed parallel plan"
-            (tname t))
+      let h = m / 2 in
+      let advance = Techniques.session ~promote o t program in
+      let (_ : Stats.t) = advance ~limit:h in
+      require "shard-merge"
+        (Stats.equal (reference t) (advance ~limit:m))
+        "%s: half ranges [0,%d)+[%d,%d) do not merge to the sequential \
+         campaign at limit %d (the --jobs 1 result)"
+        (tname t) h h m m)
     (List.filter selected [ Techniques.Rand; Techniques.PCT; Techniques.SURW ]);
 
   (* ---- prefix-batch differential: batched == unbatched modulo steps ---- *)

@@ -42,12 +42,14 @@
       preemption-bounded counts at the same level (DC ≥ PC, paper §2);
       witness bound consistency for IPB ([w_pc = bound]) and IDB
       ([w_dc = bound]).
-    - {b Shard-merge determinism}: for the seed-sharded techniques
-      (Rand, PCT, SURW), the two half-range shards [\[0, m/2)] and
-      [\[m/2, m)] of the sub-budget [m = min limit 200], merged with
-      {!Sct_explore.Stats.merge}, must be {!Sct_explore.Stats.equal} to
-      the sequential campaign at [m] — what [--jobs 1] prints, and so the
-      algebra that makes [--jobs N] byte-identical.
+    - {b Shard-merge determinism}: for the seeded techniques (Rand, PCT,
+      SURW), one {!Sct_explore.Techniques.session} advanced to [m/2] and
+      then to the sub-budget [m = min limit 200] runs the half ranges
+      [\[0, m/2)] and [\[m/2, m)] and merges them with
+      {!Sct_explore.Stats.merge}; the result must be
+      {!Sct_explore.Stats.equal} to the sequential campaign at [m] — what
+      [--jobs 1] prints, and so the algebra that makes [--jobs N] and
+      sliced campaigns byte-identical.
 
     The reference campaigns at the sub-budget [m] (the sequential
     Rand/PCT/SURW campaign for shard-merge; plain IPB and plain DFS for

@@ -15,29 +15,17 @@ let merge_all = function
   | [] -> invalid_arg "Sct_parallel.Drivers.merge_all: no shards"
   | s :: rest -> List.fold_left Stats.merge s rest
 
-(* Interpreter for the Shard_seed plan: one contiguous sub-range of
+(* A seeded session's fan-out on a pool: one contiguous sub-range of
    [lo, hi) per pool worker, folded with Stats.merge (first-bug indices are
    absolute, so the merge recovers the sequential first bug). *)
-let run_seeds ~pool shard ~lo ~hi =
+let run_seeds ~pool run ~lo ~hi =
   let n = hi - lo in
-  if Pool.size pool <= 1 || n <= 1 then shard ~lo ~hi
+  if Pool.size pool <= 1 || n <= 1 then run ~lo ~hi
   else
     let futs =
       List.map
         (fun (slo, shi) ->
-          Pool.submit pool (fun () -> shard ~lo:(lo + slo) ~hi:(lo + shi)))
+          Pool.submit pool (fun () -> run ~lo:(lo + slo) ~hi:(lo + shi)))
         (shard_ranges ~shards:(Pool.size pool) ~n)
     in
     merge_all (List.map Pool.await futs)
-
-(* Dispatch purely on the pool size and the declared plan: the shape of
-   the {!Sct_explore.Strategy.sharding} value decides, never the technique
-   or its options. *)
-let run ~pool ?(promote = fun _ -> false) (o : Techniques.options) technique
-    program =
-  let sequential () = Techniques.run ~promote o technique program in
-  if Pool.size pool <= 1 then sequential ()
-  else
-    match Techniques.sharding ~promote o technique program with
-    | Strategy.Sequential -> sequential ()
-    | Strategy.Shard_seed shard -> run_seeds ~pool shard ~lo:0 ~hi:o.limit

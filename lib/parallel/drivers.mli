@@ -1,34 +1,17 @@
-(** Parallel drivers for the study's techniques, dispatched from each
-    technique's {e declared} parallel plan
-    ({!Sct_explore.Strategy.sharding}) — the shape of the plan value, never
-    the identity of the technique or its options, decides how a cell uses
-    the pool. Both plans produce statistics equal
-    ([Sct_explore.Stats.equal]) to the sequential
-    {!Sct_explore.Techniques.run} for every pool size:
+(** How one seeded cell spreads over a domain pool.
 
-    - [Sequential] (DFS, IPB, IDB, the bounding axes Fair, Length, IVB,
-      ITB — plain, prefix-batched or partial-order-reduced — and
-      MapleAlg): the cell runs {!Sct_explore.Techniques.run} on the
-      calling domain. Splitting one tree walk across domains, or sharding
-      MapleAlg's handful of runs, was measured slower than one domain, so
-      these cells use a pool only by running beside other cells
-      ({!Suite.run_all}).
-    - [Shard_seed] (Rand, PCT, SURW): run [i] is a pure function of the
-      campaign seed and [i]; the run range is sharded into contiguous
-      per-worker slices and shard statistics are folded with
-      [Sct_explore.Stats.merge] — first-bug indices are absolute, so the
-      merge recovers the sequential first bug.
-
-    With a pool of size 1 every plan simply calls the sequential code. *)
-
-val run :
-  pool:Pool.t ->
-  ?promote:(string -> bool) ->
-  Sct_explore.Techniques.options ->
-  Sct_explore.Techniques.t ->
-  (unit -> unit) ->
-  Sct_explore.Stats.t
-(** Parallel equivalent of [Sct_explore.Techniques.run]. *)
+    Every cell runs as a {!Sct_explore.Techniques.session}. A seeded
+    session (Rand, PCT, SURW) runs each advance's run range through a
+    fan-out function, and {!run_seeds} is the pool's: run [i] is a pure
+    function of the campaign seed and [i], so the range splits into
+    contiguous per-worker ranges whose statistics fold with
+    [Sct_explore.Stats.merge] into exactly the sequential ones, first-bug
+    indices being absolute. Every other cell ignores the fan-out and runs
+    on the calling domain: a tree walk's backtracking state is one
+    sequential thread of control, and MapleAlg's whole campaign (about
+    ten profiling runs plus one forcing run per candidate) is too short
+    to pay for dispatch, so these cells use a pool only by running beside
+    other cells ({!Suite.run_all}). *)
 
 val run_seeds :
   pool:Pool.t ->
@@ -36,9 +19,10 @@ val run_seeds :
   lo:int ->
   hi:int ->
   Sct_explore.Stats.t
-(** [run_seeds ~pool shard ~lo ~hi] runs the seed range [\[lo, hi)] of a
-    [Shard_seed] plan as one contiguous sub-range per pool worker and
-    folds the results with [Sct_explore.Stats.merge]: equal to
-    [shard ~lo ~hi], which it calls directly on a one-worker pool or a
-    range of at most one run. {!run} calls it on [\[0, limit)]; the
-    campaign runner ([lib/campaign]) calls it on each budget slice. *)
+(** [run_seeds ~pool run ~lo ~hi] runs the seed range [\[lo, hi)] as one
+    contiguous sub-range per pool worker and folds the results with
+    [Sct_explore.Stats.merge]: equal to [run ~lo ~hi], which it calls
+    directly on a one-worker pool or a range of at most one run. Pass
+    [~fan_out:(run_seeds ~pool)] to [Sct_explore.Techniques.run] or
+    [Sct_explore.Techniques.session]; the campaign runner
+    ([lib/campaign]) does so for every slice. *)

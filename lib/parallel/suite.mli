@@ -5,8 +5,8 @@
     job running the ordinary sequential code). It produces rows identical
     to the sequential [Sct_report.Run_data.run_all] for every pool size,
     and falls back to that function on a one-job pool. One
-    benchmark's row with seed-sharded cells spread over the pool is
-    [Sct_report.Run_data.run_benchmark ~run:(Drivers.run ~pool)].
+    benchmark's row with seeded cells spread over the pool is
+    [Sct_report.Run_data.run_benchmark ~fan_out:(Drivers.run_seeds ~pool)].
 
     With a [store], {!run_all} honours the journal exactly like the
     sequential function: journalled cells are reused (never resubmitted as

@@ -53,7 +53,7 @@ let record ?store o (bench : Sctbench.Bench.t) ~racy ~key t s =
   | None -> ()
 
 let run_benchmark ?store ?(techniques = Sct_explore.Techniques.all_paper)
-    ?(run = Sct_explore.Techniques.run) o (bench : Sctbench.Bench.t) =
+    ?fan_out o (bench : Sctbench.Bench.t) =
   match lookup ?store o bench techniques with
   | Journalled row -> row
   | Missing cells ->
@@ -67,7 +67,9 @@ let run_benchmark ?store ?(techniques = Sct_explore.Techniques.all_paper)
             match e with
             | Some e -> (t, e.Sct_store.Db.e_stats)
             | None ->
-                let s = run ~promote o t program in
+                let s =
+                  Sct_explore.Techniques.run ~promote ?fan_out o t program
+                in
                 record ?store o bench ~racy ~key t s;
                 (t, s))
           cells

@@ -50,21 +50,21 @@ val record :
 val run_benchmark :
   ?store:Sct_store.Db.t ->
   ?techniques:Sct_explore.Techniques.t list ->
-  ?run:
-    (?promote:(string -> bool) ->
-    Sct_explore.Techniques.options ->
-    Sct_explore.Techniques.t ->
-    (unit -> unit) ->
+  ?fan_out:
+    ((lo:int -> hi:int -> Sct_explore.Stats.t) ->
+    lo:int ->
+    hi:int ->
     Sct_explore.Stats.t) ->
   Sct_explore.Techniques.options ->
   Sctbench.Bench.t ->
   row
 (** Run (or, with [store], complete) one benchmark's cells: race
-    detection, then each missing cell through [run], one after another
-    ([Sct_explore.Techniques.run] by default; the CLI passes
-    [Sct_parallel.Drivers.run ~pool], which shards a seed-sharded cell
-    across the pool). When every cell is already journalled the program is
-    not executed at all — not even the race-detection phase. *)
+    detection, then each missing cell through
+    [Sct_explore.Techniques.run ?fan_out], one after another (the CLI
+    passes [Sct_parallel.Drivers.run_seeds ~pool], which spreads a seeded
+    cell's runs across the pool). When every cell is already journalled
+    the program is not executed at all — not even the race-detection
+    phase. *)
 
 val run_all :
   ?store:Sct_store.Db.t ->

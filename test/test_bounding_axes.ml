@@ -228,7 +228,7 @@ let test_jobs_byte_identical () =
           (List.map
              (Sct_report.Run_data.run_benchmark
                 ~techniques:axes_study_techniques
-                ~run:(Sct_parallel.Drivers.run ~pool) o)
+                ~fan_out:(Sct_parallel.Drivers.run_seeds ~pool) o)
              benches))
   in
   let t1 = table 1 in

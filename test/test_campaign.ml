@@ -12,6 +12,7 @@ module Codec = Sct_store.Codec
 module Cell = Sct_campaign.Cell
 module Scheduler = Sct_campaign.Scheduler
 module Orchestrator = Sct_campaign.Orchestrator
+module Runner = Sct_campaign.Runner
 module Status = Sct_campaign.Status
 
 let stats_t = Alcotest.testable Stats.pp Stats.equal
@@ -267,10 +268,11 @@ let test_interrupt_and_resume () =
       Alcotest.(check int) "campaign is complete" 0 noop.Orchestrator.slices;
       Db.close db)
 
-(* A tree cell's slices continue one live walk: over a whole campaign the
-   program runs once per detection run and once per execution the final
-   records report, with no slice re-running an earlier slice's prefix. *)
-let test_tree_cells_walk_once () =
+(* Every cell's slices continue one live session: over a whole campaign
+   the program runs once per detection run, once per execution the final
+   records report, and once per PCT or SURW cell for its probe, with no
+   slice re-running an earlier slice's prefix or re-probing. *)
+let test_cells_walk_and_probe_once () =
   let invocations = ref 0 in
   let counted (b : Sctbench.Bench.t) =
     {
@@ -285,7 +287,9 @@ let test_tree_cells_walk_once () =
     List.map counted [ pick "CS.reorder_4_bad"; pick "CS.stack_bad" ]
   in
   let cells =
-    Cell.grid ~techniques:Techniques.[ DFS; IPB; IDB ] options benches
+    Cell.grid
+      ~techniques:Techniques.[ DFS; IPB; IDB; Rand; PCT; SURW ]
+      options benches
   in
   with_dir (fun dir ->
       let db = Db.open_ ~dir in
@@ -306,15 +310,100 @@ let test_tree_cells_walk_once () =
             | None -> Alcotest.fail (Cell.name c ^ " not finished"))
           0 cells
       in
+      let probes =
+        List.length
+          (List.filter
+             (fun (c : Cell.t) ->
+               List.mem c.Cell.technique Techniques.[ PCT; SURW ])
+             cells)
+      in
       Db.close db;
       Alcotest.(check bool)
         "some cell took three slices" true
         (outcome.Orchestrator.slices >= List.length cells + 2);
       (* the detection recount above ran the programs once more *)
       Alcotest.(check int)
-        "program invocations = detection runs + final executions"
-        ((2 * detection_runs) + executions)
+        "program invocations = detection runs + final executions + probes"
+        ((2 * detection_runs) + executions + probes)
         !invocations)
+
+(* A live session is a cache of the journal: one that stands ahead of the
+   record a slice is granted from is not reused. Two slices leave a
+   session at the second one's limit; a slice granted as if the cell had
+   never run must then equal the first slice. *)
+let test_session_ahead_of_journal () =
+  let b = pick "CS.account_bad" in
+  let promote =
+    Sct_race.Promotion.promote
+      (Techniques.detect_races options b.Sctbench.Bench.program)
+  in
+  Sct_parallel.Pool.with_pool ~jobs:1 (fun pool ->
+      List.iter
+        (fun (c : Cell.t) ->
+          let n = Cell.name c in
+          let sessions = Runner.sessions () in
+          let grant prev =
+            Runner.run_slice ~pool ~sessions ~promote ~slice ~prev c
+          in
+          let record (r : Runner.slice_result) =
+            Some
+              {
+                Db.e_bench = b.Sctbench.Bench.name;
+                e_technique = Techniques.name c.Cell.technique;
+                e_racy = 0;
+                e_stats = r.Runner.stats;
+                e_witness = None;
+                e_progress = Some r.Runner.progress;
+              }
+          in
+          let first = grant None in
+          let second = grant (record first) in
+          Alcotest.(check bool)
+            (n ^ ": the second slice leaves the cell open")
+            false second.Runner.progress.Codec.p_done;
+          let again = grant None in
+          Alcotest.check stats_t (n ^ ": stats of the first slice")
+            first.Runner.stats again.Runner.stats;
+          Alcotest.(check bool)
+            (n ^ ": progress of the first slice")
+            true
+            (first.Runner.progress = again.Runner.progress))
+        (Cell.grid ~techniques:Techniques.[ DFS; PCT ] options [ b ]))
+
+(* A seeded cell that the deadline stops finishes where it stopped, as a
+   tree cell and the one-shot run do: it banks only the runs it ran. *)
+let test_seeded_deadline_finishes_cell () =
+  let o = { options with Techniques.time_limit = Some 0. } in
+  let cells =
+    Cell.grid ~techniques:Techniques.[ Rand; PCT; SURW ] o
+      [ pick "CS.account_bad" ]
+  in
+  with_dir (fun dir ->
+      let db = Db.open_ ~dir in
+      let outcome = run_campaign db cells in
+      Alcotest.(check int)
+        "one slice per cell" (List.length cells) outcome.Orchestrator.slices;
+      List.iter
+        (fun (c : Cell.t) ->
+          let n = Cell.name c in
+          match Db.find db c.Cell.key with
+          | Some { Db.e_stats = s; e_progress = Some p; _ } ->
+              Alcotest.(check bool) (n ^ " done") true p.Codec.p_done;
+              Alcotest.(check int) (n ^ " slices") 1 p.Codec.p_slices;
+              Alcotest.(check int)
+                (n ^ " consumed = total + cut runs")
+                (s.Stats.total + s.Stats.cut_runs)
+                p.Codec.p_consumed;
+              Alcotest.(check bool)
+                (n ^ " first bug within total")
+                true
+                (match s.Stats.to_first_bug with
+                | Some i -> i <= s.Stats.total
+                | None -> true)
+          | Some _ | None ->
+              Alcotest.fail (n ^ " has no finished campaign record"))
+        cells;
+      Db.close db)
 
 (* --- scheduler determinism (pure unit tests) --- *)
 
@@ -440,8 +529,13 @@ let suites =
           test_pool_same_results;
         Alcotest.test_case "interrupted campaign resumes exactly" `Slow
           test_interrupt_and_resume;
-        Alcotest.test_case "tree cells walk once across their slices" `Quick
-          test_tree_cells_walk_once;
+        Alcotest.test_case
+          "tree cells walk once across their slices, seeded cells probe once"
+          `Quick test_cells_walk_and_probe_once;
+        Alcotest.test_case "a session ahead of the journal is not reused"
+          `Quick test_session_ahead_of_journal;
+        Alcotest.test_case "a seeded cell stops at its deadline" `Quick
+          test_seeded_deadline_finishes_cell;
       ] );
     ( "campaign.status",
       [

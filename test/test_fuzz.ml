@@ -110,16 +110,16 @@ let main_cost (_, (s : Sct_explore.Stats.t)) =
    race-detection run, per main-campaign execution and per witness
    replay, plus what its cross-checks run afresh, and nothing for the
    reference campaigns at the sub-budget [m]: those come off the main
-   campaigns' sessions. For a seed-sharded technique the fresh runs are
-   the two half-range shards of shard-merge, [m] executions together, and
-   for PCT and SURW two uncounted round-robin probes (the main campaign's
-   and the sharding collector's). At limit 120 the sub-budget is the whole
+   campaigns' sessions. For a seeded technique the fresh runs are the two
+   half ranges of shard-merge's session, [m] executions together, and for
+   PCT and SURW two uncounted round-robin probes (the main campaign's and
+   shard-merge's session's). At limit 120 the sub-budget is the whole
    budget. With IPB and Fair, only Fair at an unreachable bound and the
    POR-composed IPB cross-check (plain and reduced) run afresh. *)
 let test_oracle_execution_count () =
   let open Sct_explore in
   let promote_all _ = true in
-  let sharded probes ~promote:_ (o_sub : Techniques.options) _ =
+  let seeded probes ~promote:_ (o_sub : Techniques.options) _ =
     o_sub.Techniques.limit + probes
   in
   let ipb_fair ~promote o_sub program =
@@ -139,9 +139,9 @@ let test_oracle_execution_count () =
       (fun limit ->
         Techniques.
           [
-            ([ Rand ], limit, sharded 0);
-            ([ PCT ], limit, sharded 2);
-            ([ SURW ], limit, sharded 2);
+            ([ Rand ], limit, seeded 0);
+            ([ PCT ], limit, seeded 2);
+            ([ SURW ], limit, seeded 2);
           ])
       [ 500; 120 ]
     @ [ (Techniques.[ IPB; Fair ], 500, ipb_fair) ]

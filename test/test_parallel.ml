@@ -195,9 +195,9 @@ let det_options =
     Sct_explore.Techniques.limit = 200 }
 
 (* The options that change how a tree cell runs: prefix batching, POR, and
-   both at once (POR wins). [Drivers.run] sees only the plan value, so a
-   batched or reduced cell must still equal its sequential run on a
-   multi-domain pool. *)
+   both at once (POR wins). A pool's fan-out reaches only seeded sessions,
+   so a batched or reduced cell must still equal its sequential run when
+   given one. *)
 let det_option_sets =
   let open Sct_explore.Techniques in
   [
@@ -226,12 +226,14 @@ let test_drivers_match_sequential () =
                     (oname ^ "/" ^ bname ^ "/"
                     ^ Sct_explore.Techniques.name t)
                     s
-                    (Sct_parallel.Drivers.run ~pool ~promote o t program))
+                    (Sct_explore.Techniques.run ~promote
+                       ~fan_out:(Sct_parallel.Drivers.run_seeds ~pool)
+                       o t program))
                 seq)
             [ "CS.lazy01_bad"; "CS.twostage_bad"; "CS.reorder_3_bad" ])
         det_option_sets)
 
-(* MapleAlg's plan is [Sequential], so on a pool it runs the same driver
+(* MapleAlg ignores a pool's fan-out, so on a pool it runs the same driver
    loop as [Techniques.run] and stops at the wall-clock deadline after its
    first execution. *)
 let test_maple_deadline_on_pool () =
@@ -243,7 +245,9 @@ let test_maple_deadline_on_pool () =
   let seq = Sct_explore.Techniques.run ~promote:promote_all o maple program in
   let par =
     Pool.with_pool ~jobs:2 (fun pool ->
-        Sct_parallel.Drivers.run ~pool ~promote:promote_all o maple program)
+        Sct_explore.Techniques.run ~promote:promote_all
+          ~fan_out:(Sct_parallel.Drivers.run_seeds ~pool)
+          o maple program)
   in
   Alcotest.check stats_t "2-domain pool == sequential" seq par;
   Alcotest.(check bool) "hit_deadline" true par.Sct_explore.Stats.hit_deadline;

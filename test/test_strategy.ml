@@ -372,7 +372,9 @@ let test_deadline_distinct_from_limit () =
         (fun t ->
           let name = Techniques.name t in
           let s =
-            Sct_parallel.Drivers.run ~pool ~promote:promote_all o t figure1
+            Techniques.run ~promote:promote_all
+              ~fan_out:(Sct_parallel.Drivers.run_seeds ~pool)
+              o t figure1
           in
           Alcotest.(check bool)
             (name ^ " on 2 domains: deadline reported")
@@ -393,8 +395,9 @@ let test_surw_deterministic_and_sharded () =
   Alcotest.check stats_t "seed-deterministic" s1 s2;
   let par =
     Sct_parallel.Pool.with_pool ~jobs:4 (fun pool ->
-        Sct_parallel.Drivers.run ~pool ~promote:promote_all o Techniques.SURW
-          figure1)
+        Techniques.run ~promote:promote_all
+          ~fan_out:(Sct_parallel.Drivers.run_seeds ~pool)
+          o Techniques.SURW figure1)
   in
   Alcotest.check stats_t "jobs 1 == jobs 4" s1 par
 
@@ -440,9 +443,10 @@ module Por = Sct_explore.Por
 
 let encode = Sct_store.Codec.encode_stats
 
-(* Every arm of Techniques.session's dispatch match: the 11 techniques on
-   their registered strategies, and the tree walkers under each [--por]
-   mode and under prefix batching. *)
+(* Every arm of Techniques.session's dispatch match: the 11 techniques,
+   the seeded ones on their seeded sessions and the rest on their
+   registered strategies, and the tree walkers under each [--por] mode and
+   under prefix batching. *)
 let session_configs =
   let o = Techniques.default_options in
   let tree = Techniques.[ DFS; IPB; IDB ] in
@@ -553,6 +557,34 @@ let prop_session_law =
             ~fresh:(fun ~limit ->
               Techniques.run ~promote { o with Techniques.limit } t program))
         session_configs;
+      (* Seeded sessions whose ranges fan out in halves on this domain, or
+         which start from an earlier advance's record. *)
+      let halves run ~lo ~hi =
+        let mid = (lo + hi) / 2 in
+        Stats.merge (run ~lo ~hi:mid) (run ~lo:mid ~hi)
+      in
+      List.iter
+        (fun t ->
+          let o = Techniques.default_options in
+          let name = Techniques.name t in
+          let fresh ~limit =
+            Techniques.run ~promote { o with Techniques.limit } t program
+          in
+          law (name ^ " fanned out in halves")
+            ~advance:(Techniques.session ~promote ~fan_out:halves o t program)
+            ~fresh;
+          match c.limits with
+          | [] -> ()
+          | first :: _ ->
+              let earlier =
+                Techniques.session ~promote o t program ~limit:first
+              in
+              law (name ^ " from a record")
+                ~advance:
+                  (Techniques.session ~promote ~from:(first, earlier) o t
+                     program)
+                ~fresh)
+        Techniques.[ Rand; PCT; SURW ];
       List.iter
         (fun (name, stop_on_bug, strategy) ->
           let s = Driver.start ~promote ~stop_on_bug (strategy ()) program in
