@@ -63,8 +63,7 @@ let sections, limit, seed, jobs, out_file, baseline_file, baseline_factor =
   let sections =
     (* the JSON artifact and the regression check are built from the perf,
        steps and jobs-sweep measurements, so those flags imply all three
-       sections (steps before jobs: the sweep spawns worker domains, which
-       permanently switches the batched executor to its fallback) *)
+       sections *)
     if !out_file <> None || !baseline_file <> None then
       sections
       @ List.filter
@@ -403,22 +402,19 @@ let run_pct () =
       "misc.safestack";
     ]
 
-(* Prefix-batched executor: scheduling steps actually executed vs. the
-   classic one-execution-per-schedule driver. The counters are analytic
-   (executed + saved = the unbatched driver's steps), so the recorded
-   factors are identical for the fork-server and fallback back-ends — the
-   section prints which one it measured. CS.reorder_10_bad exhausts the
-   schedule limit for all three tree techniques, which is exactly where
-   shared prefixes dominate; campaigns that stop at an early bug have no
-   prefix to share and would only dilute the gate. *)
+(* Prefix batching: the scheduling steps a batch of sibling continuations
+   would execute vs. the one-execution-per-schedule driver. The counters
+   are analytic (executed + saved = the unbatched driver's steps); the
+   batched campaign runs exactly the plain walk. CS.reorder_10_bad
+   exhausts the schedule limit for all three tree techniques, which is
+   exactly where shared prefixes dominate; campaigns that stop at an early
+   bug have no prefix to share and would only dilute the gate. *)
 let steps_benches = [ "CS.reorder_10_bad" ]
 
 let run_steps () =
-  hr "Prefix-batched executor: steps executed vs. per-schedule re-execution";
+  hr "Prefix batching: analytic steps executed vs. per-schedule re-execution";
   let o = { options with Sct_explore.Techniques.prefix_batch = true } in
-  Printf.printf "limit %d, backend: %s\n" limit
-    (if Sct_explore.Prefix_exec.fork_available () then "fork server"
-     else "portable fallback");
+  Printf.printf "limit %d\n" limit;
   Printf.printf "%-6s %12s %12s %12s %8s\n" "tech" "executed" "saved"
     "unbatched" "factor";
   List.map
@@ -622,7 +618,7 @@ let write_out path json =
 
 (* Fail (exit 1) if any engine benchmark regressed more than
    [--baseline-factor] (default 2x) against the committed baseline's
-   ns_per_run, or if the prefix-batched executor's steps cut dropped below
+   ns_per_run, or if the prefix-batch steps cut dropped below
    the baseline's per-technique [min_factor_x100] floor. *)
 let check_baseline ~perf_rows ~steps_rows path =
   let doc =
@@ -728,9 +724,6 @@ let () =
   end;
   if wants "por" then timed "por" run_por;
   if wants "pct" then timed "pct" run_pct;
-  (* steps before jobs: the sweep spawns worker domains, after which the
-     runtime refuses [Unix.fork] and the batched executor measures its
-     fallback (same counters, but the fork server is the shipped path) *)
   let steps_rows = if wants "steps" then timed "steps" run_steps else [] in
   let jobs_sweep =
     if wants "jobs" then timed "jobs" run_jobs else []

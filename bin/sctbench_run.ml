@@ -122,13 +122,11 @@ let jobs_t =
 
 let prefix_batch_t =
   let doc =
-    "Run DFS/IPB/IDB on the prefix-memoizing batched executor, which \
-     reports how many schedule-prefix steps sibling batches share \
-     (steps= and saved=). The counts are analytic: the flag does not make \
-     a run faster, and on its fork-server back-end (single-domain runs, \
-     e.g. $(b,--jobs 1)) a run takes many times longer. Every table and \
-     every stored journal stays byte-identical apart from those two \
-     counters."
+    "Count, for DFS/IPB/IDB, the schedule-prefix steps that batches of \
+     sibling continuations would share (steps= and saved=). The counts are \
+     analytic: the run is the plain walk, no faster and no slower. Every \
+     table and every stored journal stays byte-identical apart from those \
+     two counters."
   in
   Arg.(value & flag & info [ "prefix-batch" ] ~doc)
 

@@ -37,8 +37,7 @@
     re-runs nothing; a tree walk starts at the root and re-runs the
     journalled prefix once, bounded by the doubling. Both paths journal
     identical records, so a restarted process, which starts with an empty
-    table, resumes byte-identically. A prefix-batched cell keeps no walk
-    and re-runs at every slice. *)
+    table, resumes byte-identically. *)
 
 type slice_result = {
   stats : Sct_explore.Stats.t;

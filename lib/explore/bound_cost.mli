@@ -3,9 +3,8 @@
     Iterative preemption and delay bounding charge every scheduling
     decision a cost, and a walk may only take the children whose cost
     keeps the schedule within the level bound. Every walk that expands
-    decisions under a bound — {!Dfs.walk}, {!Por.walk} and the fork server
-    of {!Prefix_exec} — asks this module which children fit and what the
-    chosen one costs.
+    decisions under a bound — {!Dfs.walk} and {!Por.walk} — asks this
+    module which children fit and what the chosen one costs.
 
     Two facts about round-robin order ({!Sct_core.Delay.rr_order}) make the
     in-bound children a prefix of that order, found without computing any

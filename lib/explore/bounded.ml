@@ -16,14 +16,6 @@ let bound_at axis c =
   | Variables -> Dfs.Variable c
   | Threads -> Dfs.Threads c
 
-(* Por.walk and Prefix_exec restructure the tree, which the fair and
-   length filters do not survive; both refuse footprint bounds themselves. *)
-let refuse_filters who b =
-  if b.fair <> None || b.length <> None then
-    invalid_arg
-      (Printf.sprintf "Sct_explore.Bounded.%s: %s has a fair or length filter"
-         who b.name)
-
 (* The iterative-bounding campaign as a STRATEGY: one phase per bound
    level, each phase a fresh count-exact walk of the whole tree. The level
    progression of the paper (§2, §5):
@@ -110,14 +102,24 @@ let levels ~max_levels ~technique (walk_at : int -> Strategy.walk) :
       v
   end)
 
-let strategy ?(max_levels = 64) ?por ?(on_prune = fun () -> ()) b =
+(* Por.walk restructures the tree, which the fair and length filters do
+   not survive (it refuses footprint bounds itself), and it takes no
+   per-execution observer. *)
+let strategy ?(max_levels = 64) ?por ?(on_prune = fun () -> ()) ?on_walk b =
   let walk =
     match por with
     | None ->
         fun ?count_exact bound ->
-          Dfs.walk ?count_exact ?fair:b.fair ?length:b.length ~bound ()
+          Dfs.walk ?count_exact ?fair:b.fair ?length:b.length
+            ?on_exec:(Option.map (fun f -> f ()) on_walk)
+            ~bound ()
     | Some mode ->
-        refuse_filters "strategy" b;
+        if b.fair <> None || b.length <> None || Option.is_some on_walk then
+          invalid_arg
+            (Printf.sprintf
+               "Sct_explore.Bounded.strategy: %s has a fair or length filter \
+                or an observer"
+               b.name);
         fun ?count_exact bound ->
           Por.walk ~on_prune ?count_exact ~mode ~bound ()
   in
@@ -126,91 +128,3 @@ let strategy ?(max_levels = 64) ?por ?(on_prune = fun () -> ()) b =
   | Some axis ->
       levels ~max_levels ~technique:b.name (fun c ->
           walk ~count_exact:c (bound_at axis c))
-
-(* The same level progression over an abstract per-level walk, for the
-   batched executor below: explore level [c] with the remaining budget,
-   stop on bug / limit / deadline / unpruned completion, else continue at
-   [c + 1]. The driver path above agrees with it level by level; the
-   batched-equals-unbatched checks of test/test_prefix_exec.ml and the fuzz
-   oracle pin that. *)
-let level_loop ?(max_levels = 64) ~technique
-    ~(walk : c:int -> limit:int -> Strategy.walk_result) ~limit () =
-  let rec level c (acc : Stats.t) =
-    if acc.Stats.total >= limit then
-      { acc with Stats.bound = Some c; hit_limit = true }
-    else if c > max_levels then { acc with Stats.bound = Some c }
-    else begin
-      let r = walk ~c ~limit:(limit - acc.Stats.total) in
-      let acc =
-        {
-          acc with
-          Stats.total = acc.Stats.total + r.Strategy.counted;
-          buggy = acc.Stats.buggy + r.Strategy.buggy;
-          executions = acc.Stats.executions + r.Strategy.executions;
-          steps_executed = acc.Stats.steps_executed + r.Strategy.steps_executed;
-          steps_saved = acc.Stats.steps_saved + r.Strategy.steps_saved;
-          hit_deadline = acc.Stats.hit_deadline || r.Strategy.hit_deadline;
-          n_threads = max acc.Stats.n_threads r.Strategy.n_threads;
-          max_enabled = max acc.Stats.max_enabled r.Strategy.max_enabled;
-          max_sched_points =
-            max acc.Stats.max_sched_points r.Strategy.max_sched_points;
-        }
-      in
-      match r.Strategy.to_first_bug with
-      | Some i ->
-          (* Bug found at this level; the level has been fully explored
-             (unless the limit or the deadline intervened), per the paper's
-             method. *)
-          {
-            acc with
-            Stats.bound = Some c;
-            bound_complete = r.Strategy.complete;
-            to_first_bug = Some (acc.Stats.total - r.Strategy.counted + i);
-            new_at_bound = r.Strategy.counted;
-            first_bug = r.Strategy.first_bug;
-            hit_limit = r.Strategy.hit_limit;
-          }
-      | None ->
-          if r.Strategy.hit_limit then
-            {
-              acc with
-              Stats.bound = Some c;
-              bound_complete = false;
-              new_at_bound = r.Strategy.counted;
-              hit_limit = true;
-            }
-          else if r.Strategy.hit_deadline then
-            {
-              acc with
-              Stats.bound = Some c;
-              bound_complete = false;
-              new_at_bound = r.Strategy.counted;
-            }
-          else if not r.Strategy.pruned then
-            {
-              acc with
-              Stats.bound = Some c;
-              bound_complete = true;
-              new_at_bound = r.Strategy.counted;
-              complete = true;
-            }
-          else level (c + 1) acc
-    end
-  in
-  level 0 (Stats.base ~technique)
-
-(* The batched campaign: the same walks, each routed through the
-   prefix-batching executor. *)
-let explore_batched ?promote ?max_steps ?max_levels ?fork ?deadline b ~limit
-    program =
-  refuse_filters "explore_batched" b;
-  let walk ?count_exact bound ~limit =
-    Prefix_exec.explore ?promote ?max_steps ?fork ?deadline ?count_exact
-      ~bound ~limit program
-  in
-  match b.axis with
-  | None -> Dfs.stats_of ~technique:b.name (walk Dfs.Unbounded ~limit)
-  | Some axis ->
-      level_loop ?max_levels ~technique:b.name
-        ~walk:(fun ~c ~limit -> walk ~count_exact:c (bound_at axis c) ~limit)
-        ~limit ()

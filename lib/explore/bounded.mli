@@ -13,8 +13,8 @@
     tree (DFS, Length). The fair and length filters compose with either.
 
     The campaign is a {!Strategy.STRATEGY} (one phase per bound level) run
-    by {!Driver.explore}; {!explore_batched} runs the same level
-    progression with every level walked by {!Prefix_exec}.
+    by {!Driver.explore}. A prefix-batched campaign is the same campaign
+    with a step counter ({!Prefix_exec.observer}) watching each walk.
 
     {b Partial-order reduction (BPOR).} {!strategy} with [~por] runs each
     level's count-exact walk on the {!Por.walk} reduction core instead of
@@ -32,11 +32,9 @@
     proves the whole space explored.
 
     {b Interaction contract.} POR campaigns are exclusive with prefix
-    batching: {!explore_batched} / {!Prefix_exec} never run reduced walks
-    — sleep-set and clock state threads through sibling continuations in
-    walk order, so continuations cannot be forked ahead of time. When a
-    cell requests both, [Techniques.run] falls back to the unbatched
-    driver (visible as [steps_saved = 0] in the cell's statistics). Every
+    batching: the step counter watches plain walks only. When a cell
+    requests both, [Techniques.run] runs it reduced and unbatched (visible
+    as [steps_saved = 0] in the cell's statistics). Every
     iterative-bounding campaign, plain, batched or reduced, runs on one
     domain whatever fan-out its session is given, so its statistics are
     byte-identical for every [--jobs] value. *)
@@ -75,29 +73,17 @@ val strategy :
   ?max_levels:int ->
   ?por:Por.mode ->
   ?on_prune:(unit -> unit) ->
+  ?on_walk:(unit -> Sct_core.Runtime.result -> unit) ->
   t ->
   Strategy.t
 (** The campaign of a bounds record; [max_levels] (default 64) caps the
     number of bound levels as a safety net. [por] runs every walk on the
     BPOR reduction (see the module preamble); [on_prune] fires once per
-    sleep-pruned run, feeding the [Stats.por_pruned] counter.
+    sleep-pruned run, feeding the [Stats.por_pruned] counter. [on_walk]
+    makes the observer of each plain walk, called once per walk (once per
+    bound level) and handed to {!Dfs.walk} as its [on_exec]: the
+    prefix-batch step counter, {!Prefix_exec.observer}.
     @raise Invalid_argument with [por] when the record has a fair or
-    length filter or a footprint axis ([Variables], [Threads]): the
-    reduction restructures the tree, which neither survives. *)
-
-val explore_batched :
-  ?promote:(string -> bool) ->
-  ?max_steps:int ->
-  ?max_levels:int ->
-  ?fork:bool ->
-  ?deadline:float ->
-  t ->
-  limit:int ->
-  (unit -> unit) ->
-  Stats.t
-(** {!strategy}'s campaign with every walk run by {!Prefix_exec.explore}:
-    identical statistics except that [steps_executed]/[steps_saved] carry
-    the batched step cost. [fork] overrides the executor's back-end
-    selection.
-    @raise Invalid_argument when the record has a fair or length filter
-    or a footprint axis, which the executor does not support. *)
+    length filter or a footprint axis ([Variables], [Threads]), since the
+    reduction restructures the tree, which neither survives; and with
+    [por] and [on_walk], since a reduced walk takes no observer. *)

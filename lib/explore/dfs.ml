@@ -16,7 +16,7 @@ let cost_shape : bound -> Bound_cost.shape = function
   | Preemption _ | Variable _ | Threads _ -> Preemptions
   | Delay _ -> Delays
 
-type level_result = Strategy.walk_result = {
+type level_result = {
   counted : int;
   buggy : int;
   to_first_bug : int option;
@@ -27,7 +27,6 @@ type level_result = Strategy.walk_result = {
   complete : bool;
   executions : int;
   steps_executed : int;
-  steps_saved : int;
   n_threads : int;
   max_enabled : int;
   max_sched_points : int;
@@ -326,49 +325,27 @@ let walk ?count_exact ?fair ?length ?on_exec ~bound () : Strategy.walk =
     filter_cut = (fun () -> w.aux_pruned);
   }
 
-let level_result_of_stats ~pruned (s : Stats.t) =
-  {
-    counted = s.Stats.total;
-    buggy = s.Stats.buggy;
-    to_first_bug = s.Stats.to_first_bug;
-    first_bug = s.Stats.first_bug;
-    pruned;
-    hit_limit = s.Stats.hit_limit;
-    hit_deadline = s.Stats.hit_deadline;
-    complete = s.Stats.complete;
-    executions = s.Stats.executions;
-    steps_executed = s.Stats.steps_executed;
-    steps_saved = s.Stats.steps_saved;
-    n_threads = s.Stats.n_threads;
-    max_enabled = s.Stats.max_enabled;
-    max_sched_points = s.Stats.max_sched_points;
-  }
-
-let stats_of ~technique (r : level_result) =
-  {
-    (Stats.base ~technique) with
-    Stats.to_first_bug = r.to_first_bug;
-    total = r.counted;
-    buggy = r.buggy;
-    complete = r.complete;
-    hit_limit = r.hit_limit;
-    hit_deadline = r.hit_deadline;
-    first_bug = r.first_bug;
-    n_threads = r.n_threads;
-    max_enabled = r.max_enabled;
-    max_sched_points = r.max_sched_points;
-    executions = r.executions;
-    steps_executed = r.steps_executed;
-    steps_saved = r.steps_saved;
-  }
-
 let explore ?promote ?max_steps ?count_exact ?on_schedule ?record_decisions
-    ?on_exec ?deadline ~bound ~limit program =
-  let w = walk ?count_exact ?on_exec ~bound () in
+    ?deadline ~bound ~limit program =
+  let w = walk ?count_exact ~bound () in
   let s =
     Driver.explore ?promote ?max_steps ?record_decisions ?on_schedule
       ?deadline ~limit
       (Strategy.of_walk ~technique:"DFS" w)
       program
   in
-  level_result_of_stats ~pruned:(w.bound_cut ()) s
+  {
+    counted = s.Stats.total;
+    buggy = s.Stats.buggy;
+    to_first_bug = s.Stats.to_first_bug;
+    first_bug = s.Stats.first_bug;
+    pruned = w.bound_cut ();
+    hit_limit = s.Stats.hit_limit;
+    hit_deadline = s.Stats.hit_deadline;
+    complete = s.Stats.complete;
+    executions = s.Stats.executions;
+    steps_executed = s.Stats.steps_executed;
+    n_threads = s.Stats.n_threads;
+    max_enabled = s.Stats.max_enabled;
+    max_sched_points = s.Stats.max_sched_points;
+  }

@@ -34,7 +34,7 @@ val cost_shape : bound -> Bound_cost.shape
     when the run's footprint already holds its key — which only the walk's
     own state can tell. *)
 
-type level_result = Strategy.walk_result = {
+type level_result = {
   counted : int;  (** terminal schedules counted by this call *)
   buggy : int;
   to_first_bug : int option;  (** 1-based index among counted schedules *)
@@ -44,12 +44,12 @@ type level_result = Strategy.walk_result = {
   hit_deadline : bool;  (** stopped because the wall-clock deadline passed *)
   complete : bool;  (** the (bounded) tree was exhausted *)
   executions : int;
-  steps_executed : int;  (** analytic step cost (see {!Stats.t}) *)
-  steps_saved : int;  (** steps avoided by prefix batching *)
+  steps_executed : int;  (** steps of every execution (see {!Stats.t}) *)
   n_threads : int;
   max_enabled : int;
   max_sched_points : int;
 }
+(** The result of one walk run by {!explore}. *)
 
 val walk :
   ?count_exact:int ->
@@ -65,7 +65,8 @@ val walk :
     (resp. delay, footprint) count equals [c] are counted — this is how
     iterative bounding counts each distinct schedule exactly once across
     levels (see DESIGN.md). [on_exec] is called on {e every} execution,
-    counted or not.
+    counted or not, in walk order (the prefix-batch step counter,
+    {!Prefix_exec.observer}, is one).
 
     [fair] composes fair bounding with the structural bound: a thread may
     yield only while its per-run yield count stays within [fair] of the
@@ -86,7 +87,6 @@ val explore :
   ?count_exact:int ->
   ?on_schedule:(Sct_core.Runtime.result -> unit) ->
   ?record_decisions:bool ->
-  ?on_exec:(Sct_core.Runtime.result -> unit) ->
   ?deadline:float ->
   bound:bound ->
   limit:int ->
@@ -100,11 +100,6 @@ val explore :
 
     [on_schedule] is called on every counted terminal schedule's execution
     result; pass [record_decisions:true] if the callback needs the decision
-    trace (off by default for speed). [count_exact] and [on_exec] are
-    {!walk}'s (the prefix-batch fallback folds its step counters through
-    [on_exec]).
+    trace (off by default for speed). [count_exact] is {!walk}'s.
 
     @raise Failure if the program is nondeterministic. *)
-
-val stats_of : technique:string -> level_result -> Stats.t
-(** Lift a walk result into the Table 3 statistics record. *)

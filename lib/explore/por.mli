@@ -52,14 +52,15 @@
     bounded walk (counted schedules identical to {!Dfs.walk}); bounded
     reduction requires the DPOR machinery ([Dpor] or [Dpor_sleep]).
 
-    {b Interaction contract with prefix batching.} A POR cell always runs
-    on the one-run-at-a-time driver. The sleep set and the DPOR clocks
-    thread through sibling continuations in walk order — sibling [k+1]'s
-    sleep set contains sibling [k] — so continuations cannot be forked
-    ahead of time as {!Prefix_exec} does. When both [--por] and
-    [--prefix-batch] are requested, the cell falls back to unbatched
-    execution (the choice is visible in the cell's statistics:
-    [steps_saved = 0]) and the store fingerprint records both options.
+    {b Interaction contract with prefix batching.} A POR cell is never
+    batched. The prefix-batch step counter ({!Prefix_exec}) counts what a
+    batch of sibling continuations, each fixed when its decision is first
+    reached, would share; the sleep set and the DPOR clocks thread through
+    siblings in walk order instead — sibling [k+1]'s sleep set contains
+    sibling [k], and backtrack points are added after deeper steps. When
+    both [--por] and [--prefix-batch] are requested, the cell runs reduced
+    and unbatched (visible in the cell's statistics: [steps_saved = 0])
+    and the store fingerprint records both options.
     Like every tree walk, a POR cell runs on one domain for every
     [--jobs] value, so its statistics are byte-identical for every [jobs]
     value.

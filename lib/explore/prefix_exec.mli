@@ -1,75 +1,46 @@
-(** Prefix-memoizing batched executor for systematic schedule-tree walks.
+(** Prefix-batch step accounting for systematic schedule-tree walks.
 
-    A backtracking walk ({!Dfs.explore}) re-executes the program from the
-    root for every terminal schedule, although consecutive terminals share
-    every decision above their divergence point. {!explore} walks the same
-    bounded tree, in the same depth-first order, with the same statistics,
-    and counts the shared decisions that a batch of sibling continuations
-    would not re-execute:
+    A backtracking walk re-executes the program from the root for every
+    terminal schedule (paper §3: the systematic mode is stateless),
+    although consecutive terminals share every decision above their
+    divergence point. A prefix-batched campaign ([--prefix-batch]) runs
+    exactly the plain bounded walk and counts, beside it, the decisions a
+    batch of sibling continuations would not have re-executed:
+    [Stats.steps_saved]. The count is {e analytic}: the campaign executes
+    every step and runs no faster than the plain driver.
 
-    - {b fork server} (Unix, single-domain processes only): the
-      program runs once under a scheduler that [Unix.fork]s one child per
-      untried sibling branch at every in-bound branching decision. The
-      forked child {e is} the memoized frontier state — OCaml 5 effect
-      continuations are one-shot, so process duplication is the only way to
-      resume one execution state twice. Terminal results stream back over a
-      pipe in exact sequential DFS order; each is answered with a control
-      byte that propagates the budget/deadline stop into the process tree.
-    - {b re-execution fallback} (portable): delegates to the classic
-      backtracking walk, physically replaying every prefix.
+    {!observer} is the counter. [Bounded.strategy ~on_walk] hands a fresh
+    observer to each walk it makes, one per bound level, so each level's
+    first terminal pays its full schedule; the saved decisions of every
+    walk add up in one [int ref]. See DESIGN.md §14.
 
-    Both back-ends report identical {e analytic} step counters computed
-    from the terminal-schedule stream (divergence depth of consecutive
-    terminals = fork depth = decisions not re-executed), so campaign
-    statistics are byte-identical whichever back-end ran. See DESIGN.md
-    §14.
+    {b Partial-order-reduced walks are not counted.} When a cell requests
+    both [--por] and [--prefix-batch], POR wins and the cell runs unbatched
+    ([steps_saved = 0]); both options are recorded in the store
+    fingerprint. *)
 
-    {b Neither back-end is faster than the plain driver.} [steps_saved]
-    counts decisions, not time. A fork plus a pipe round trip per sibling
-    costs far more than re-running a prefix of a few dozen steps: on a
-    2-core x86-64 Linux host, DFS on [CS.reorder_10_bad] at limit 10,000
-    takes about 0.1 s on the plain driver and 13–15 s on the fork server.
-    The fallback re-executes exactly what the plain walk does, plus the
-    step accounting.
+val observer : int ref -> unit -> Sct_core.Runtime.result -> unit
+(** [observer saved ()] is a fresh per-walk observer: fed every execution
+    of one walk in walk order, it adds to [saved] the length of the prefix
+    each terminal schedule shares with the one before it. The sum of the
+    schedule lengths minus [!saved] is what a batched walk pays
+    ([Stats.steps_executed]). *)
 
-    {b Partial-order-reduced walks are never batched.} Forking one child
-    per untried sibling at a branching decision assumes the sibling set is
-    known when the decision is first reached. A reduction walk
-    ({!Por.walk}) violates this twice over: DPOR adds backtrack points to
-    a frame only {e after} deeper steps observe races, and the sleep set a
-    sibling starts with contains the siblings explored {e before} it — the
-    continuation state threads through siblings in walk order instead of
-    being fixed at fork time. When a cell requests both [--por] and
-    [--prefix-batch], POR wins and the cell runs on the unbatched driver;
-    the fallback is visible in the cell's statistics ([steps_saved = 0])
-    and both options are recorded in the store fingerprint. *)
+(** {1 Kept for the ledger}
+
+    The two values below belong to the fork server that prefix batching
+    once ran on. Nothing in the library reads them; the parallel pool
+    still calls {!note_domains_spawned}, and the benchmark ledger's traced
+    [study] prologue ([ledger/workloads.ml]) fails unless
+    {!fork_available} holds in a fresh one-domain process. They go with
+    [--prefix-batch] itself. *)
 
 val fork_available : unit -> bool
-(** Whether the fork server may run right now: a Unix system, on the main
-    domain, in a process that never spawned a second domain. *)
+(** A Unix system, on the main domain, in a process that never spawned a
+    second domain: the OCaml runtime refuses to fork a process that ever
+    ran more than one domain. *)
 
 val note_domains_spawned : unit -> unit
-(** Record that a worker domain was spawned. The OCaml runtime permanently
-    refuses [Unix.fork] in a process that ever ran more than one domain, so
-    this disables the fork server for the rest of the process — the
-    portable fallback (with identical results) takes over, silently. The parallel
-    pool calls this before its first [Domain.spawn]. *)
-
-val explore :
-  ?promote:(string -> bool) ->
-  ?max_steps:int ->
-  ?count_exact:int ->
-  ?fork:bool ->
-  ?deadline:float ->
-  bound:Dfs.bound ->
-  limit:int ->
-  (unit -> unit) ->
-  Strategy.walk_result
-(** Explore the (bounded) schedule tree, batching sibling continuations.
-    Equal to
-    [Dfs.explore ?promote ?max_steps ?count_exact ?deadline ~bound ~limit]
-    in every field except [steps_executed]/[steps_saved], which
-    carry the batched analytic step cost (their sum is the unbatched
-    cost). [fork] overrides back-end selection (default
-    {!fork_available}); both back-ends return identical results, bit for
-    bit. *)
+(** Record that a worker domain was spawned, so {!fork_available} is false
+    for the rest of the process. The parallel pool calls this before its
+    first [Domain.spawn]. *)

@@ -105,13 +105,12 @@ type t = {
   executions : int;
       (** real program executions, including bounded-level replays *)
   steps_executed : int;
-      (** scheduler decisions actually paid for. Counted analytically: an
-          unbatched campaign pays every decision of every terminal
-          schedule; a prefix-batched campaign pays each shared prefix once
-          per batch, so [steps_executed] drops by exactly [steps_saved].
-          Both execution back-ends (fork server and re-execution fallback)
-          report the same analytic value, keeping statistics byte-identical
-          across platforms and [--jobs] values. *)
+      (** scheduler decisions paid for. Counted analytically: an unbatched
+          campaign pays every decision of every terminal schedule; a
+          prefix-batched campaign would pay each shared prefix once per
+          batch, so [steps_executed] drops by exactly [steps_saved]. It
+          runs the same executions either way, so statistics are
+          byte-identical across platforms and [--jobs] values. *)
   steps_saved : int;
       (** decisions that prefix batching avoided re-executing; [0] on
           unbatched campaigns. Invariant:

@@ -75,20 +75,3 @@ let of_walk ~technique (w : walk) : t =
     let choose _ = w.choose
     let on_terminal _ res = w.on_terminal res
   end)
-
-type walk_result = {
-  counted : int;
-  buggy : int;
-  to_first_bug : int option;
-  first_bug : Stats.bug_witness option;
-  pruned : bool;
-  hit_limit : bool;
-  hit_deadline : bool;
-  complete : bool;
-  executions : int;
-  steps_executed : int;
-  steps_saved : int;
-  n_threads : int;
-  max_enabled : int;
-  max_sched_points : int;
-}

@@ -118,26 +118,3 @@ val of_walk : technique:string -> walk -> t
 (** The single-phase strategy over one walk: the campaign is complete when
     the walk exhausts with nothing cut by a filter. The walk is made once,
     by the caller, who may read it after the campaign. *)
-
-type walk_result = {
-  counted : int;  (** terminal schedules counted by this walk *)
-  buggy : int;
-  to_first_bug : int option;  (** 1-based index among counted schedules *)
-  first_bug : Stats.bug_witness option;
-  pruned : bool;  (** at least one child was cut off by the bound *)
-  hit_limit : bool;  (** stopped because [limit] schedules were counted *)
-  hit_deadline : bool;  (** stopped because the wall-clock deadline passed *)
-  complete : bool;  (** the (bounded) tree was exhausted *)
-  executions : int;
-  steps_executed : int;
-      (** analytic step cost of the walk (see {!Stats.t}): sum of terminal
-          schedule lengths minus [steps_saved] *)
-  steps_saved : int;
-      (** steps avoided by prefix batching; [0] for unbatched walks *)
-  n_threads : int;
-  max_enabled : int;
-  max_sched_points : int;
-}
-(** Result of one (bounded) schedule-tree walk; [Dfs.level_result] is an
-    alias of this type. *)
-

@@ -145,18 +145,19 @@ let strategy ?(promote = fun _ -> false) o technique program =
 
 (* The shape of the registration picks the walk. A seeded preset runs
    its run ranges on {!Seeded.session}, which may fan them out and start
-   after a record. The partial-order reduction and the prefix-batching
-   executor restructure the tree, so they take bounds with no filter and
-   no footprint axis, which are exactly DFS, IPB and IDB; every other
-   technique ignores both options. POR wins over batching (see por.mli's
-   interaction contract): a cell requesting both runs reduced and
-   unbatched, visible as [steps_saved = 0]. A reduced walk threads its
-   sleep-pruned-run counter out through [on_prune], and the running count
-   is patched into each advance's statistics. Every advance takes
-   [o.time_limit] afresh from its own start. *)
+   after a record. The partial-order reduction and the prefix-batch step
+   counter take bounds with no filter and no footprint axis, which are
+   exactly DFS, IPB and IDB; every other technique ignores both options.
+   POR wins over batching (see por.mli's interaction contract): a cell
+   requesting both runs reduced and unbatched, visible as
+   [steps_saved = 0]. A reduced walk threads its sleep-pruned-run counter
+   out through [on_prune], a batched one its saved steps through each
+   walk's observer, and the running count is patched into each advance's
+   statistics. Every advance takes [o.time_limit] afresh from its own
+   start. *)
 let session ?(promote = fun _ -> false) ?fan_out ?from o technique program =
   let max_steps = o.max_steps in
-  let restructurable = function
+  let plain_tree = function
     | {
         Bounded.fair = None;
         length = None;
@@ -173,7 +174,7 @@ let session ?(promote = fun _ -> false) ?fan_out ?from o technique program =
           program
       in
       fun ~limit -> advance ~deadline:(deadline_of o) ~limit
-  | `Tree b, Some mode, _ when restructurable b ->
+  | `Tree b, Some mode, _ when plain_tree b ->
       let pruned = ref 0 in
       let s =
         Driver.start ~promote ~max_steps
@@ -187,11 +188,20 @@ let session ?(promote = fun _ -> false) ?fan_out ?from o technique program =
             ~limit
         in
         { st with Stats.por_pruned = !pruned }
-  | `Tree b, None, true when restructurable b ->
-      (* the batched executor keeps no session: each advance re-runs *)
+  | `Tree b, None, true when plain_tree b ->
+      let saved = ref 0 in
+      let s =
+        Driver.start ~promote ~max_steps
+          (Bounded.strategy ~on_walk:(Prefix_exec.observer saved) b)
+          program
+      in
       fun ~limit ->
-        Bounded.explore_batched ~promote ~max_steps ?deadline:(deadline_of o)
-          b ~limit program
+        let st = Driver.advance ?deadline:(deadline_of o) s ~limit in
+        {
+          st with
+          Stats.steps_executed = st.Stats.steps_executed - !saved;
+          steps_saved = !saved;
+        }
   | _ ->
       let s =
         Driver.start ~promote ~max_steps (strategy ~promote o technique program)

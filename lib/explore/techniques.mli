@@ -9,7 +9,7 @@
     cell runs: it drives the registered strategy on a {!Driver} session,
     except that a seeded preset runs on {!Seeded.session}, and bounds with
     no filter and no footprint axis (DFS, IPB and IDB) may run on the
-    partial-order reduction or the prefix-batching executor instead.
+    partial-order reduction, or with the prefix-batch step counter.
     {!run} is one advance of a session. *)
 
 type t =
@@ -60,12 +60,12 @@ type options = {
       (** wall-clock budget in seconds per campaign; [None] (the default)
           disables the deadline and keeps runs fully deterministic *)
   prefix_batch : bool;
-      (** route the systematic tree walkers (DFS, IPB, IDB) through
-          {!Prefix_exec}. Statistics are identical except
-          [Stats.steps_executed] / [Stats.steps_saved], which count the
-          shared prefix steps a sibling batch would not re-execute; the
-          counts are analytic and the campaign runs no faster (see
-          prefix_exec.mli). Other techniques are unaffected *)
+      (** count, for the systematic tree walkers (DFS, IPB, IDB), the
+          shared prefix steps a sibling batch would not re-execute
+          ({!Prefix_exec.observer}). Statistics are identical except
+          [Stats.steps_executed] / [Stats.steps_saved]; the counts are
+          analytic, and the campaign is the plain walk. Other techniques
+          are unaffected *)
   por : Por.mode option;
       (** compose the systematic tree walkers (DFS, IPB, IDB) with the
           bounded partial-order reduction of {!Por.walk}: sleep sets /
@@ -135,18 +135,19 @@ val session :
     it starts at the root.
 
     The shape of the {!bounds} picks a tree technique's walk: the two
-    options below restructure the tree, so they apply to bounds with no
-    fair or length filter and no footprint axis — DFS, IPB and IDB:
+    options below apply to bounds with no fair or length filter and no
+    footprint axis — DFS, IPB and IDB:
     + with [options.por], such bounds run the {!Por.walk} reduction:
       fewer executions to the same bugs, [Stats.por_pruned] counting the
       sleep-pruned runs. POR takes precedence over [prefix_batch] (see
       por.mli's interaction contract);
-    + otherwise, with [options.prefix_batch], they run through
-      {!Prefix_exec}: same statistics, plus the step counters. This
-      executor keeps no walk between calls, so each call re-runs the
-      campaign from the root;
+    + otherwise, with [options.prefix_batch], they run the plain walk
+      with {!Prefix_exec.observer} watching each bound level: same
+      statistics, plus the step counters;
     + otherwise the technique's registered {!strategy} runs on
-      {!Driver.advance}. *)
+      {!Driver.advance}.
+
+    Each of the three keeps its walk between calls. *)
 
 val run :
   ?promote:(string -> bool) ->

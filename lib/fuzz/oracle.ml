@@ -506,7 +506,7 @@ let check ?(wrap = fun r -> r) cfg ~seed program =
     (List.filter selected [ Techniques.Rand; Techniques.PCT; Techniques.SURW ]);
 
   (* ---- prefix-batch differential: batched == unbatched modulo steps ---- *)
-  (* When the campaign above ran on the batched executor, re-run each tree
+  (* When the campaign above counted batched steps, re-run each tree
      technique on the plain driver: everything but the step counters must be
      byte-identical, and the batched counters must conserve total work
      (executed + saved = the unbatched step count). *)

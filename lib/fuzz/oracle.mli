@@ -70,10 +70,10 @@ type config = {
   max_steps : int;  (** per-execution live-lock guard *)
   race_runs : int;  (** executions of the race-detection phase *)
   prefix_batch : bool;
-      (** run DFS/IPB/IDB campaigns on the prefix-memoizing batched
-          executor, and additionally cross-check each batched campaign
-          against the plain driver: identical statistics modulo the step
-          counters, which must conserve total work
+      (** run DFS/IPB/IDB campaigns with the prefix-batch step counter,
+          and additionally cross-check each batched campaign against the
+          plain driver: identical statistics modulo the step counters,
+          which must conserve total work
           ([executed + saved = unbatched executed]). *)
   por : Sct_explore.Por.mode option;
       (** compose the main DFS/IPB/IDB campaigns with partial-order

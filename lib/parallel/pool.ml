@@ -10,9 +10,7 @@ type t = {
       (* the [jobs - 1] worker domains; the caller is the pool's other
          domain. With none, tasks run on the submitting domain at [submit]
          time, in the FIFO order a single worker would use, and the process
-         stays single-domain, so
-         {!Sct_explore.Prefix_exec.fork_available} remains true and
-         sequential runs keep the fork server. *)
+         stays single-domain. *)
 }
 
 type 'a outcome = Value of 'a | Error of exn * Printexc.raw_backtrace
@@ -60,8 +58,8 @@ let create ~jobs =
   in
   if jobs > 1 then begin
     (* the OCaml runtime refuses [Unix.fork] in any process that ever
-       spawned a second domain: switch the prefix-batch executor to its
-       portable fallback for the rest of the process *)
+       spawned a second domain; the benchmark ledger reads this record
+       (see prefix_exec.mli) *)
     Sct_explore.Prefix_exec.note_domains_spawned ();
     pool.domains <-
       Array.init (jobs - 1) (fun _ -> Domain.spawn (fun () -> worker pool))

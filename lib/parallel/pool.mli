@@ -39,13 +39,11 @@ val create : jobs:int -> t
 (** [create ~jobs] makes a pool of [max 1 jobs] domains, the caller
     included: it spawns [jobs - 1] worker domains. A one-job pool spawns
     no domain at all: its tasks run on the submitting domain at {!submit}
-    time, in the same FIFO order a single worker would use. Keeping the
-    process single-domain preserves
-    {!Sct_explore.Prefix_exec.fork_available}, so sequential runs keep the
-    fork-server back-end (which is slower than the plain driver, see
-    prefix_exec.mli). Creating a pool of two or more domains disables
-    forking for the rest of the process (the OCaml runtime refuses
-    [Unix.fork] once a second domain ever existed). *)
+    time, in the same FIFO order a single worker would use, and the
+    process stays single-domain. Creating a pool of two or more domains
+    records the spawn with {!Sct_explore.Prefix_exec.note_domains_spawned}
+    (kept only for the benchmark ledger, see prefix_exec.mli): the OCaml
+    runtime refuses [Unix.fork] once a second domain ever existed. *)
 
 val size : t -> int
 (** Number of domains that run the pool's tasks, the caller included

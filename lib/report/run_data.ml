@@ -11,6 +11,19 @@ let found_by row t =
   | Some s -> Sct_explore.Stats.found s
   | None -> false
 
+let extensions rows =
+  List.filter
+    (fun t -> List.exists (fun r -> stats_of r t <> None) rows)
+    Sct_explore.Techniques.[ PCT; SURW; Fair; Length; IVB; ITB ]
+
+let shape row =
+  match (stats_of row Sct_explore.Techniques.IDB, row.results) with
+  | Some s, _ | None, (_, s) :: _ ->
+      ( s.Sct_explore.Stats.n_threads,
+        s.Sct_explore.Stats.max_enabled,
+        s.Sct_explore.Stats.max_sched_points )
+  | None, [] -> (0, 0, 0)
+
 type cells =
   | Journalled of row
   | Missing of

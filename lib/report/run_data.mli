@@ -17,6 +17,16 @@ type row = {
 val stats_of : row -> Sct_explore.Techniques.t -> Sct_explore.Stats.t option
 val found_by : row -> Sct_explore.Techniques.t -> bool
 
+val extensions : row list -> Sct_explore.Techniques.t list
+(** The study extensions some row ran, in the order PCT, SURW, Fair,
+    Length, IVB, ITB: the columns the reports append after the paper's
+    five. *)
+
+val shape : row -> int * int * int
+(** The benchmark's threads, most enabled threads and most scheduling
+    points (Table 3's thr/en/pts): from the IDB cell when it ran, else
+    from the first cell; zeros for a row with no cell. *)
+
 (** One benchmark's cells, each looked up in the store once. *)
 type cells =
   | Journalled of row

@@ -5,19 +5,32 @@ let opt_i = function None -> "-" | Some i -> string_of_int i
 (* 'L' marks the schedule limit, as in the paper. *)
 let count ~limit n = if n >= limit then "L" else string_of_int n
 
-let axes_techniques =
-  [ Techniques.Fair; Techniques.Length; Techniques.IVB; Techniques.ITB ]
+(* An extension column's width, its heading after the technique's name,
+   and its cell: the seeded presets show first/bug like Rand, the bounding
+   axes b/first/tot/cut/bug. *)
+let extension ~limit = function
+  | Techniques.PCT | Techniques.SURW ->
+      ( 14,
+        "first/bug",
+        fun s ->
+          Printf.sprintf "%s/%d" (opt_i s.Stats.to_first_bug) s.Stats.buggy )
+  | _ ->
+      ( 26,
+        "b/first/tot/cut/bug",
+        fun s ->
+          Printf.sprintf "%s/%s/%s/%s/%d" (opt_i s.Stats.bound)
+            (opt_i s.Stats.to_first_bug)
+            (count ~limit s.Stats.total)
+            (count ~limit s.Stats.cut_runs)
+            s.Stats.buggy )
 
 let print ?(out = Format.std_formatter) ~limit rows =
   let pr fmt = Format.fprintf out fmt in
-  (* the bounding-axis columns appear only when some row carries their
-     stats, so the paper-shaped table (and its goldens) is unchanged
-     unless fair/length/ivb/itb were requested *)
-  let axes =
-    List.filter
-      (fun t ->
-        List.exists (fun r -> Run_data.stats_of r t <> None) rows)
-      axes_techniques
+  (* the extension columns appear only when some row carries their stats,
+     so the paper-shaped table (and its goldens) is unchanged unless
+     pct/surw/fair/length/ivb/itb were requested *)
+  let extensions =
+    List.map (fun t -> (t, extension ~limit t)) (Run_data.extensions rows)
   in
   pr "Table 3: systematic and non-systematic testing results (limit %d)@."
     limit;
@@ -27,21 +40,15 @@ let print ?(out = Format.std_formatter) ~limit rows =
     "IDB b/first/tot/new/bug" "DFS first/tot/bug" "Rand first/bug"
     "Maple f?/tot";
   List.iter
-    (fun t ->
-      pr " | %-26s"
-        (Techniques.name t ^ " b/first/tot/cut/bug"))
-    axes;
+    (fun (t, (width, heading, _)) ->
+      pr " | %-*s" width (Techniques.name t ^ " " ^ heading))
+    extensions;
   pr "@.";
   List.iter
     (fun (row : Run_data.row) ->
       let b = row.Run_data.bench in
       let get t = Run_data.stats_of row t in
-      let thr, en, pts =
-        match get Techniques.IDB with
-        | Some s ->
-            (s.Stats.n_threads, s.Stats.max_enabled, s.Stats.max_sched_points)
-        | None -> (0, 0, 0)
-      in
+      let thr, en, pts = Run_data.shape row in
       let bounded t =
         match get t with
         | None -> "-"
@@ -85,19 +92,9 @@ let print ?(out = Format.std_formatter) ~limit rows =
         b.Sctbench.Bench.id b.Sctbench.Bench.name thr en pts
         (bounded Techniques.IPB) (bounded Techniques.IDB) dfs rand maple;
       List.iter
-        (fun t ->
-          let cell =
-            match get t with
-            | None -> "-"
-            | Some s ->
-                Printf.sprintf "%s/%s/%s/%s/%d" (opt_i s.Stats.bound)
-                  (opt_i s.Stats.to_first_bug)
-                  (count ~limit s.Stats.total)
-                  (count ~limit s.Stats.cut_runs)
-                  s.Stats.buggy
-          in
-          pr " | %-26s" cell)
-        axes;
+        (fun (t, (width, _, cell)) ->
+          pr " | %-*s" width (match get t with None -> "-" | Some s -> cell s))
+        extensions;
       pr "@.")
     rows
 
@@ -118,13 +115,18 @@ let print_agreement ?(out = Format.std_formatter) rows =
            its recorded expectations are this model's own *)
       else begin
       let p = b.Sctbench.Bench.paper in
-      let f t = Run_data.found_by row t in
-      let n tech = b.Sctbench.Bench.name ^ "/" ^ tech in
-      check (n "IPB") (p.Sctbench.Bench.p_ipb_bound <> None) (f Techniques.IPB);
-      check (n "IDB") (p.Sctbench.Bench.p_idb_bound <> None) (f Techniques.IDB);
-      check (n "DFS") p.Sctbench.Bench.p_dfs_found (f Techniques.DFS);
-      check (n "Rand") p.Sctbench.Bench.p_rand_found (f Techniques.Rand);
-      check (n "Maple") p.Sctbench.Bench.p_maple_found (f Techniques.Maple)
+      (* only the cells that ran: a technique left out is no "not found" *)
+      let check_ran name t expected =
+        if Run_data.stats_of row t <> None then
+          check
+            (b.Sctbench.Bench.name ^ "/" ^ name)
+            expected (Run_data.found_by row t)
+      in
+      check_ran "IPB" Techniques.IPB (p.Sctbench.Bench.p_ipb_bound <> None);
+      check_ran "IDB" Techniques.IDB (p.Sctbench.Bench.p_idb_bound <> None);
+      check_ran "DFS" Techniques.DFS p.Sctbench.Bench.p_dfs_found;
+      check_ran "Rand" Techniques.Rand p.Sctbench.Bench.p_rand_found;
+      check_ran "Maple" Techniques.Maple p.Sctbench.Bench.p_maple_found
       end)
     rows;
   pr "@.Paper-vs-measured bug-finding agreement: %d/%d cells@." !agree !total;

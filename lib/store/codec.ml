@@ -179,40 +179,46 @@ let time_limit_of_json = function
       | None -> error "malformed time_limit %S" s)
   | _ -> error "malformed time_limit"
 
-let options_to_json (o : Techniques.options) =
-  Json.Obj
-    ([
-       ("limit", Json.Int o.Techniques.limit);
-       ("seed", Json.Int o.Techniques.seed);
-       ("max_steps", Json.Int o.Techniques.max_steps);
-       ("race_runs", Json.Int o.Techniques.race_runs);
-       ("pct_change_points", Json.Int o.Techniques.pct_change_points);
-       ("maple_profile_runs", Json.Int o.Techniques.maple_profile_runs);
-       (* constants of the v1 format: the options they held are gone, but
-          older readers require the members. [jobs] was the pool size, so
-          a constant keeps stores equal at every [--jobs] *)
-       ("jobs", Json.Int 1);
-       ("split_depth", Json.Int 3);
-     ]
-    @ (match o.Techniques.time_limit with
-      | None -> []
-      | Some s -> [ ("time_limit", time_limit_to_json s) ])
-    @ (* emitted only when on, for the same byte-compatibility reason *)
-    (if o.Techniques.prefix_batch then [ ("prefix_batch", Json.Bool true) ]
+let required_members (o : Techniques.options) =
+  [
+    ("limit", Json.Int o.Techniques.limit);
+    ("seed", Json.Int o.Techniques.seed);
+    ("max_steps", Json.Int o.Techniques.max_steps);
+    ("race_runs", Json.Int o.Techniques.race_runs);
+    ("pct_change_points", Json.Int o.Techniques.pct_change_points);
+    ("maple_profile_runs", Json.Int o.Techniques.maple_profile_runs);
+  ]
+
+(* Written only when set (the deadline, batching and POR) or off their
+   defaults (the two axis bounds), so options that leave them alone keep
+   the bytes, and the store keys, they had before the option existed. *)
+let optional_members (o : Techniques.options) =
+  (match o.Techniques.time_limit with
+  | None -> []
+  | Some s -> [ ("time_limit", time_limit_to_json s) ])
+  @ (if o.Techniques.prefix_batch then [ ("prefix_batch", Json.Bool true) ]
      else [])
-    @ (* emitted only when set: POR-free cells keep the pre-POR encoding *)
-    (match o.Techniques.por with
+  @ (match o.Techniques.por with
     | None -> []
     | Some m -> [ ("por", Json.Str (Sct_explore.Por.mode_name m)) ])
-    @ (* emitted only when non-default: cells that never touch the fair
-         or length bound keep the pre-axes encoding *)
-    (if o.Techniques.fair_bound <> Techniques.default_options.fair_bound then
+  @ (if o.Techniques.fair_bound <> Techniques.default_options.fair_bound then
        [ ("fair_bound", Json.Int o.Techniques.fair_bound) ]
      else [])
-    @
-    if o.Techniques.length_bound <> Techniques.default_options.length_bound
-    then [ ("length_bound", Json.Int o.Techniques.length_bound) ]
-    else [])
+  @
+  if o.Techniques.length_bound <> Techniques.default_options.length_bound then
+    [ ("length_bound", Json.Int o.Techniques.length_bound) ]
+  else []
+
+let options_members o = required_members o @ optional_members o
+
+(* [jobs] and [split_depth] are constants of the v1 format: the options
+   they held are gone, but older readers require the members. [jobs] was
+   the pool size, so a constant keeps stores equal at every [--jobs]. *)
+let options_to_json o =
+  Json.Obj
+    (required_members o
+    @ [ ("jobs", Json.Int 1); ("split_depth", Json.Int 3) ]
+    @ optional_members o)
 
 let options_of_json j =
   (* [jobs] and [split_depth] are required by the v1 format; any integer

@@ -25,11 +25,13 @@ val version : int
 
 val bug_to_json : Sct_core.Outcome.bug -> Json.t
 val bug_of_json : Json.t -> Sct_core.Outcome.bug
-val time_limit_to_json : float -> Json.t
-(** Exact (hex-float string) encoding of a wall-clock limit; shared with
-    the store fingerprints. *)
-
 val options_to_json : Sct_explore.Techniques.options -> Json.t
+
+val options_members : Sct_explore.Techniques.options -> (string * Json.t) list
+(** The members of {!options_to_json} in its order, without the v1
+    constants [jobs] and [split_depth]: what the store fingerprints
+    ([Db.fingerprint]) hash. *)
+
 val options_of_json : Json.t -> Sct_explore.Techniques.options
 
 type progress = {

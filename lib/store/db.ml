@@ -25,48 +25,16 @@ let dir t = t.t_dir
 let artifacts_dir t = Filename.concat t.t_dir "artifacts"
 let journal_file dir = Filename.concat dir "journal.jsonl"
 
+(* The options' members are the wire record's, with its only-when-set
+   rules, so a deadline, batched, reduced or re-bounded cell never aliases
+   a plain one, and plain keys stay what they always were. *)
 let fingerprint ~bench ~technique (o : Techniques.options) =
   Json.to_string
     (Json.Obj
-       ([
-          ("v", Json.Int Codec.version);
-          ("bench", Json.Str bench);
-          ("technique", Json.Str technique);
-          ("limit", Json.Int o.Techniques.limit);
-          ("seed", Json.Int o.Techniques.seed);
-          ("max_steps", Json.Int o.Techniques.max_steps);
-          ("race_runs", Json.Int o.Techniques.race_runs);
-          ("pct_change_points", Json.Int o.Techniques.pct_change_points);
-          ("maple_profile_runs", Json.Int o.Techniques.maple_profile_runs);
-        ]
-      (* emitted only when set, so deadline-free fingerprints are stable
-         across versions; a wall-clock limit makes the cell's statistics
-         timing-dependent, so such cells never alias deadline-free ones *)
-      @ (match o.Techniques.time_limit with
-        | None -> []
-        | Some s -> [ ("time_limit", Codec.time_limit_to_json s) ])
-      @ (* also only-when-on: a batched cell's step counters differ from the
-           unbatched cell's, so the two must never alias *)
-      (if o.Techniques.prefix_batch then [ ("prefix_batch", Json.Bool true) ]
-       else [])
-      @ (* only-when-set: a reduced cell explores a different schedule set,
-           so it must never alias the plain cell (and POR-free fingerprints
-           stay byte-identical to pre-POR stores). Recorded even alongside
-           [prefix_batch] — the run falls back to unbatched, but the request
-           is part of the cell's identity *)
-      (match o.Techniques.por with
-      | None -> []
-      | Some m -> [ ("por", Json.Str (Sct_explore.Por.mode_name m)) ])
-      @ (* only-when-non-default, so pre-axes fingerprints are unchanged;
-           a Fair/Length cell at a different bound explores a different
-           schedule set and must never alias *)
-      (if o.Techniques.fair_bound <> Techniques.default_options.fair_bound then
-         [ ("fair_bound", Json.Int o.Techniques.fair_bound) ]
-       else [])
-      @
-      if o.Techniques.length_bound <> Techniques.default_options.length_bound
-      then [ ("length_bound", Json.Int o.Techniques.length_bound) ]
-      else []))
+       (("v", Json.Int Codec.version)
+       :: ("bench", Json.Str bench)
+       :: ("technique", Json.Str technique)
+       :: Codec.options_members o))
   |> Digest.string |> Digest.to_hex
 
 (* The "progress" field is emitted only on campaign records, so cells

@@ -268,10 +268,11 @@ let test_interrupt_and_resume () =
       Alcotest.(check int) "campaign is complete" 0 noop.Orchestrator.slices;
       Db.close db)
 
-(* Every cell's slices continue one live session: over a whole campaign
-   the program runs once per detection run, once per execution the final
-   records report, and once per PCT or SURW cell for its probe, with no
-   slice re-running an earlier slice's prefix or re-probing. *)
+(* Every cell's slices continue one live session, prefix-batched tree
+   cells included: over a whole campaign the program runs once per
+   detection run, once per execution the final records report, and once
+   per PCT or SURW cell for its probe, with no slice re-running an earlier
+   slice's prefix or re-probing. *)
 let test_cells_walk_and_probe_once () =
   let invocations = ref 0 in
   let counted (b : Sctbench.Bench.t) =
@@ -290,6 +291,10 @@ let test_cells_walk_and_probe_once () =
     Cell.grid
       ~techniques:Techniques.[ DFS; IPB; IDB; Rand; PCT; SURW ]
       options benches
+    @ Cell.grid
+        ~techniques:Techniques.[ DFS; IPB; IDB ]
+        { options with Techniques.prefix_batch = true }
+        benches
   in
   with_dir (fun dir ->
       let db = Db.open_ ~dir in

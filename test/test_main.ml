@@ -8,6 +8,8 @@ let () =
          Test_runtime_edge.suites;
          Test_race.suites;
          Test_explore.suites;
+         (* forks, so it runs before any suite spawns a second domain *)
+         Test_prefix_exec.suites;
          Test_strategy.suites;
          Test_programs_qcheck.suites;
          Test_engine_hot.suites;
@@ -20,7 +22,6 @@ let () =
          Test_sctbench.suites;
          Test_report.suites;
          Test_store.suites;
-         Test_prefix_exec.suites;
          Test_parallel.suites;
          Test_campaign.suites;
          Test_robustness.suites;

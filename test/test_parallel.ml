@@ -135,7 +135,7 @@ let test_pool_shutdown_drains_on_caller () =
   Alcotest.(check bool) "the held task was released" true (Pool.await held)
 
 (* a one-job pool runs tasks inline on the submitting domain and — unlike
-   a real worker pool — leaves the prefix-batch fork server available *)
+   a real worker pool — leaves the process able to fork *)
 let test_pool_inline () =
   let before = Sct_explore.Prefix_exec.fork_available () in
   Pool.with_pool ~jobs:1 (fun pool ->
@@ -147,8 +147,8 @@ let test_pool_inline () =
   Pool.with_pool ~jobs:2 (fun _pool ->
       Alcotest.(check bool) "a multi-worker pool disables fork" false
         (Sct_explore.Prefix_exec.fork_available ()));
-  (* the runtime refuses fork once a second domain ever existed, so the
-     fork server stays off for the rest of the process *)
+  (* the runtime refuses fork once a second domain ever existed, so it
+     stays off for the rest of the process *)
   Alcotest.(check bool) "fork stays disabled after shutdown" false
     (Sct_explore.Prefix_exec.fork_available ())
 

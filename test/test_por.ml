@@ -262,7 +262,7 @@ let test_parse_mode () =
 
 (* --- which techniques --por and --prefix-batch reach ---------------------- *)
 
-(* The reduction and the batched executor exist for bounds with no filter
+(* The reduction and the batched step counter exist for bounds with no filter
    and no footprint axis only: on a benchmark with commuting steps,
    [--por dpor+sleep] changes the statistics of exactly DFS, IPB and IDB,
    [--prefix-batch] changes exactly their step counters, and every other

@@ -1,22 +1,21 @@
-(* The prefix-memoizing batched executor (lib/explore/prefix_exec).
+(* Prefix-batched campaigns: the plain bounded walk with the step counter
+   of lib/explore/prefix_exec watching each walk.
 
-   1. Fork server vs portable fallback: bit-identical walk results on the
-      same bounded trees (skipped where forking is unavailable).
-   2. Batched walk vs classic backtracking DFS: identical in every field
+   1. Batched vs plain DFS, IPB and IDB through [Techniques.run], on small
+      unbounded, bounded and truncated trees: identical in every field
       except the step counters, which must conserve total work
-      (executed + saved = unbatched executed) and actually save.
-   3. Batched vs unbatched technique campaigns (DFS/IPB/IDB) through
-      [Techniques.run]: equal statistics modulo steps, and a >= 2x cut in
-      steps executed on tree-shaped benchmarks.
-   4. Golden byte-identity: the rendered table-3 text is identical for
+      (executed + saved = unbatched executed), save, and equal the counts
+      pinned below.
+   2. The same on benchmarks, with a >= 2x cut in steps executed where
+      shared prefixes dominate.
+   3. Golden byte-identity: the rendered table-3 text is identical for
       batching on/off and for --jobs 1 vs 4.
-   5. Store resume across a real SIGKILL mid-batch: a killed batched run
-      resumes on the same store into exactly the clean rows. *)
+   4. Store resume across a real SIGKILL mid-campaign: a killed batched
+      run resumes on the same store into exactly the clean rows. *)
 
 open Sct_core
 open Sct_explore
 
-let promote_all _ = true
 let stats_t = Alcotest.testable Stats.pp Stats.equal
 
 let two_seq a b () =
@@ -38,73 +37,56 @@ let pick name =
 
 let bench_program name = (pick name).Sctbench.Bench.program
 
-(* (name, program, bound, count_exact, limit) — small unbounded, bounded
-   and truncated walks *)
+(* (name, program, technique, limit, (steps executed, steps saved)): the
+   step counts of the batched campaign, as the earlier forking executor
+   and its re-executing fallback both reported them. Each bound level's
+   walk starts a fresh count, so its first terminal pays its whole
+   schedule. *)
 let walk_cases () =
   [
-    ("two_seq-4-4", two_seq 4 4, Dfs.Unbounded, None, 1_000);
-    ("two_seq-4-4/truncated", two_seq 4 4, Dfs.Unbounded, None, 30);
-    ("two_seq-5-3/pb1", two_seq 5 3, Dfs.Preemption 1, Some 1, 1_000);
-    ("two_seq-5-3/db2", two_seq 5 3, Dfs.Delay 2, Some 2, 1_000);
+    ("two_seq-4-4", two_seq 4 4, Techniques.DFS, 1_000, (251, 379));
+    ("two_seq-4-4/truncated", two_seq 4 4, Techniques.DFS, 30, (112, 158));
+    ("two_seq-5-3/ipb", two_seq 5 3, Techniques.IPB, 1_000, (679, 770));
+    ("two_seq-5-3/idb", two_seq 5 3, Techniques.IDB, 1_000, (679, 770));
     ( "twostage/truncated",
       bench_program "CS.twostage_bad",
-      Dfs.Unbounded,
-      None,
-      150 );
-    ( "account/pb1",
+      Techniques.DFS,
+      150,
+      (803, 1741) );
+    ( "account/ipb",
       bench_program "CS.account_bad",
-      Dfs.Preemption 1,
-      Some 1,
-      300 );
+      Techniques.IPB,
+      300,
+      (89, 77) );
   ]
 
-let run_walk ?fork (name, program, bound, count_exact, limit) =
-  ignore name;
-  Prefix_exec.explore ~promote:promote_all ?count_exact ?fork ~bound ~limit
-    program
-
-(* 1. the two back-ends are interchangeable, bit for bit *)
-let test_fork_matches_fallback () =
-  if not (Prefix_exec.fork_available ()) then ()
-  else
-    List.iter
-      (fun case ->
-        let (name, _, _, _, _) = case in
-        let fallback = run_walk ~fork:false case in
-        let forked = run_walk ~fork:true case in
-        Alcotest.(check bool)
-          (name ^ ": fork == fallback") true
-          (fallback = forked))
-      (walk_cases ())
-
-(* 2. batched walk == classic DFS modulo steps, with conservation *)
+(* 1. batched walk == plain walk modulo steps, with conservation *)
 let test_batched_walk_matches_dfs () =
   List.iter
-    (fun ((name, program, bound, count_exact, limit) as case) ->
-      let dfs =
-        Dfs.explore ~promote:promote_all ?count_exact ~bound ~limit program
-      in
-      let batched = run_walk case in
-      Alcotest.(check bool)
-        (name ^ ": equal modulo steps") true
-        ({
-           batched with
-           Strategy.steps_executed = dfs.Dfs.steps_executed;
-           steps_saved = dfs.Dfs.steps_saved;
-         }
-        = dfs);
+    (fun (name, program, t, limit, (executed, saved)) ->
+      let o = { Techniques.default_options with Techniques.limit } in
+      let run o = Techniques.run ~promote:(fun _ -> true) o t program in
+      let plain = run o in
+      let batched = run { o with Techniques.prefix_batch = true } in
+      Alcotest.check stats_t
+        (name ^ ": equal modulo steps")
+        plain
+        {
+          batched with
+          Stats.steps_executed = plain.Stats.steps_executed;
+          steps_saved = plain.Stats.steps_saved;
+        };
       Alcotest.(check int)
-        (name ^ ": unbatched DFS saves nothing")
-        0 dfs.Dfs.steps_saved;
+        (name ^ ": unbatched walk saves nothing")
+        0 plain.Stats.steps_saved;
       Alcotest.(check int)
         (name ^ ": steps conserved")
-        dfs.Dfs.steps_executed
-        (batched.Strategy.steps_executed + batched.Strategy.steps_saved);
-      if batched.Strategy.counted > 1 then
-        Alcotest.(check bool)
-          (name ^ ": batching saved steps")
-          true
-          (batched.Strategy.steps_saved > 0))
+        plain.Stats.steps_executed
+        (batched.Stats.steps_executed + batched.Stats.steps_saved);
+      Alcotest.(check (pair int int))
+        (name ^ ": pinned step counts")
+        (executed, saved)
+        (batched.Stats.steps_executed, batched.Stats.steps_saved))
     (walk_cases ())
 
 (* --- batched campaigns through Techniques.run --- *)
@@ -116,7 +98,7 @@ let batched_options = { plain_options with Techniques.prefix_batch = true }
 let tree_techniques = [ Techniques.DFS; Techniques.IPB; Techniques.IDB ]
 let campaign_benches = [ "CS.lazy01_bad"; "CS.twostage_bad" ]
 
-(* 3. batched == unbatched statistics modulo steps; >= 2x steps cut *)
+(* 2. batched == unbatched statistics modulo steps; >= 2x steps cut *)
 let test_batched_campaigns_match () =
   List.iter
     (fun bname ->
@@ -180,7 +162,7 @@ let render rows =
   Format.pp_print_flush fmt ();
   Buffer.contents buf
 
-(* 4. the report is byte-identical for batching on/off and jobs 1 vs 4 *)
+(* 3. the report is byte-identical for batching on/off and jobs 1 vs 4 *)
 let test_tables_byte_identical () =
   let benches = golden_benches () in
   let o = { plain_options with Techniques.limit = golden_limit } in
@@ -233,53 +215,38 @@ let check_rows_equal clean resumed =
         c.Sct_report.Run_data.results r.Sct_report.Run_data.results)
     clean resumed
 
-(* wait until the journal holds at least one complete record *)
-let wait_for_first_record journal =
-  let deadline = Unix.gettimeofday () +. 60. in
-  let rec wait () =
-    let ready =
-      Sys.file_exists journal
-      && In_channel.with_open_bin journal (fun ic ->
-             String.contains
-               (really_input_string ic (in_channel_length ic))
-               '\n')
-    in
-    if ready then ()
-    else if Unix.gettimeofday () > deadline then
-      Alcotest.fail "the batched child run made no progress"
-    else begin
-      Unix.sleepf 0.01;
-      wait ()
-    end
-  in
-  wait ()
-
-(* 5. SIGKILL a batched stored run mid-campaign; resume must reproduce the
-   clean rows exactly. The killed child is running fork-server batches, so
-   the kill also orphans in-flight worker processes — they die on their
-   broken pipes without corrupting the store. *)
+(* 4. SIGKILL a batched stored run mid-campaign; resume must reproduce the
+   clean rows exactly. The child kills itself from its progress hook when
+   the campaign reaches the last benchmark, so the kill lands after the
+   first benchmarks' cells are journalled and before the last one's. *)
 let test_sigkill_resume () =
+  (* the runtime refuses [Unix.fork] once a second domain ever existed *)
   if not (Prefix_exec.fork_available ()) then ()
   else
     with_dir (fun dir ->
         let o = { batched_options with Techniques.limit = 40 } in
         let benches = golden_benches () in
+        let killed_at = (List.nth benches 2).Sctbench.Bench.name in
         let clean = Sct_report.Run_data.run_all o benches in
         (match Unix.fork () with
         | 0 ->
             (* the child never returns into the test runner *)
+            let progress (b : Sctbench.Bench.t) =
+              if b.Sctbench.Bench.name = killed_at then
+                Unix.kill (Unix.getpid ()) Sys.sigkill
+            in
             (try
                let db = Sct_store.Db.open_ ~dir in
                ignore
-                 (Sct_report.Run_data.run_all ~store:db o benches
+                 (Sct_report.Run_data.run_all ~store:db ~progress o benches
                    : Sct_report.Run_data.row list);
                Sct_store.Db.close db
              with _ -> ());
             Unix._exit 0
-        | pid ->
-            wait_for_first_record (Filename.concat dir "journal.jsonl");
-            Unix.kill pid Sys.sigkill;
-            ignore (Unix.waitpid [] pid));
+        | pid -> (
+            match snd (Unix.waitpid [] pid) with
+            | Unix.WSIGNALED s when s = Sys.sigkill -> ()
+            | _ -> Alcotest.fail "the child was not killed"));
         let db = Sct_store.Db.open_ ~dir in
         let partial = Sct_store.Db.size db in
         let resumed = Sct_report.Run_data.run_all ~store:db o benches in
@@ -294,17 +261,15 @@ let test_sigkill_resume () =
         Sct_store.Db.close db;
         check_rows_equal clean resumed)
 
-(* Order matters: the fork-dependent cases must run before any test that
-   creates a multi-worker pool — once a second domain ever existed, the
-   OCaml runtime refuses [Unix.fork] for the rest of the process and
-   [fork_available] correctly reports so. The jobs-4 table comparison
-   therefore runs last. *)
+(* Order matters: the SIGKILL case forks, so it must run before any test
+   that creates a multi-domain pool (once a second domain ever existed,
+   the OCaml runtime refuses [Unix.fork] for the rest of the process).
+   The jobs-4 table comparison therefore runs last, and test_main runs
+   this suite before any other suite makes a pool. *)
 let suites =
   [
     ( "prefix-exec",
       [
-        Alcotest.test_case "fork server == fallback" `Quick
-          test_fork_matches_fallback;
         Alcotest.test_case "batched walk == DFS modulo steps" `Quick
           test_batched_walk_matches_dfs;
         Alcotest.test_case "SIGKILL mid-batch, store resume" `Slow

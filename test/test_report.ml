@@ -89,6 +89,67 @@ let test_printers_produce_output () =
   Alcotest.(check bool) "figure4 mentions worst case" true
     (Astring_contains.contains f4 "worst case")
 
+(* Table 3 and the CSV show every cell they ran. A study of the seeded
+   techniques alone gets a PCT and a SURW column (a CSV column group each),
+   thr/en/pts from its first cell since IDB did not run, and an agreement
+   over its Rand cell only: a technique that did not run is no
+   "not found". *)
+let test_seeded_columns () =
+  let limit = 50 in
+  let o = { Techniques.default_options with Techniques.limit } in
+  let b = Option.get (Sctbench.Registry.by_name "CS.account_bad") in
+  let rows =
+    Sct_report.Run_data.run_all
+      ~techniques:Techniques.[ Rand; PCT; SURW ]
+      o [ b ]
+  in
+  let row = List.hd rows in
+  let stats t = Option.get (Sct_report.Run_data.stats_of row t) in
+  let first_bug s =
+    Printf.sprintf "%s/%d"
+      (match s.Stats.to_first_bug with None -> "-" | Some i -> string_of_int i)
+      s.Stats.buggy
+  in
+  let rand = stats Techniques.Rand
+  and pct = stats Techniques.PCT
+  and surw = stats Techniques.SURW in
+  let t3 = capture (fun out -> Sct_report.Table3.print ~out ~limit rows) in
+  let has what text needle =
+    Alcotest.(check bool) (what ^ ": " ^ needle) true
+      (Astring_contains.contains text needle)
+  in
+  has "table3 heading" t3 "| PCT first/bug  | SURW first/bug";
+  has "table3 row" t3
+    (Printf.sprintf "%4d %4d %5d |" rand.Stats.n_threads
+       rand.Stats.max_enabled rand.Stats.max_sched_points);
+  has "table3 row" t3
+    (Printf.sprintf "| %-14s | %-14s" (first_bug pct) (first_bug surw));
+  let agreement =
+    capture (fun out -> Sct_report.Table3.print_agreement ~out rows)
+  in
+  let paper = b.Sctbench.Bench.paper in
+  has "agreement" agreement
+    (Printf.sprintf "agreement: %d/1 cells"
+       (Bool.to_int (Stats.found rand = paper.Sctbench.Bench.p_rand_found)));
+  let csv = capture (fun out -> Sct_report.Csv.table3 ~out ~limit rows) in
+  let seeded s =
+    Printf.sprintf "%s,%d,%s"
+      (match s.Stats.to_first_bug with None -> "" | Some i -> string_of_int i)
+      s.Stats.buggy
+      (match Stats.distinct s with None -> "" | Some n -> string_of_int n)
+  in
+  Alcotest.(check string)
+    "csv"
+    (Printf.sprintf
+       "%s,pct_first,pct_buggy,pct_distinct,surw_first,surw_buggy,\
+        surw_distinct\n\
+        %d,%s,%d,%d,%d,%d,,,,,,,,,,,,,,%s,,,%s,%s\n"
+       Sct_report.Csv.header b.Sctbench.Bench.id b.Sctbench.Bench.name
+       rand.Stats.n_threads rand.Stats.max_enabled rand.Stats.max_sched_points
+       row.Sct_report.Run_data.racy_locations (seeded rand) (seeded pct)
+       (seeded surw))
+    csv
+
 let suites =
   [
     ( "report",
@@ -100,5 +161,7 @@ let suites =
         Alcotest.test_case "table 2 derivation" `Slow test_table2;
         Alcotest.test_case "printers produce output" `Slow
           test_printers_produce_output;
+        Alcotest.test_case "table3 and csv show every cell run" `Quick
+          test_seeded_columns;
       ] );
   ]

@@ -1197,6 +1197,30 @@ let test_fingerprint_ignores_parallelism () =
     <> Db.fingerprint ~bench:"B" ~technique:"IPB"
          { o with Techniques.prefix_batch = true })
 
+(* The cell keys of existing stores: a key that moves makes every
+   journalled cell re-run. Pinned for the default options and for a
+   record that sets every member written only when set. *)
+let test_fingerprint_fixture () =
+  let o = Techniques.default_options in
+  let all_optional =
+    {
+      o with
+      Techniques.limit = 200;
+      seed = 7;
+      time_limit = Some 1.5;
+      prefix_batch = true;
+      por = Some Sct_explore.Por.Dpor_sleep;
+      fair_bound = 3;
+      length_bound = 100;
+    }
+  in
+  let key = Db.fingerprint ~bench:"CS.account_bad" ~technique:"IPB" in
+  Alcotest.(check string)
+    "default options" "3adaa0c9b1c895a78a8b7113b308d2c4" (key o);
+  Alcotest.(check string)
+    "every optional member set" "cc93de004242425bbbcb96748df82508"
+    (key all_optional)
+
 (* --- artifact listing order --- *)
 
 let test_artifact_list_order () =
@@ -1890,6 +1914,8 @@ let suites =
           test_db_truncated_tail;
         Alcotest.test_case "fingerprint ignores jobs/split-depth" `Quick
           test_fingerprint_ignores_parallelism;
+        Alcotest.test_case "fingerprint hex is pinned" `Quick
+          test_fingerprint_fixture;
         Alcotest.test_case "campaign progress records are slice-resumable"
           `Quick test_db_progress_records;
         Alcotest.test_case "a record with a negative counter is re-executed"
